@@ -12,7 +12,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,15 +19,16 @@ from . import data_io
 from .answering import predict
 from .data_io import Example, SyntheticSpec
 from .frame_encoder import encode_frames
-from .subtitle_memory import build_memory, evolve_memory, rank_subtitles
+from .subtitle_memory import evolve_memory, rank_subtitles
 from .training import (
     ModelConfig,
     ModelParams,
     TrainConfig,
     evaluate,
+    example_memory,
     gradcheck,
     init_params,
-    prepare,
+    prepare_example,
     run_forward,
     train,
 )
@@ -41,60 +41,15 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(2)
 
 
-@dataclass
-class RunManifest:
-    """Resolved input/output locations plus model and training settings."""
-
-    embeddings: str
-    qa: str
-    feature_dir: str
-    subtitle_dir: str | None
-    out_dir: str | None
-    frames: int
-    video_only: bool
-    model: ModelConfig
-    trainer: TrainConfig
-
-
 def _model_config(args) -> ModelConfig:
-    if args.preset == "best":
-        # strongest reported configuration: two subtitle passes plus guidance
-        return ModelConfig(
-            swm_hops=args.swm_hops,
-            um_hops=2,
-            qg=True,
-            normalize_sentences=args.normalize_sentences,
-            average_clip=args.average_clip,
-            um_carry_frames=args.um_carry_frames,
-        )
+    best = args.preset == "best"  # strongest reported: two subtitle passes plus guidance
     return ModelConfig(
         swm_hops=args.swm_hops,
-        um_hops=args.um_hops,
-        qg=args.qg,
+        um_hops=2 if best else args.um_hops,
+        qg=best or args.qg,
         normalize_sentences=args.normalize_sentences,
         average_clip=args.average_clip,
         um_carry_frames=args.um_carry_frames,
-    )
-
-
-def _manifest(args) -> RunManifest:
-    return RunManifest(
-        embeddings=args.embeddings,
-        qa=args.qa,
-        feature_dir=args.features,
-        subtitle_dir=getattr(args, "subtitles", None),
-        out_dir=getattr(args, "out", None),
-        frames=args.frames,
-        video_only=args.video_only,
-        model=_model_config(args),
-        trainer=TrainConfig(
-            learning_rate=args.lr,
-            batch_size=args.batch_size,
-            max_epochs=args.max_epochs,
-            patience=args.patience,
-            dev_fraction=args.dev_fraction,
-            seed=args.seed,
-        ),
     )
 
 
@@ -106,13 +61,13 @@ def _require(path: str | None, role: str) -> str:
     return path
 
 
-def _load_inputs(manifest: RunManifest) -> tuple[StaticWordMemory, list[Example]]:
-    mem = load_word2vec_text(_require(manifest.embeddings, "embedding file"))
-    items = data_io.load_qa_jsonl(_require(manifest.qa, "QA file"))
-    feature_dir = _require(manifest.feature_dir, "feature directory")
+def _load_inputs(args) -> tuple[StaticWordMemory, list[Example]]:
+    mem = load_word2vec_text(_require(args.embeddings, "embedding file"))
+    items = data_io.load_qa_jsonl(_require(args.qa, "QA file"))
+    feature_dir = _require(args.features, "feature directory")
     subtitle_dir = None
-    if not manifest.video_only:
-        subtitle_dir = _require(manifest.subtitle_dir, "subtitle directory")
+    if not args.video_only:
+        subtitle_dir = _require(args.subtitles, "subtitle directory")
 
     subtitle_cache: dict[str, tuple[str, ...]] = {}
     examples = []
@@ -121,7 +76,7 @@ def _load_inputs(manifest: RunManifest) -> tuple[StaticWordMemory, list[Example]
             data_io.load_features(os.path.join(feature_dir, f"{cid}.lmnf"))
             for cid in item.clip_ids
         ]
-        features = data_io.subsample_frames(clips, manifest.frames)
+        features = data_io.subsample_frames(clips, args.frames)
         sentences = None
         if subtitle_dir is not None:
             if item.movie_id not in subtitle_cache:
@@ -141,13 +96,13 @@ def _load_subtitles(subtitle_dir: str, movie_id: str) -> tuple[str, ...]:
     raise ValueError(f"no subtitle file for movie {movie_id!r} in {subtitle_dir}")
 
 
-def _load_model(manifest: RunManifest, params_path: str, mem: StaticWordMemory) -> ModelParams:
-    weights = data_io.load_params(_require(params_path, "params file"))
+def _load_model(args, mem: StaticWordMemory) -> ModelParams:
+    weights = data_io.load_params(_require(args.params, "params file"))
     if weights.shape[0] != mem.dim:
         raise ValueError(
             f"params dimension {weights.shape[0]} does not match embedding dimension {mem.dim}"
         )
-    return ModelParams(weights, manifest.model)
+    return ModelParams(weights, _model_config(args))
 
 
 def _find_item(examples: list[Example], qid: str) -> Example:
@@ -164,15 +119,17 @@ def _write_text(path: str, text: str) -> None:
 # --- commands ---------------------------------------------------------------
 
 def cmd_train(args) -> int:
-    manifest = _manifest(args)
-    mem, examples = _load_inputs(manifest)
+    mem, examples = _load_inputs(args)
     if not examples:
         raise ValueError("empty dataset")
     channels = examples[0].features.channels
-    params0 = init_params(mem.dim, channels, manifest.model, seed=manifest.trainer.seed)
-    params, report = train(examples, mem, manifest.trainer, params0)
+    params0 = init_params(mem.dim, channels, _model_config(args), seed=args.seed)
+    trainer = TrainConfig(learning_rate=args.lr, batch_size=args.batch_size,
+                          max_epochs=args.max_epochs, patience=args.patience,
+                          dev_fraction=args.dev_fraction, seed=args.seed)
+    params, report = train(examples, mem, trainer, params0)
 
-    out = manifest.out_dir or "."
+    out = args.out or "."
     os.makedirs(out, exist_ok=True)
     params_path = os.path.join(out, "params.lmnp")
     report_path = os.path.join(out, "report.json")
@@ -186,36 +143,29 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    manifest = _manifest(args)
-    mem, examples = _load_inputs(manifest)
+    mem, examples = _load_inputs(args)
     if not examples:
         raise ValueError("empty dataset")
     for example in examples:
         if example.item.correct_index is None:
             raise ValueError(f"item {example.item.qid!r} has no correct_index")
-    params = _load_model(manifest, args.params, mem)
+    params = _load_model(args, mem)
     acc, records = evaluate(params, mem, examples)
     doc = {"accuracy": acc, "n": len(examples), "per_question": records}
-    if manifest.out_dir:
-        os.makedirs(manifest.out_dir, exist_ok=True)
-        _write_text(os.path.join(manifest.out_dir, "eval.json"),
+    if args.out:
+        os.makedirs(args.out, exist_ok=True)
+        _write_text(os.path.join(args.out, "eval.json"),
                     json.dumps(doc, ensure_ascii=False) + "\n")
     print(f"accuracy {acc:.4f} over {len(examples)} questions")
     return 0
 
 
 def cmd_answer(args) -> int:
-    manifest = _manifest(args)
-    mem, examples = _load_inputs(manifest)
+    mem, examples = _load_inputs(args)
     example = _find_item(examples, args.qid)
-    params = _load_model(manifest, args.params, mem)
-    sub = None
-    if example.subtitles is not None:
-        sub = build_memory(example.subtitles, mem,
-                           normalize=manifest.model.normalize_sentences,
-                           movie_id=example.item.movie_id)
-    prep = prepare(mem, example.item, example.features, sub, manifest.model)
-    state = run_forward(params.weights, prep, manifest.model, mem)
+    params = _load_model(args, mem)
+    prep = prepare_example(mem, example, params.config)
+    state = run_forward(params.weights, prep, params.config, mem)
     choice = predict(state.dist)
     print(f"qid {example.item.qid}: predicted answer {choice}")
     for h, (text, p) in enumerate(zip(example.item.answers, state.dist.probs)):
@@ -228,26 +178,23 @@ def cmd_answer(args) -> int:
 
 
 def cmd_rank_subtitles(args) -> int:
-    manifest = _manifest(args)
-    mem, examples = _load_inputs(manifest)
-    if manifest.video_only:
+    mem, examples = _load_inputs(args)
+    if args.video_only:
         raise ValueError("rank-subtitles requires subtitles")
     example = _find_item(examples, args.qid)
-    params = _load_model(manifest, args.params, mem)
-    frames = encode_frames(example.features, params.weights, mem, manifest.model.swm_hops)
+    params = _load_model(args, mem)
+    config = params.config
+    frames = encode_frames(example.features, params.weights, mem, config.swm_hops)
     if not 0 <= args.frame_index < frames.shape[0]:
         raise ValueError(
             f"frame index {args.frame_index} out of range (clip has {frames.shape[0]} frames)"
         )
-    sub = build_memory(example.subtitles, mem,
-                       normalize=manifest.model.normalize_sentences,
-                       movie_id=example.item.movie_id)
+    sub = example_memory(mem, example, config)
     if args.memory_state == "final":
         question = embed_sentence(mem, example.item.question,
-                                  normalize=manifest.model.normalize_sentences).vector
-        sub = evolve_memory(frames, sub, question,
-                            um_hops=manifest.model.um_hops, qg=manifest.model.qg,
-                            carry_frames=manifest.model.um_carry_frames)
+                                  normalize=config.normalize_sentences).vector
+        sub = evolve_memory(frames, sub, question, um_hops=config.um_hops, qg=config.qg,
+                            carry_frames=config.um_carry_frames)
     ranked = rank_subtitles(frames[args.frame_index], sub)
     for rank, (idx, sim) in enumerate(ranked, 1):
         print(f"{rank}\t{sim:+.6f}\t{sub.sentences[idx]}")
@@ -255,21 +202,16 @@ def cmd_rank_subtitles(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
-    manifest = _manifest(args)
-    mem, examples = _load_inputs(manifest)
+    mem, examples = _load_inputs(args)
     if not examples:
         raise ValueError("empty dataset")
     example = _find_item(examples, args.qid) if args.qid else examples[0]
     if args.params:
-        params = _load_model(manifest, args.params, mem)
+        params = _load_model(args, mem)
     else:
-        params = init_params(mem.dim, example.features.channels, manifest.model,
-                             seed=manifest.trainer.seed)
-    sub = None
-    if example.subtitles is not None:
-        sub = build_memory(example.subtitles, mem,
-                           normalize=manifest.model.normalize_sentences,
-                           movie_id=example.item.movie_id)
+        params = init_params(mem.dim, example.features.channels, _model_config(args),
+                             seed=args.seed)
+    sub = example_memory(mem, example, params.config)
     err = gradcheck(params, mem, example.item, example.features, sub, step=args.step)
     print(f"gradcheck qid {example.item.qid}: max relative error {err:.3e} (step {args.step:g})")
     return 0
@@ -314,13 +256,12 @@ def _add_model_flags(p: argparse.ArgumentParser) -> None:
                    help="'best' selects two subtitle passes plus question guidance")
 
 
-def _add_data_flags(p: argparse.ArgumentParser, subtitles: bool = True) -> None:
+def _add_data_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--embeddings", required=True, help="word2vec text file")
     p.add_argument("--qa", required=True, help="QA JSONL file")
     p.add_argument("--features", required=True, help="directory of <clip_id>.lmnf files")
-    if subtitles:
-        p.add_argument("--subtitles", default=None,
-                       help="directory of <movie_id>.srt or .txt files")
+    p.add_argument("--subtitles", default=None,
+                   help="directory of <movie_id>.srt or .txt files")
     p.add_argument("--video-only", action="store_true", help="ignore subtitles entirely")
     p.add_argument("--frames", type=int, default=32,
                    help="frames sampled per question across its clips")
@@ -349,7 +290,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="evaluate saved parameters")
     _add_data_flags(p)
     _add_model_flags(p)
-    _add_train_flags(p)
     p.add_argument("--params", required=True, help="LMNP parameter file")
     p.add_argument("--out", default=None, help="optional output directory for eval.json")
     p.set_defaults(func=cmd_eval)
@@ -357,7 +297,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("answer", help="answer a single question")
     _add_data_flags(p)
     _add_model_flags(p)
-    _add_train_flags(p)
     p.add_argument("--params", required=True)
     p.add_argument("--qid", required=True)
     p.set_defaults(func=cmd_answer)
@@ -365,7 +304,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("rank-subtitles", help="rank subtitles against one frame")
     _add_data_flags(p)
     _add_model_flags(p)
-    _add_train_flags(p)
     p.add_argument("--params", required=True)
     p.add_argument("--qid", required=True)
     p.add_argument("--frame-index", type=int, default=0)
@@ -376,10 +314,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gradcheck", help="finite-difference check of the gradient")
     _add_data_flags(p)
     _add_model_flags(p)
-    _add_train_flags(p)
     p.add_argument("--params", default=None, help="optional LMNP file (default: fresh init)")
     p.add_argument("--qid", default=None)
     p.add_argument("--step", type=float, default=1e-5)
+    p.add_argument("--seed", type=int, default=0, help="seed of the fresh init")
     p.set_defaults(func=cmd_gradcheck)
 
     p = sub.add_parser("synth", help="generate a planted-signal synthetic dataset")

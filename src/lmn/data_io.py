@@ -9,10 +9,12 @@ Feature payloads are stored as 32-bit little-endian floats and promoted to
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import re
 import struct
+import tempfile
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -165,11 +167,29 @@ _PARAMS_HEADER = struct.Struct("<4sIII")  # magic, version, d, C
 _MAX_PAYLOAD_BYTES = 1 << 62
 
 
+# The process umask, read once (os.umask can only be read by setting it).
+_UMASK = os.umask(0o022)
+os.umask(_UMASK)
+
+
 def atomic_write_bytes(path, data: bytes) -> None:
-    tmp = str(path) + ".tmp"
-    with open(tmp, "wb") as fh:
-        fh.write(data)
-    os.replace(tmp, path)
+    """Write `data` to a unique temporary file beside `path`, flush it to
+    disk, then rename it over `path`. On any failure the temporary file is
+    removed and `path` is left as it was."""
+    path = os.fspath(path)
+    fd, tmp = tempfile.mkstemp(prefix=os.path.basename(path) + ".",
+                               suffix=".tmp", dir=os.path.dirname(path) or ".")
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(data)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.chmod(tmp, 0o666 & ~_UMASK)  # mkstemp creates 0600; match open()
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
+        raise
 
 
 def save_features(clip: ClipFeatures, path) -> None:

@@ -13,14 +13,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .word_memory import GRAM_MIN_VOCAB, StaticWordMemory, unit_normalize
+from .word_memory import StaticWordMemory
 
 __all__ = [
     "ClipFeatures",
     "ProjectionWeights",
     "project_region",
     "word_attend",
-    "word_attention_weights",
     "encode_frames",
 ]
 
@@ -94,24 +93,10 @@ def _normalize_rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _attend(xhat: np.ndarray, mem: StaticWordMemory) -> np.ndarray:
-    """Cosine-weighted sum over unit word rows for pre-normalized inputs."""
-    rows = mem.unit_rows
-    if mem.size > GRAM_MIN_VOCAB:
-        return xhat @ mem.gram
-    return (xhat @ rows.T) @ rows
-
-
-def _attend_adjoint(dy: np.ndarray, mem: StaticWordMemory) -> np.ndarray:
-    """Adjoint of `_attend` with respect to its (normalized) input."""
-    rows = mem.unit_rows
-    if mem.size > GRAM_MIN_VOCAB:
-        return dy @ mem.gram
-    return (dy @ rows.T) @ rows
-
-
-def word_attention_weights(region: np.ndarray, mem: StaticWordMemory) -> np.ndarray:
-    """Cosine similarity of a region vector against every word row."""
-    return mem.unit_rows @ unit_normalize(np.asarray(region, dtype=np.float64))
+    """Cosine-weighted sum over unit word rows for pre-normalized inputs:
+    (xhat U^T) U = xhat G with G = U^T U the cached (d, d) Gram matrix.
+    G is symmetric, so this map is its own adjoint."""
+    return xhat @ mem.gram
 
 
 def word_attend(region: np.ndarray, mem: StaticWordMemory) -> np.ndarray:
@@ -152,7 +137,7 @@ def hop_chain_backward(
     """
     dx = dx_out
     for cache in reversed(caches):
-        dxhat = _attend_adjoint(dx, mem)
+        dxhat = _attend(dx, mem)
         inner = np.sum(cache.xhat * dxhat, axis=-1, keepdims=True)
         dx = (dxhat - cache.xhat * inner) / np.where(cache.norms == 0.0, 1.0, cache.norms)
         dx = np.where(cache.norms == 0.0, 0.0, dx)

@@ -6,18 +6,14 @@ subtitle rows, question and answer vectors are frozen and receive no
 gradient.
 
 Training is plain minibatch SGD with early stopping on dev accuracy, fully
-reproducible from the seed. Items within a batch may be evaluated by a small
-thread pool (capped by the LMN_THREADS environment variable); per-item
-gradients are summed in fixed item order, so results are bitwise identical
-at any thread count.
+reproducible from the seed: per-item gradients are summed in fixed item
+order.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -185,13 +181,18 @@ def prepare(
     )
 
 
+def example_memory(
+    mem: StaticWordMemory, example: Example, config: ModelConfig
+) -> SubtitleMemory | None:
+    """The example's subtitle memory; None in video-only mode."""
+    if example.subtitles is None:
+        return None
+    return build_memory(example.subtitles, mem, normalize=config.normalize_sentences,
+                        movie_id=example.item.movie_id)
+
+
 def prepare_example(mem: StaticWordMemory, example: Example, config: ModelConfig) -> Prepared:
-    sub = None
-    if example.subtitles is not None:
-        sub = build_memory(
-            example.subtitles, mem, normalize=config.normalize_sentences,
-            movie_id=example.item.movie_id,
-        )
+    sub = example_memory(mem, example, config)
     return prepare(mem, example.item, example.features, sub, config)
 
 
@@ -330,19 +331,6 @@ def gradcheck(
 
 # --- training loop ------------------------------------------------------------
 
-def _thread_count() -> int:
-    raw = os.environ.get("LMN_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
-def _loss_and_grad(weights, prep, config, mem):
-    state = run_forward(weights, prep, config, mem)
-    return state.loss, run_backward(state, prep, config, mem)
-
-
 def evaluate(
     params: ModelParams, mem: StaticWordMemory, dataset: list[Example]
 ) -> tuple[float, list[dict]]:
@@ -400,21 +388,13 @@ def train(
     dev_idx = order[:n_dev]
     train_idx = order[n_dev:]
 
-    threads = _thread_count()
-    pool = ThreadPoolExecutor(max_workers=threads) if threads > 1 else None
-
     def batch_stats(weights, indices):
-        if pool is None:
-            results = [_loss_and_grad(weights, prepared[i], model_config, mem) for i in indices]
-        else:
-            results = list(
-                pool.map(lambda i: _loss_and_grad(weights, prepared[i], model_config, mem), indices)
-            )
         grad = np.zeros_like(weights)
         loss_sum = 0.0
-        for loss, g in results:  # fixed item order keeps the sum deterministic
-            grad += g
-            loss_sum += loss
+        for i in indices:  # fixed item order keeps the sum deterministic
+            state = run_forward(weights, prepared[i], model_config, mem)
+            grad += run_backward(state, prepared[i], model_config, mem)
+            loss_sum += state.loss
         return loss_sum, grad / len(indices)
 
     def dev_accuracy(weights):
@@ -431,29 +411,25 @@ def train(
     stale = 0
     history: list[EpochStats] = []
 
-    try:
-        for epoch in range(1, config.max_epochs + 1):
-            epoch_order = rng.permutation(train_idx)
-            loss_total = 0.0
-            for lo in range(0, len(epoch_order), config.batch_size):
-                batch = epoch_order[lo : lo + config.batch_size]
-                loss_sum, grad = batch_stats(weights, batch)
-                loss_total += loss_sum
-                weights = sgd_step(weights, grad, config.learning_rate)
-            acc = dev_accuracy(weights)
-            history.append(EpochStats(epoch, loss_total / len(epoch_order), acc))
-            if acc > best_acc:
-                best_acc = acc
-                best_epoch = epoch
-                best_weights = weights.copy()
-                stale = 0
-            else:
-                stale += 1
-                if stale >= config.patience:
-                    break
-    finally:
-        if pool is not None:
-            pool.shutdown()
+    for epoch in range(1, config.max_epochs + 1):
+        epoch_order = rng.permutation(train_idx)
+        loss_total = 0.0
+        for lo in range(0, len(epoch_order), config.batch_size):
+            batch = epoch_order[lo : lo + config.batch_size]
+            loss_sum, grad = batch_stats(weights, batch)
+            loss_total += loss_sum
+            weights = sgd_step(weights, grad, config.learning_rate)
+        acc = dev_accuracy(weights)
+        history.append(EpochStats(epoch, loss_total / len(epoch_order), acc))
+        if acc > best_acc:
+            best_acc = acc
+            best_epoch = epoch
+            best_weights = weights.copy()
+            stale = 0
+        else:
+            stale += 1
+            if stale >= config.patience:
+                break
 
     report = TrainReport(
         epochs=tuple(history),

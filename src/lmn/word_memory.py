@@ -29,10 +29,6 @@ __all__ = [
 # Maximal runs of alphanumeric characters (unicode-aware, underscore excluded).
 _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
 
-# Above this vocabulary size, word attention goes through the cached d-by-d
-# Gram matrix instead of materializing per-word scores.
-GRAM_MIN_VOCAB = 4096
-
 
 class EmbeddingFormatError(ValueError):
     """Raised for malformed word2vec text files."""
@@ -105,7 +101,7 @@ class StaticWordMemory:
 
     @property
     def gram(self) -> np.ndarray:
-        """Gram matrix of the unit rows; cached, used for large vocabularies."""
+        """Gram matrix (d, d) of the unit rows; cached, used by word attention."""
         if self._gram is None:
             g = self.unit_rows.T @ self.unit_rows
             g.setflags(write=False)

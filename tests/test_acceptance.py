@@ -4,12 +4,16 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the lines inline
 (they also appear in the -rA summary of a plain pytest run).
 """
 
+import os
+import subprocess
+import sys
 import time
 from contextlib import contextmanager
 
 import numpy as np
 import pytest
 
+import lmn
 from instances import config_sweep, make_instance
 from lmn.answering import cross_entropy
 from lmn.cli import main as cli_main
@@ -107,9 +111,8 @@ def _paper_defaults(seed: int, lr: float = 0.01) -> TrainConfig:
                        patience=10, dev_fraction=0.1, seed=seed)
 
 
-def test_criterion_3_synthetic_learnability(default_synthetic, monkeypatch):
+def test_criterion_3_synthetic_learnability(default_synthetic):
     with criterion(3, "planted-signal training reaches >= 0.80 eval accuracy"):
-        monkeypatch.setenv("LMN_THREADS", "1")
         start = time.monotonic()
         data = default_synthetic
         spec = SyntheticSpec()
@@ -125,13 +128,12 @@ def test_criterion_3_synthetic_learnability(default_synthetic, monkeypatch):
         assert elapsed < 300.0, f"took {elapsed:.1f}s"
 
 
-def test_criterion_4_extension_ordering(default_synthetic, monkeypatch):
+def test_criterion_4_extension_ordering(default_synthetic):
     # The extensions reuse the single learned projection (they add no
     # parameters), so each is warm-started from the previous stage and
     # fine-tuned gently; training the deep variants from a random start
     # saturates the answer softmax and is not a meaningful comparison.
     with criterion(4, "update and question-guided passes do not degrade accuracy"):
-        monkeypatch.setenv("LMN_THREADS", "1")
         data = default_synthetic
         spec = SyntheticSpec()
         eval_ex = data.examples("eval")
@@ -296,8 +298,8 @@ def test_criterion_6_format_fidelity(tmp_path):
                 assert message in str(exc)
 
 
-def test_criterion_7_cli_determinism(tmp_path, monkeypatch):
-    with criterion(7, "cmd_train is byte-identical across runs and thread counts"):
+def test_criterion_7_cli_determinism(tmp_path):
+    with criterion(7, "cmd_train is byte-identical across runs and BLAS thread counts"):
         data_dir = tmp_path / "data"
         assert cli_main([
             "synth", "--out", str(data_dir),
@@ -306,11 +308,9 @@ def test_criterion_7_cli_determinism(tmp_path, monkeypatch):
             "--n-subtitles", "3", "--n-train", "40", "--n-eval", "10",
             "--seed", "9",
         ]) == 0
-        outputs = []
-        for run, threads in (("r1", "1"), ("r2", "1"), ("r3", "2"), ("r4", "4")):
-            monkeypatch.setenv("LMN_THREADS", threads)
-            out = tmp_path / run
-            assert cli_main([
+
+        def train_args(out):
+            return [
                 "train",
                 "--embeddings", str(data_dir / "embeddings.txt"),
                 "--qa", str(data_dir / "train.jsonl"),
@@ -318,7 +318,18 @@ def test_criterion_7_cli_determinism(tmp_path, monkeypatch):
                 "--subtitles", str(data_dir / "subtitles"),
                 "--frames", "2", "--max-epochs", "3", "--seed", "11",
                 "--out", str(out),
-            ]) == 0
-            outputs.append(((out / "params.lmnp").read_bytes(),
-                            (out / "report.json").read_bytes()))
+            ]
+
+        # two runs in this process, then one fresh process per BLAS thread count
+        for run in ("r1", "r2"):
+            assert cli_main(train_args(tmp_path / run)) == 0
+        src = os.path.dirname(os.path.dirname(os.path.abspath(lmn.__file__)))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        for run, threads in (("r3", "1"), ("r4", "2")):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=path)
+            subprocess.run([sys.executable, "-m", "lmn.cli", *train_args(tmp_path / run)],
+                           env=env, check=True, capture_output=True)
+        outputs = [((tmp_path / run / "params.lmnp").read_bytes(),
+                    (tmp_path / run / "report.json").read_bytes())
+                   for run in ("r1", "r2", "r3", "r4")]
         assert all(o == outputs[0] for o in outputs[1:])

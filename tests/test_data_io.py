@@ -190,6 +190,20 @@ class TestParamsFiles:
         with pytest.raises(DataFormatError, match="expected"):
             load_params(path)
 
+    def test_stale_tmp_directory_does_not_block_save(self, tmp_path):
+        path = tmp_path / "p.lmnp"
+        (tmp_path / "p.lmnp.tmp").mkdir()
+        save_params(np.ones((2, 3)), path)
+        np.testing.assert_array_equal(load_params(path), np.ones((2, 3)))
+
+    def test_failed_write_leaves_no_temp_file(self, tmp_path):
+        target = tmp_path / "p.lmnp"
+        target.mkdir()  # a file cannot be renamed over a directory
+        with pytest.raises(OSError):
+            save_params(np.ones((2, 3)), target)
+        assert os.listdir(tmp_path) == ["p.lmnp"]
+        assert target.is_dir()
+
 
 class TestQaJsonl:
     GOOD = (

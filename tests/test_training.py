@@ -257,18 +257,6 @@ class TestTrain:
         assert runs[0][1].params_digest == runs[1][1].params_digest
         np.testing.assert_array_equal(runs[0][0].weights, runs[1][0].weights)
 
-    def test_identical_across_thread_counts(self, small_synthetic, monkeypatch):
-        data = small_synthetic
-        params0 = init_params(6, 8, seed=4)
-        config = TrainConfig(max_epochs=2, seed=4)
-        results = {}
-        for threads in ("1", "3"):
-            monkeypatch.setenv("LMN_THREADS", threads)
-            params, report = train(data.examples("train"), data.word_memory, config, params0)
-            results[threads] = (params.weights, report.to_json())
-        np.testing.assert_array_equal(results["1"][0], results["3"][0])
-        assert results["1"][1] == results["3"][1]
-
     def test_batch_gradient_is_mean_of_item_gradients(self, small_synthetic):
         data = small_synthetic
         examples = data.examples("train")[:12]
