@@ -3,6 +3,16 @@ space and re-expressed as cosine-weighted sums over the static word memory,
 optionally for several hops. A frame's representation is the sum of its
 attended regions.
 
+One hop normalizes its input and multiplies by the (d, d) Gram matrix G of
+the unit word rows. After the normalization that multiply is linear, so for
+the last hop the region sum moves inside it:
+
+    Σ_r x̂_r G = (Σ_r x̂_r) G
+
+The frame encoder therefore sums the normalized regions of each frame and
+runs the last Gram multiply once per frame, (T, d) @ G, instead of once per
+region. Hops before the last still run per region.
+
 Each forward helper has its reverse-mode adjoint right beside it; the
 training module chains them.
 """
@@ -114,33 +124,39 @@ class HopCache:
 
 
 def hop_chain(x0: np.ndarray, mem: StaticWordMemory, hops: int) -> tuple[np.ndarray, list[HopCache]]:
-    """Apply `hops` attention passes over the same word memory, recording the
-    per-hop normalization state needed for the backward pass."""
+    """Run `hops` attention passes over the same word memory up to, but not
+    including, the last pass's Gram multiply: the result is the last hop's
+    normalized input xhat, so `hop_chain(x0, mem, hops)[0] @ mem.gram` is
+    the attended output. Records the per-hop normalization state needed
+    for the backward pass."""
     if hops < 1:
         raise ValueError(f"hops must be >= 1, got {hops}")
-    x = x0
-    caches: list[HopCache] = []
-    for _ in range(hops):
-        norms, xhat = _normalize_rows(x)
+    norms, xhat = _normalize_rows(x0)
+    caches = [HopCache(norms, xhat)]
+    for _ in range(hops - 1):
+        norms, xhat = _normalize_rows(_attend(xhat, mem))
         caches.append(HopCache(norms, xhat))
-        x = _attend(xhat, mem)
-    return x, caches
+    return xhat, caches
+
+
+def _normalize_backward(dxhat: np.ndarray, cache: HopCache) -> np.ndarray:
+    """Adjoint of `_normalize_rows` for one hop: the exact Jacobian
+    (I - xhat xhat^T)/|x| per row. `dxhat` may broadcast against the cached
+    rows; rows that were exactly zero in the forward pass get zero gradient."""
+    inner = np.sum(cache.xhat * dxhat, axis=-1, keepdims=True)
+    zero = cache.norms == 0.0
+    dx = (dxhat - cache.xhat * inner) / np.where(zero, 1.0, cache.norms)
+    return np.where(zero, 0.0, dx)
 
 
 def hop_chain_backward(
-    dx_out: np.ndarray, caches: list[HopCache], mem: StaticWordMemory
+    dxhat_last: np.ndarray, caches: list[HopCache], mem: StaticWordMemory
 ) -> np.ndarray:
-    """Propagate a gradient back through `hop_chain` to its raw input.
-
-    Uses the exact normalization Jacobian (I - xx^T)/|x| per row; rows that
-    were exactly zero in the forward pass receive zero gradient.
-    """
-    dx = dx_out
-    for cache in reversed(caches):
-        dxhat = _attend(dx, mem)
-        inner = np.sum(cache.xhat * dxhat, axis=-1, keepdims=True)
-        dx = (dxhat - cache.xhat * inner) / np.where(cache.norms == 0.0, 1.0, cache.norms)
-        dx = np.where(cache.norms == 0.0, 0.0, dx)
+    """Propagate the gradient with respect to `hop_chain`'s output (the last
+    hop's normalized input) back to its raw input."""
+    dx = _normalize_backward(dxhat_last, caches[-1])
+    for cache in reversed(caches[:-1]):
+        dx = _normalize_backward(_attend(dx, mem), cache)
     return dx
 
 
@@ -158,26 +174,39 @@ def encode_frames_cached(
     mem: StaticWordMemory,
     hops: int,
 ) -> tuple[np.ndarray, FrameCache]:
-    """Project (T,R,C) regions, run the hop chain, and sum regions per frame."""
+    """Project (T,R,C) regions, run the hop chain per region, sum the last
+    hop's normalized regions per frame and attend once per frame."""
     weights = _check_weights(weights, regions.shape[-1])
     if weights.shape[0] != mem.dim:
         raise ValueError(
             f"projection dimension {weights.shape[0]} does not match word dimension {mem.dim}"
         )
-    projected = regions @ weights.T  # (T, R, d)
-    attended, hop_caches = hop_chain(projected, mem, hops)
-    frame_reps = attended.sum(axis=1)  # (T, d)
+    t, r, c = regions.shape
+    projected = (regions.reshape(t * r, c) @ weights.T).reshape(t, r, -1)  # one GEMM, not T
+    xhat_last, hop_caches = hop_chain(projected, mem, hops)
+    frame_reps = _attend(xhat_last.sum(axis=1), mem)  # (T, d)
     return frame_reps, FrameCache(regions, hop_caches)
 
 
 def encode_frames_backward(
     dframe_reps: np.ndarray, cache: FrameCache, mem: StaticWordMemory
 ) -> np.ndarray:
-    """Gradient of the frame encoding with respect to the projection weights."""
-    t, r, _ = cache.regions.shape
-    dattended = np.broadcast_to(dframe_reps[:, None, :], (t, r, dframe_reps.shape[-1]))
-    dprojected = hop_chain_backward(dattended, cache.hop_caches, mem)
-    return np.einsum("trd,trc->dc", dprojected, cache.regions)
+    """Gradient of the frame encoding with respect to the projection weights.
+
+    Every region of a frame receives the frame's gradient, and by
+    Σ_r x̂_r G = (Σ_r x̂_r) G the last hop's Gram multiply runs once
+    per frame: dframe G is broadcast over the regions into that hop's
+    normalization Jacobian. The weight gradient is one (T*R, d)^T @ (T*R, C)
+    matrix product."""
+    t, r, c = cache.regions.shape
+    dframe_reps = np.asarray(dframe_reps, dtype=np.float64)
+    if dframe_reps.shape != (t, mem.dim):
+        raise ValueError(
+            f"frame gradient must have shape {(t, mem.dim)}, got {dframe_reps.shape}"
+        )
+    dxhat_last = _attend(dframe_reps, mem)[:, None, :]  # (T, 1, d), broadcast over R
+    dprojected = hop_chain_backward(dxhat_last, cache.hop_caches, mem)
+    return dprojected.reshape(t * r, -1).T @ cache.regions.reshape(t * r, c)
 
 
 def encode_frames(

@@ -6,6 +6,8 @@ import pytest
 from lmn.frame_encoder import (
     ClipFeatures,
     encode_frames,
+    encode_frames_backward,
+    encode_frames_cached,
     hop_chain,
     project_region,
     word_attend,
@@ -165,13 +167,18 @@ class TestEncodeFrames:
         )
 
     def test_hop_composition(self):
+        # hop_chain stops before the last Gram multiply: its output is the
+        # last hop's normalized input, and attending it ends one hop
         rng = np.random.default_rng(53)
         mem = random_mem(rng, 6, 4)
         x0 = rng.normal(size=(3, 2, 4))
-        direct, _ = hop_chain(x0, mem, 3)
+        direct, caches = hop_chain(x0, mem, 3)
         step1, _ = hop_chain(x0, mem, 1)
-        step2, _ = hop_chain(step1, mem, 2)
+        step2, _ = hop_chain(step1 @ mem.gram, mem, 2)
         np.testing.assert_array_equal(direct, step2)
+        np.testing.assert_array_equal(step1 @ mem.gram, word_attend(x0, mem))
+        assert len(caches) == 3
+        np.testing.assert_allclose(np.linalg.norm(direct, axis=-1), 1.0, atol=1e-15)
 
     def test_rejects_bad_hops(self, basis_mem):
         clip = ClipFeatures(np.ones((1, 2, 1, 1)))
@@ -182,3 +189,73 @@ class TestEncodeFrames:
         clip = ClipFeatures(np.ones((1, 3, 1, 1)))
         with pytest.raises(ValueError):
             encode_frames(clip, np.eye(2), basis_mem, hops=1)
+
+
+def per_region_weight_grad(dframe, regions, weights, mem, hops):
+    """The frame-encoder weight gradient computed region by region: every
+    hop, the last one included, multiplies each region row by the Gram
+    matrix, and the weight gradient is an einsum over frames and regions."""
+    x = regions @ weights.T
+    caches = []
+    for _ in range(hops):
+        norms = np.linalg.norm(x, axis=-1, keepdims=True)
+        xhat = x / np.where(norms == 0.0, 1.0, norms)
+        caches.append((norms, xhat))
+        x = xhat @ mem.gram
+    dx = np.broadcast_to(dframe[:, None, :], x.shape)
+    for norms, xhat in reversed(caches):
+        dxhat = dx @ mem.gram
+        inner = np.sum(xhat * dxhat, axis=-1, keepdims=True)
+        dx = (dxhat - xhat * inner) / np.where(norms == 0.0, 1.0, norms)
+        dx = np.where(norms == 0.0, 0.0, dx)
+    return np.einsum("trd,trc->dc", dx, regions)
+
+
+class TestEncodeFramesBackward:
+    @pytest.fixture
+    def setup(self):
+        # 3 frames of 7x7 regions with 64 channels; region 5 of frame 0 and
+        # all of frame 2 are zero, so their norms are zero at every hop
+        rng = np.random.default_rng(59)
+        mem = random_mem(rng, 9, 4)
+        regions = rng.normal(size=(3, 49, 64))
+        regions[0, 5] = 0.0
+        regions[2] = 0.0
+        weights = rng.normal(size=(4, 64))
+        dframe = rng.normal(size=(3, 4))
+        return mem, regions, weights, dframe
+
+    @pytest.mark.parametrize("hops", [1, 2, 3])
+    def test_matches_finite_differences_with_zero_regions(self, setup, hops):
+        mem, regions, weights, dframe = setup
+        reps, cache = encode_frames_cached(regions, weights, mem, hops)
+        np.testing.assert_array_equal(reps[2], 0.0)
+        grad = encode_frames_backward(dframe, cache, mem)
+        assert np.isfinite(grad).all()
+
+        def objective(w):
+            return float(np.sum(dframe * encode_frames_cached(regions, w, mem, hops)[0]))
+
+        eps = 1e-6
+        numeric = np.zeros_like(weights)
+        for idx in np.ndindex(weights.shape):
+            step = np.zeros_like(weights)
+            step[idx] = eps
+            numeric[idx] = (objective(weights + step) - objective(weights - step)) / (2 * eps)
+        assert np.max(np.abs(grad - numeric)) <= 1e-6 * np.max(np.abs(numeric))
+
+    @pytest.mark.parametrize("hops", [1, 2, 3])
+    def test_matches_per_region_oracle(self, setup, hops):
+        mem, regions, weights, dframe = setup
+        _, cache = encode_frames_cached(regions, weights, mem, hops)
+        grad = encode_frames_backward(dframe, cache, mem)
+        expected = per_region_weight_grad(dframe, regions, weights, mem, hops)
+        assert np.max(np.abs(grad - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+    # (1, d) and (T, 1) would broadcast across frames or coordinates
+    @pytest.mark.parametrize("shape", [(1, 4), (3, 1), (4,), (3, 4, 1)])
+    def test_rejects_wrong_gradient_shape(self, setup, shape):
+        mem, regions, weights, _ = setup
+        _, cache = encode_frames_cached(regions, weights, mem, 1)
+        with pytest.raises(ValueError, match="frame gradient"):
+            encode_frames_backward(np.ones(shape), cache, mem)
