@@ -7,19 +7,10 @@ that scores the five candidate answers. Only the feature-to-word projection
 is learned, by plain SGD on the cross-entropy loss.
 """
 
-from .answering import (
-    AnswerDistribution,
-    QAItem,
-    accuracy,
-    cross_entropy,
-    predict,
-    score_answers,
-)
+from .answering import QAItem, predict, score_answers
 from .data_io import (
     DataFormatError,
     Example,
-    SubtitleEntry,
-    SubtitleFile,
     SyntheticSpec,
     generate_synthetic,
     load_features,
@@ -29,72 +20,48 @@ from .data_io import (
     save_features,
     save_params,
     subsample_frames,
-    write_synthetic,
 )
-from .frame_encoder import ClipFeatures, encode_frames, project_region, word_attend
-from .subtitle_memory import (
-    ClipRepresentation,
-    SubtitleMemory,
-    build_memory,
-    encode_clip,
-    question_guide,
-    rank_subtitles,
-    subtitle_attend,
-    update_hop,
-)
+from .frame_encoder import ClipFeatures, encode_frames_cached
+from .subtitle_memory import SubtitleMemory, build_memory, encode_clip_cached, rank_subtitles
 from .training import (
     ModelConfig,
     ModelParams,
     TrainConfig,
-    TrainReport,
     backward,
     evaluate,
     forward,
     gradcheck,
     init_params,
-    sgd_step,
+    prepare_example,
     train,
 )
 from .word_memory import (
     EmbeddingFormatError,
-    SentenceEmbedding,
     StaticWordMemory,
     embed_sentence,
-    embed_word,
     load_word2vec_text,
-    save_word2vec_text,
     tokenize,
-    unit_normalize,
 )
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AnswerDistribution",
     "ClipFeatures",
-    "ClipRepresentation",
     "DataFormatError",
     "EmbeddingFormatError",
     "Example",
     "ModelConfig",
     "ModelParams",
     "QAItem",
-    "SentenceEmbedding",
     "StaticWordMemory",
-    "SubtitleEntry",
-    "SubtitleFile",
     "SubtitleMemory",
     "SyntheticSpec",
     "TrainConfig",
-    "TrainReport",
-    "accuracy",
     "backward",
     "build_memory",
-    "cross_entropy",
     "embed_sentence",
-    "embed_word",
-    "encode_clip",
-    "encode_frames",
+    "encode_clip_cached",
+    "encode_frames_cached",
     "evaluate",
     "forward",
     "generate_synthetic",
@@ -106,20 +73,12 @@ __all__ = [
     "load_word2vec_text",
     "parse_srt",
     "predict",
-    "project_region",
-    "question_guide",
+    "prepare_example",
     "rank_subtitles",
     "save_features",
     "save_params",
-    "save_word2vec_text",
     "score_answers",
-    "sgd_step",
     "subsample_frames",
-    "subtitle_attend",
     "tokenize",
     "train",
-    "unit_normalize",
-    "update_hop",
-    "word_attend",
-    "write_synthetic",
 ]

@@ -15,7 +15,6 @@ __all__ = [
     "score_answers",
     "cross_entropy",
     "predict",
-    "accuracy",
 ]
 
 NUM_CHOICES = 5
@@ -84,17 +83,3 @@ def cross_entropy(dist: AnswerDistribution, correct: int) -> float:
 def predict(dist: AnswerDistribution) -> int:
     """Index of the maximal logit; ties go to the lowest index."""
     return int(np.argmax(dist.logits))
-
-
-def accuracy(predictions, labels) -> float:
-    """Fraction of exact matches between two equal-length index sequences."""
-    predictions = list(predictions)
-    labels = list(labels)
-    if not predictions:
-        raise ValueError("accuracy of an empty prediction list is undefined")
-    if len(predictions) != len(labels):
-        raise ValueError(
-            f"length mismatch: {len(predictions)} predictions vs {len(labels)} labels"
-        )
-    hits = sum(1 for p, y in zip(predictions, labels) if p == y)
-    return hits / len(predictions)

@@ -18,8 +18,8 @@ import numpy as np
 from . import data_io
 from .answering import predict
 from .data_io import Example, SyntheticSpec
-from .frame_encoder import encode_frames
-from .subtitle_memory import evolve_memory, rank_subtitles
+from .frame_encoder import encode_frames_cached
+from .subtitle_memory import SubtitleMemory, encode_clip_cached, rank_subtitles
 from .training import (
     ModelConfig,
     ModelParams,
@@ -32,7 +32,7 @@ from .training import (
     run_forward,
     train,
 )
-from .word_memory import StaticWordMemory, embed_sentence, load_word2vec_text
+from .word_memory import StaticWordMemory, load_word2vec_text
 
 
 class _Parser(argparse.ArgumentParser):
@@ -184,17 +184,17 @@ def cmd_rank_subtitles(args) -> int:
     example = _find_item(examples, args.qid)
     params = _load_model(args, mem)
     config = params.config
-    frames = encode_frames(example.features, params.weights, mem, config.swm_hops)
+    prep = prepare_example(mem, example, config)
+    frames, _ = encode_frames_cached(prep.regions, params.weights, mem, config.swm_hops)
     if not 0 <= args.frame_index < frames.shape[0]:
         raise ValueError(
             f"frame index {args.frame_index} out of range (clip has {frames.shape[0]} frames)"
         )
-    sub = example_memory(mem, example, config)
+    memory = prep.subtitle_mat
     if args.memory_state == "final":
-        question = embed_sentence(mem, example.item.question,
-                                  normalize=config.normalize_sentences).vector
-        sub = evolve_memory(frames, sub, question, um_hops=config.um_hops, qg=config.qg,
-                            carry_frames=config.um_carry_frames)
+        _, memory, _ = encode_clip_cached(frames, memory, prep.question, config.um_hops,
+                                          config.qg, config.um_carry_frames)
+    sub = SubtitleMemory(memory, example.subtitles)
     ranked = rank_subtitles(frames[args.frame_index], sub)
     for rank, (idx, sim) in enumerate(ranked, 1):
         print(f"{rank}\t{sim:+.6f}\t{sub.sentences[idx]}")

@@ -13,8 +13,10 @@ The frame encoder therefore sums the normalized regions of each frame and
 runs the last Gram multiply once per frame, (T, d) @ G, instead of once per
 region. Hops before the last still run per region.
 
-Each forward helper has its reverse-mode adjoint right beside it; the
-training module chains them.
+`encode_frames_cached` is the single entry point: it projects the regions
+and runs the hop chain, and `encode_frames_backward` is its adjoint. Each
+forward helper has its reverse-mode adjoint right beside it; the training
+module chains the two entry points.
 """
 
 from __future__ import annotations
@@ -27,15 +29,9 @@ from .word_memory import StaticWordMemory
 
 __all__ = [
     "ClipFeatures",
-    "ProjectionWeights",
-    "project_region",
-    "word_attend",
-    "encode_frames",
+    "encode_frames_cached",
+    "encode_frames_backward",
 ]
-
-# The single learnable tensor: a (d, C) projection from feature channels to
-# the word space.
-ProjectionWeights = np.ndarray
 
 
 @dataclass(frozen=True)
@@ -63,10 +59,6 @@ class ClipFeatures:
     def channels(self) -> int:
         return self.tensor.shape[1]
 
-    @property
-    def spatial(self) -> tuple[int, int]:
-        return self.tensor.shape[2], self.tensor.shape[3]
-
     def regions(self) -> np.ndarray:
         """View as (frames, height*width, channels); region index runs
         row-major over the spatial grid."""
@@ -74,24 +66,6 @@ class ClipFeatures:
         return np.ascontiguousarray(
             self.tensor.transpose(0, 2, 3, 1).reshape(t, h * w, c)
         )
-
-
-def _check_weights(weights: np.ndarray, channels: int | None = None) -> np.ndarray:
-    weights = np.asarray(weights, dtype=np.float64)
-    if weights.ndim != 2:
-        raise ValueError(f"projection weights must be 2-D (d,C), got {weights.shape}")
-    if channels is not None and weights.shape[1] != channels:
-        raise ValueError(
-            f"projection expects {weights.shape[1]} channels, features have {channels}"
-        )
-    return weights
-
-
-def project_region(region: np.ndarray, weights: ProjectionWeights) -> np.ndarray:
-    """Map a C-channel regional feature into the word space (no bias)."""
-    region = np.asarray(region, dtype=np.float64)
-    weights = _check_weights(weights, region.shape[-1])
-    return weights @ region
 
 
 def _normalize_rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -107,14 +81,6 @@ def _attend(xhat: np.ndarray, mem: StaticWordMemory) -> np.ndarray:
     (xhat U^T) U = xhat G with G = U^T U the cached (d, d) Gram matrix.
     G is symmetric, so this map is its own adjoint."""
     return xhat @ mem.gram
-
-
-def word_attend(region: np.ndarray, mem: StaticWordMemory) -> np.ndarray:
-    """One attention hop: re-express a word-space vector as the cosine-weighted
-    sum of the unit word rows. Weights are raw cosines, no softmax."""
-    region = np.asarray(region, dtype=np.float64)
-    _, xhat = _normalize_rows(region)
-    return _attend(xhat, mem)
 
 
 @dataclass
@@ -170,13 +136,20 @@ class FrameCache:
 
 def encode_frames_cached(
     regions: np.ndarray,
-    weights: ProjectionWeights,
+    weights: np.ndarray,
     mem: StaticWordMemory,
     hops: int,
 ) -> tuple[np.ndarray, FrameCache]:
-    """Project (T,R,C) regions, run the hop chain per region, sum the last
+    """Project (T,R,C) regions with the (d, C) weights, the model's single
+    learnable tensor (no bias), run the hop chain per region, sum the last
     hop's normalized regions per frame and attend once per frame."""
-    weights = _check_weights(weights, regions.shape[-1])
+    weights = np.asarray(weights, dtype=np.float64)
+    if weights.ndim != 2:
+        raise ValueError(f"projection weights must be 2-D (d,C), got {weights.shape}")
+    if weights.shape[1] != regions.shape[-1]:
+        raise ValueError(
+            f"projection expects {weights.shape[1]} channels, features have {regions.shape[-1]}"
+        )
     if weights.shape[0] != mem.dim:
         raise ValueError(
             f"projection dimension {weights.shape[0]} does not match word dimension {mem.dim}"
@@ -208,14 +181,3 @@ def encode_frames_backward(
     dprojected = hop_chain_backward(dxhat_last, cache.hop_caches, mem)
     return dprojected.reshape(t * r, -1).T @ cache.regions.reshape(t * r, c)
 
-
-def encode_frames(
-    clip: ClipFeatures,
-    weights: ProjectionWeights,
-    mem: StaticWordMemory,
-    hops: int = 1,
-) -> np.ndarray:
-    """Frame representations (T, d): per region, project then attend `hops`
-    times over the word memory; per frame, sum the attended regions."""
-    frame_reps, _ = encode_frames_cached(clip.regions(), weights, mem, hops)
-    return frame_reps

@@ -3,6 +3,12 @@ embeddings. Frames attend to subtitles by raw inner product; the memory can
 be rescaled between passes by a ReLU relevance gate (update mechanism) and by
 a softmax over question similarity (question guidance).
 
+`encode_clip_cached` is the single entry point: it runs every attention,
+update and guidance pass and returns the clip vector, the final memory and
+the cache that `encode_clip_backward` walks in reverse. Each pass is one
+private step (`_attend_cached`, `_update_cached`, `_guide_cached`) with its
+adjoint beside it.
+
 All memory transformations are functional: each pass returns a fresh memory
 and never mutates its input.
 """
@@ -17,12 +23,9 @@ from .word_memory import StaticWordMemory, embed_sentence
 
 __all__ = [
     "SubtitleMemory",
-    "ClipRepresentation",
     "build_memory",
-    "subtitle_attend",
-    "update_hop",
-    "question_guide",
-    "encode_clip",
+    "encode_clip_cached",
+    "encode_clip_backward",
     "rank_subtitles",
 ]
 
@@ -50,21 +53,8 @@ class SubtitleMemory:
         object.__setattr__(self, "sentences", tuple(self.sentences))
 
     @property
-    def count(self) -> int:
-        return self.matrix.shape[0]
-
-    @property
     def dim(self) -> int:
         return self.matrix.shape[1]
-
-
-@dataclass(frozen=True)
-class ClipRepresentation:
-    """Clip vector plus the per-frame attended rows and final attention scores."""
-
-    vector: np.ndarray  # (d,)
-    per_frame: np.ndarray  # (T, d)
-    beta: np.ndarray  # (T, N)
 
 
 def build_memory(
@@ -81,15 +71,6 @@ def build_memory(
     return SubtitleMemory(rows, sentences, movie_id)
 
 
-def _check_frames(frames: np.ndarray, dim: int) -> np.ndarray:
-    frames = np.asarray(frames, dtype=np.float64)
-    if frames.ndim != 2 or frames.shape[1] != dim:
-        raise ValueError(
-            f"frame representations must be (T, {dim}), got {frames.shape}"
-        )
-    return frames
-
-
 # --- attention pass -------------------------------------------------------
 
 @dataclass
@@ -101,6 +82,8 @@ class AttendCache:
 
 
 def _attend_cached(frames: np.ndarray, memory: np.ndarray) -> tuple[np.ndarray, AttendCache]:
+    """Re-express each frame as a score-weighted sum of memory rows, then
+    sum frames into the clip vector."""
     scores = frames @ memory.T  # raw inner products, no softmax
     per_frame = scores @ memory
     vector = per_frame.sum(axis=0)
@@ -121,14 +104,6 @@ def _attend_backward(
     return dframes, dmemory
 
 
-def subtitle_attend(frames: np.ndarray, sub: SubtitleMemory) -> ClipRepresentation:
-    """Re-express each frame as a score-weighted sum of subtitle rows, then
-    sum frames into the clip vector."""
-    frames = _check_frames(frames, sub.dim)
-    vector, cache = _attend_cached(frames, sub.matrix)
-    return ClipRepresentation(vector, cache.per_frame, cache.scores)
-
-
 # --- update mechanism -----------------------------------------------------
 
 @dataclass
@@ -140,6 +115,8 @@ class UpdateCache:
 
 
 def _update_cached(memory: np.ndarray, clip: np.ndarray) -> tuple[np.ndarray, UpdateCache]:
+    """Rescale each row by ReLU of its inner product with the clip vector,
+    forgetting rows that point away from the clip."""
     pre = memory @ clip
     gate = np.maximum(pre, 0.0)
     return gate[:, None] * memory, UpdateCache(memory, clip, pre, gate)
@@ -153,16 +130,6 @@ def _update_backward(dnext: np.ndarray, cache: UpdateCache) -> tuple[np.ndarray,
     dclip = cache.memory.T @ dpre
     dmemory = dmemory + np.outer(dpre, cache.clip)
     return dmemory, dclip
-
-
-def update_hop(sub: SubtitleMemory, clip: np.ndarray) -> SubtitleMemory:
-    """Rescale each row by ReLU of its inner product with the clip vector,
-    forgetting rows that point away from the clip."""
-    clip = np.asarray(clip, dtype=np.float64)
-    if clip.shape != (sub.dim,):
-        raise ValueError(f"clip vector must have shape ({sub.dim},), got {clip.shape}")
-    scaled, _ = _update_cached(sub.matrix, clip)
-    return SubtitleMemory(scaled, sub.sentences, sub.movie_id)
 
 
 # --- question guidance ----------------------------------------------------
@@ -180,6 +147,7 @@ def _softmax(logits: np.ndarray) -> np.ndarray:
 
 
 def _guide_cached(memory: np.ndarray, question: np.ndarray) -> tuple[np.ndarray, GuideCache]:
+    """Rescale rows by their softmax similarity to the question embedding."""
     weights = _softmax(memory @ question)
     return weights[:, None] * memory, GuideCache(memory, question, weights)
 
@@ -191,17 +159,6 @@ def _guide_backward(dnext: np.ndarray, cache: GuideCache) -> np.ndarray:
     dmemory = q[:, None] * dnext
     dlogits = q * (dweights - q @ dweights)
     return dmemory + np.outer(dlogits, cache.question)
-
-
-def question_guide(sub: SubtitleMemory, question: np.ndarray) -> SubtitleMemory:
-    """Rescale rows by their softmax similarity to the question embedding."""
-    question = np.asarray(question, dtype=np.float64)
-    if question.shape != (sub.dim,):
-        raise ValueError(
-            f"question vector must have shape ({sub.dim},), got {question.shape}"
-        )
-    scaled, _ = _guide_cached(sub.matrix, question)
-    return SubtitleMemory(scaled, sub.sentences, sub.movie_id)
 
 
 # --- full clip pipeline ---------------------------------------------------
@@ -222,9 +179,11 @@ def encode_clip_cached(
     um_hops: int,
     qg: bool,
     carry_frames: bool = False,
-) -> tuple[ClipRepresentation, np.ndarray, ClipCache]:
-    """Run the full subtitle pipeline; returns the clip representation, the
-    final memory matrix, and the cache for the backward pass.
+) -> tuple[np.ndarray, np.ndarray, ClipCache]:
+    """Run the full subtitle pipeline; returns the clip vector, the final
+    memory matrix, and the cache for the backward pass. The last attention
+    pass's per-frame rows and scores are `cache.guide_attend` with guidance,
+    else `cache.attends[-1]`.
 
     Pass t+1 attends over the memory rescaled by pass t's clip vector. By
     default every pass attends with the frame-encoder output; with
@@ -257,9 +216,7 @@ def encode_clip_cached(
         final_frames = attends[-1].per_frame if carry_frames else frames
         vector, guide_attend = _attend_cached(final_frames, memory)
 
-    last = guide_attend if guide_attend is not None else attends[-1]
-    rep = ClipRepresentation(vector, last.per_frame, last.scores)
-    return rep, memory, ClipCache(attends, updates, guide, guide_attend, carry_frames)
+    return vector, memory, ClipCache(attends, updates, guide, guide_attend, carry_frames)
 
 
 def encode_clip_backward(dvector: np.ndarray, cache: ClipCache) -> np.ndarray:
@@ -299,36 +256,6 @@ def encode_clip_backward(dvector: np.ndarray, cache: ClipCache) -> np.ndarray:
             dmem_ver, dclip = _update_backward(dmem_ver, cache.updates[t - 1])
             dvector_in[t - 1] = dvector_in[t - 1] + dclip
     return dframes_total
-
-
-def encode_clip(
-    frames: np.ndarray,
-    sub: SubtitleMemory,
-    question: np.ndarray | None = None,
-    um_hops: int = 1,
-    qg: bool = False,
-    carry_frames: bool = False,
-) -> ClipRepresentation:
-    """Clip representation after `um_hops` attention passes (with memory
-    updates in between) and optional question guidance. With one pass and no
-    guidance this is exactly `subtitle_attend`."""
-    frames = _check_frames(frames, sub.dim)
-    rep, _, _ = encode_clip_cached(frames, sub.matrix, question, um_hops, qg, carry_frames)
-    return rep
-
-
-def evolve_memory(
-    frames: np.ndarray,
-    sub: SubtitleMemory,
-    question: np.ndarray | None = None,
-    um_hops: int = 1,
-    qg: bool = False,
-    carry_frames: bool = False,
-) -> SubtitleMemory:
-    """Memory state after all update passes and optional question guidance."""
-    frames = _check_frames(frames, sub.dim)
-    _, final, _ = encode_clip_cached(frames, sub.matrix, question, um_hops, qg, carry_frames)
-    return SubtitleMemory(final, sub.sentences, sub.movie_id)
 
 
 def rank_subtitles(frame: np.ndarray, sub: SubtitleMemory) -> list[tuple[int, float]]:

@@ -42,6 +42,7 @@ __all__ = [
     "TrainReport",
     "EpochStats",
     "init_params",
+    "prepare_example",
     "forward",
     "backward",
     "sgd_step",
@@ -208,11 +209,10 @@ class ForwardState:
 def run_forward(weights: np.ndarray, prep: Prepared, config: ModelConfig, mem: StaticWordMemory) -> ForwardState:
     frame_reps, frame_cache = encode_frames_cached(prep.regions, weights, mem, config.swm_hops)
     if prep.subtitle_mat is not None:
-        rep, _, clip_cache = encode_clip_cached(
+        clip, _, clip_cache = encode_clip_cached(
             frame_reps, prep.subtitle_mat, prep.question,
             config.um_hops, config.qg, config.um_carry_frames,
         )
-        clip = rep.vector
     else:
         clip_cache = None
         clip = frame_reps.sum(axis=0)
@@ -240,6 +240,21 @@ def run_backward(
     return encode_frames_backward(dframes, state.frame_cache, mem)
 
 
+def _labeled_forward(
+    params: ModelParams,
+    mem: StaticWordMemory,
+    item: QAItem,
+    features: ClipFeatures,
+    sub: SubtitleMemory | None,
+) -> tuple[Prepared, ForwardState]:
+    """The prepared item and its forward pass, shared by `forward`,
+    `backward` and `gradcheck`; all three need a label."""
+    if item.correct_index is None:
+        raise ValueError(f"item {item.qid!r} has no correct_index")
+    prep = prepare(mem, item, features, sub, params.config)
+    return prep, run_forward(params.weights, prep, params.config, mem)
+
+
 def forward(
     params: ModelParams,
     mem: StaticWordMemory,
@@ -248,10 +263,7 @@ def forward(
     sub: SubtitleMemory | None = None,
 ) -> tuple[float, AnswerDistribution]:
     """Loss and answer distribution for one labeled item."""
-    if item.correct_index is None:
-        raise ValueError(f"item {item.qid!r} has no correct_index")
-    prep = prepare(mem, item, features, sub, params.config)
-    state = run_forward(params.weights, prep, params.config, mem)
+    _, state = _labeled_forward(params, mem, item, features, sub)
     return state.loss, state.dist
 
 
@@ -263,10 +275,7 @@ def backward(
     sub: SubtitleMemory | None = None,
 ) -> np.ndarray:
     """Gradient of the item loss with respect to the projection weights."""
-    if item.correct_index is None:
-        raise ValueError(f"item {item.qid!r} has no correct_index")
-    prep = prepare(mem, item, features, sub, params.config)
-    state = run_forward(params.weights, prep, params.config, mem)
+    prep, state = _labeled_forward(params, mem, item, features, sub)
     return run_backward(state, prep, params.config, mem)
 
 
@@ -298,11 +307,8 @@ def gradcheck(
     at least 50 for large weight matrices)."""
     if step <= 0:
         raise ValueError("step must be positive")
-    if item.correct_index is None:
-        raise ValueError(f"item {item.qid!r} has no correct_index")
-    prep = prepare(mem, item, features, sub, params.config)
+    prep, state = _labeled_forward(params, mem, item, features, sub)
     config = params.config
-    state = run_forward(params.weights, prep, config, mem)
     analytic = run_backward(state, prep, config, mem)
 
     d, c = params.weights.shape

@@ -20,7 +20,6 @@ __all__ = [
     "EmbeddingFormatError",
     "tokenize",
     "unit_normalize",
-    "embed_word",
     "embed_sentence",
     "load_word2vec_text",
     "save_word2vec_text",
@@ -118,14 +117,6 @@ class SentenceEmbedding:
 
     vector: np.ndarray
     token_count: int
-
-
-def embed_word(mem: StaticWordMemory, word: str) -> np.ndarray | None:
-    """Embedding row for `word`, or None when out of vocabulary."""
-    k = mem.lookup(word)
-    if k is None:
-        return None
-    return mem.matrix[k]
 
 
 def embed_sentence(

@@ -28,8 +28,8 @@ from lmn.data_io import (
     save_features,
     save_params,
 )
-from lmn.frame_encoder import ClipFeatures, encode_frames, project_region, word_attend
-from lmn.subtitle_memory import SubtitleMemory, encode_clip, subtitle_attend
+from lmn.frame_encoder import ClipFeatures, encode_frames_cached
+from lmn.subtitle_memory import SubtitleMemory, _attend_cached, encode_clip_cached
 from lmn.training import (
     ModelConfig,
     ModelParams,
@@ -172,18 +172,18 @@ def test_criterion_5_algebraic_invariants():
         frames = rng.normal(size=(3, 6))
         sub = SubtitleMemory(matrix, tuple(f"s{i}" for i in range(n)))
         question = np.array([0.0, 0.0, 0.0, 0.0, 1.0, 0.0])
-        plain = encode_clip(frames, sub, um_hops=1, qg=False)
-        guided = encode_clip(frames, sub, question, um_hops=1, qg=True)
-        np.testing.assert_allclose(guided.vector, plain.vector / n**2, rtol=1e-10)
+        plain, _, _ = encode_clip_cached(frames, sub.matrix, None, um_hops=1, qg=False)
+        guided, _, _ = encode_clip_cached(frames, sub.matrix, question, um_hops=1, qg=True)
+        np.testing.assert_allclose(guided, plain / n**2, rtol=1e-10)
 
         # positive scaling of a regional feature does not change its attention
         words = [f"w{i}" for i in range(7)]
         mem = StaticWordMemory(words, rng.normal(size=(7, 4)))
         weights = rng.normal(size=(4, 5))
         region = rng.normal(size=5)
-        base = word_attend(project_region(region, weights), mem)
+        base, _ = encode_frames_cached(region[None, None, :], weights, mem, 1)
         for c in (1e-4, 0.3, 2.0, 1e5):
-            out = word_attend(project_region(c * region, weights), mem)
+            out, _ = encode_frames_cached(c * region[None, None, :], weights, mem, 1)
             np.testing.assert_allclose(out, base, atol=1e-12)
 
         # permutation invariances: regions within a frame, frames within a
@@ -192,27 +192,29 @@ def test_criterion_5_algebraic_invariants():
         flat = tensor.reshape(3, 5, 4)
         rperm = rng.permutation(4)
         w45 = rng.normal(size=(4, 5))
-        base_reps = encode_frames(ClipFeatures(tensor), w45, mem, hops=2)
-        perm_reps = encode_frames(ClipFeatures(flat[:, :, rperm].reshape(3, 5, 2, 2)), w45, mem, hops=2)
+        base_reps, _ = encode_frames_cached(ClipFeatures(tensor).regions(), w45, mem, 2)
+        perm_reps, _ = encode_frames_cached(
+            ClipFeatures(flat[:, :, rperm].reshape(3, 5, 2, 2)).regions(), w45, mem, 2)
         np.testing.assert_allclose(perm_reps, base_reps, atol=1e-12)
 
         smatrix = rng.normal(size=(5, 4))
         sub2 = SubtitleMemory(smatrix, tuple(f"s{i}" for i in range(5)))
-        rep_base = encode_clip(base_reps, sub2, um_hops=2)
+        rep_base, _, _ = encode_clip_cached(base_reps, sub2.matrix, None, um_hops=2, qg=False)
         fperm = rng.permutation(3)
-        rep_fperm = encode_clip(base_reps[fperm], sub2, um_hops=2)
-        np.testing.assert_allclose(rep_fperm.vector, rep_base.vector, atol=1e-12)
+        rep_fperm, _, _ = encode_clip_cached(base_reps[fperm], sub2.matrix, None, um_hops=2, qg=False)
+        np.testing.assert_allclose(rep_fperm, rep_base, atol=1e-12)
         sperm = rng.permutation(5)
         sub_perm = SubtitleMemory(smatrix[sperm], tuple(f"s{i}" for i in sperm))
-        rep_sperm = encode_clip(base_reps, sub_perm, um_hops=2)
-        np.testing.assert_allclose(rep_sperm.vector, rep_base.vector, atol=1e-12)
+        rep_sperm, _, _ = encode_clip_cached(base_reps, sub_perm.matrix, None, um_hops=2, qg=False)
+        np.testing.assert_allclose(rep_sperm, rep_base, atol=1e-12)
 
         # single pass without guidance is bitwise the base attention
-        attend = subtitle_attend(base_reps, sub2)
-        reduced = encode_clip(base_reps, sub2, um_hops=1, qg=False)
-        assert np.array_equal(reduced.vector, attend.vector)
-        assert np.array_equal(reduced.per_frame, attend.per_frame)
-        assert np.array_equal(reduced.beta, attend.beta)
+        attend_vector, attend = _attend_cached(base_reps, sub2.matrix)
+        reduced_vector, _, reduced = encode_clip_cached(base_reps, sub2.matrix, None,
+                                                        um_hops=1, qg=False)
+        assert np.array_equal(reduced_vector, attend_vector)
+        assert np.array_equal(reduced.attends[-1].per_frame, attend.per_frame)
+        assert np.array_equal(reduced.attends[-1].scores, attend.scores)
 
         # uniform cross-entropy
         assert abs(cross_entropy(dist_from_logits(np.zeros(5)), 3) - LN5) <= 1e-12

@@ -6,7 +6,6 @@ import pytest
 from lmn.answering import (
     AnswerDistribution,
     QAItem,
-    accuracy,
     cross_entropy,
     predict,
     score_answers,
@@ -126,25 +125,6 @@ class TestPredict:
             base = predict(dist_from_logits(logits))
             slope, shift = rng.uniform(0.1, 5.0), rng.normal()
             assert predict(dist_from_logits(slope * logits + shift)) == base
-
-
-class TestAccuracy:
-    def test_all_correct(self):
-        assert accuracy([1, 2], [1, 2]) == 1.0
-
-    def test_none_correct(self):
-        assert accuracy([1, 2], [0, 3]) == 0.0
-
-    def test_half_correct(self):
-        assert accuracy([1, 2, 3, 4], [1, 0, 3, 0]) == 0.5
-
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError, match="length mismatch"):
-            accuracy([1], [1, 2])
-
-    def test_empty(self):
-        with pytest.raises(ValueError, match="empty"):
-            accuracy([], [])
 
 
 class TestQAItem:

@@ -1,10 +1,21 @@
 import json
+import math
 
 import numpy as np
 import pytest
 
 from lmn.cli import main
-from lmn.data_io import load_qa_jsonl
+from lmn.data_io import (
+    load_features,
+    load_params,
+    load_plaintext_subtitles,
+    load_qa_jsonl,
+    subsample_frames,
+)
+from lmn.subtitle_memory import build_memory
+from lmn.word_memory import embed_sentence, load_word2vec_text
+from reference import reference_forward
+from test_subtitle_memory import loop_encode
 
 
 @pytest.fixture(scope="module")
@@ -249,15 +260,34 @@ class TestRankSubtitles:
         assert "out of range" in capsys.readouterr().err
 
     def test_final_memory_state(self, synth_dir, trained_dir, capsys):
-        items = load_qa_jsonl(synth_dir / "train.jsonl")
-        code = main([
-            "rank-subtitles", *data_args(synth_dir),
-            "--params", str(trained_dir / "params.lmnp"),
-            "--qid", items[0].qid, "--frame-index", "0",
-            "--um-hops", "2", "--qg", "--memory-state", "final",
-        ])
-        assert code == 0
-        assert capsys.readouterr().out.splitlines()
+        # the printed ranking against the final memory equals one built from
+        # the straight-loop reference frames and the loop update/guide passes
+        item = load_qa_jsonl(synth_dir / "train.jsonl")[0]
+        params = trained_dir / "params.lmnp"
+        mem = load_word2vec_text(synth_dir / "embeddings.txt")
+        clips = [load_features(synth_dir / "features" / f"{cid}.lmnf") for cid in item.clip_ids]
+        regions = subsample_frames(clips, 2).regions()
+        question = embed_sentence(mem, item.question).vector
+        frames = reference_forward(mem.matrix, load_params(params), regions, None,
+                                   question, np.zeros((5, mem.dim)))["frames"]
+        sentences = load_plaintext_subtitles(
+            synth_dir / "subtitles" / f"{item.movie_id}.txt").texts()
+        memory0 = build_memory(sentences, mem).matrix
+        for flags, um_hops, qg, carry in ((["--um-hops", "2", "--qg"], 2, True, False),
+                                          (["--um-hops", "3", "--um-carry-frames"], 3, False, True)):
+            _, final = loop_encode(np.array(frames), memory0, question, um_hops, qg, carry)
+            for index, frame in enumerate(frames):
+                scores = [math.fsum(a * b for a, b in zip(frame, row)) for row in final]
+                order = sorted(range(len(scores)), key=lambda n: (-scores[n], n))
+                expected = [f"{rank}\t{scores[n]:+.6f}\t{sentences[n]}"
+                            for rank, n in enumerate(order, 1)]
+                code = main([
+                    "rank-subtitles", *data_args(synth_dir), "--params", str(params),
+                    "--qid", item.qid, "--frame-index", str(index),
+                    *flags, "--memory-state", "final",
+                ])
+                assert code == 0
+                assert capsys.readouterr().out.splitlines() == expected, (flags, index)
 
 
 class TestGradcheck:

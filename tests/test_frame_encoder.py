@@ -5,12 +5,9 @@ import pytest
 
 from lmn.frame_encoder import (
     ClipFeatures,
-    encode_frames,
     encode_frames_backward,
     encode_frames_cached,
     hop_chain,
-    project_region,
-    word_attend,
 )
 from lmn.word_memory import StaticWordMemory, unit_normalize
 
@@ -23,6 +20,26 @@ def basis_mem():
 def random_mem(rng, v_size, d):
     words = [f"w{i}" for i in range(v_size)]
     return StaticWordMemory(words, rng.normal(size=(v_size, d)))
+
+
+def encode_region(region, weights, mem):
+    """One word-memory hop on one projected region: the frame encoding of a
+    single frame holding that single region."""
+    reps, _ = encode_frames_cached(np.asarray(region, dtype=float)[None, None, :], weights, mem, 1)
+    return reps[0]
+
+
+def attend_once(vector, mem):
+    """One word-memory hop on a word-space vector (identity projection)."""
+    return encode_region(vector, np.eye(mem.dim), mem)
+
+
+def projected(regions, weights, mem):
+    """The projection the frame encoder feeds its first hop, read back from
+    that hop's cached norm and direction."""
+    _, cache = encode_frames_cached(regions, weights, mem, 1)
+    first = cache.hop_caches[0]
+    return first.norms * first.xhat
 
 
 class TestClipFeatures:
@@ -49,35 +66,43 @@ class TestClipFeatures:
 
 
 class TestProjectRegion:
-    def test_identity(self):
-        out = project_region(np.array([5.0, -3.0]), np.eye(2))
-        np.testing.assert_array_equal(out, [5.0, -3.0])
+    """The projection W·region that the frame encoder runs before its hops."""
 
-    def test_coordinate_selection(self):
+    def test_identity(self, basis_mem):
+        out = projected(np.array([[[5.0, -3.0]]]), np.eye(2), basis_mem)
+        np.testing.assert_allclose(out, [[[5.0, -3.0]]], rtol=1e-15)
+
+    def test_coordinate_selection(self, basis_mem):
         weights = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
-        np.testing.assert_array_equal(project_region(np.array([7.0, 8.0, 9.0]), weights), [7.0, 8.0])
+        out = projected(np.array([[[7.0, 8.0, 9.0]]]), weights, basis_mem)
+        np.testing.assert_allclose(out, [[[7.0, 8.0]]], rtol=1e-15)
 
     def test_matches_loop_oracle(self):
         rng = np.random.default_rng(21)
         weights = rng.normal(size=(4, 3))
-        region = rng.normal(size=3)
+        regions = rng.normal(size=(2, 3, 3))
         expected = [
-            math.fsum(weights[a][b] * region[b] for b in range(3)) for a in range(4)
+            [[math.fsum(weights[a][b] * region[b] for b in range(3)) for a in range(4)]
+             for region in frame]
+            for frame in regions
         ]
-        np.testing.assert_allclose(project_region(region, weights), expected, atol=1e-14)
+        out = projected(regions, weights, random_mem(rng, 5, 4))
+        np.testing.assert_allclose(out, expected, atol=1e-14)
 
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            project_region(np.zeros(3), np.eye(2))
+    def test_dimension_mismatch(self, basis_mem):
+        with pytest.raises(ValueError, match="channels"):
+            encode_frames_cached(np.zeros((1, 1, 3)), np.eye(2), basis_mem, 1)
 
 
 class TestWordAttend:
+    """One word-memory hop: cosine-weighted sum of the unit word rows."""
+
     def test_basis_alignment(self, basis_mem):
-        np.testing.assert_allclose(word_attend(np.array([1.0, 0.0]), basis_mem), [1.0, 0.0])
+        np.testing.assert_allclose(attend_once([1.0, 0.0], basis_mem), [1.0, 0.0])
 
     def test_symmetric_direction(self, basis_mem):
         s = 1.0 / math.sqrt(2.0)
-        np.testing.assert_allclose(word_attend(np.array([1.0, 1.0]), basis_mem), [s, s], atol=1e-15)
+        np.testing.assert_allclose(attend_once([1.0, 1.0], basis_mem), [s, s], atol=1e-15)
 
     # (2, 6): fewer words than dimensions, so the (d, d) Gram matrix the
     # attention multiplies by is rank-deficient
@@ -91,14 +116,14 @@ class TestWordAttend:
         expected = np.zeros(d)
         for w in rows:
             expected += float(xh @ w) * w
-        np.testing.assert_allclose(word_attend(region, mem), expected, atol=1e-12)
+        np.testing.assert_allclose(attend_once(region, mem), expected, atol=1e-12)
 
     def test_output_in_row_space(self):
         rng = np.random.default_rng(13)
         for _ in range(10):
             d = int(rng.integers(2, 5))
             mem = random_mem(rng, d + 3, d)  # more rows than dims, full rank a.s.
-            out = word_attend(rng.normal(size=d), mem)
+            out = attend_once(rng.normal(size=d), mem)
             # residual of projecting onto the span of the normalized rows
             coeffs, *_ = np.linalg.lstsq(mem.unit_rows.T, out, rcond=None)
             residual = np.linalg.norm(mem.unit_rows.T @ coeffs - out)
@@ -109,19 +134,19 @@ class TestWordAttend:
         mem = random_mem(rng, 6, 3)
         weights = rng.normal(size=(3, 4))
         region = rng.normal(size=4)
-        base = word_attend(project_region(region, weights), mem)
+        base = encode_region(region, weights, mem)
         for scale in (1e-3, 0.5, 7.0, 1e4):
-            scaled = word_attend(project_region(scale * region, weights), mem)
+            scaled = encode_region(scale * region, weights, mem)
             np.testing.assert_allclose(scaled, base, atol=1e-12)
 
     def test_zero_region_stays_zero(self, basis_mem):
-        np.testing.assert_array_equal(word_attend(np.zeros(2), basis_mem), np.zeros(2))
+        np.testing.assert_array_equal(attend_once(np.zeros(2), basis_mem), np.zeros(2))
 
 
 class TestEncodeFrames:
     def test_single_region_basis(self, basis_mem):
         clip = ClipFeatures(np.array([0.0, 1.0]).reshape(1, 2, 1, 1))
-        out = encode_frames(clip, np.eye(2), basis_mem, hops=1)
+        out, _ = encode_frames_cached(clip.regions(), np.eye(2), basis_mem, 1)
         np.testing.assert_allclose(out, [[0.0, 1.0]])
 
     def test_two_hops_is_attend_twice(self):
@@ -129,11 +154,11 @@ class TestEncodeFrames:
         mem = random_mem(rng, 6, 3)
         clip = ClipFeatures(rng.normal(size=(2, 4, 1, 2)))
         weights = rng.normal(size=(3, 4))
-        two_hop = encode_frames(clip, weights, mem, hops=2)
+        two_hop, _ = encode_frames_cached(clip.regions(), weights, mem, 2)
         manual = np.zeros_like(two_hop)
         for i, frame in enumerate(clip.regions()):
             for region in frame:
-                manual[i] += word_attend(word_attend(weights @ region, mem), mem)
+                manual[i] += attend_once(attend_once(weights @ region, mem), mem)
         np.testing.assert_allclose(two_hop, manual, atol=1e-12)
 
     def test_matches_full_loop_oracle(self):
@@ -141,7 +166,7 @@ class TestEncodeFrames:
         mem = random_mem(rng, 3, 2)
         clip = ClipFeatures(rng.normal(size=(2, 3, 1, 2)))
         weights = rng.normal(size=(2, 3))
-        got = encode_frames(clip, weights, mem, hops=1)
+        got, _ = encode_frames_cached(clip.regions(), weights, mem, 1)
         rows = [unit_normalize(r) for r in mem.matrix]
         expected = np.zeros((2, 2))
         for i, frame in enumerate(clip.regions()):
@@ -158,12 +183,12 @@ class TestEncodeFrames:
         mem = random_mem(rng, 5, 3)
         weights = rng.normal(size=(3, 4))
         tensor = rng.normal(size=(2, 4, 2, 3))
-        base = encode_frames(ClipFeatures(tensor), weights, mem, hops=2)
+        base, _ = encode_frames_cached(ClipFeatures(tensor).regions(), weights, mem, 2)
         flat = tensor.reshape(2, 4, 6)
         perm = rng.permutation(6)
         permuted = ClipFeatures(flat[:, :, perm].reshape(2, 4, 2, 3))
         np.testing.assert_allclose(
-            encode_frames(permuted, weights, mem, hops=2), base, atol=1e-12
+            encode_frames_cached(permuted.regions(), weights, mem, 2)[0], base, atol=1e-12
         )
 
     def test_hop_composition(self):
@@ -176,19 +201,22 @@ class TestEncodeFrames:
         step1, _ = hop_chain(x0, mem, 1)
         step2, _ = hop_chain(step1 @ mem.gram, mem, 2)
         np.testing.assert_array_equal(direct, step2)
-        np.testing.assert_array_equal(step1 @ mem.gram, word_attend(x0, mem))
+        rows = [unit_normalize(r) for r in mem.matrix]
+        one_hop = [[sum(float(unit_normalize(x) @ w) * w for w in rows) for x in frame]
+                   for frame in x0]
+        np.testing.assert_allclose(step1 @ mem.gram, one_hop, atol=1e-12)
         assert len(caches) == 3
         np.testing.assert_allclose(np.linalg.norm(direct, axis=-1), 1.0, atol=1e-15)
 
     def test_rejects_bad_hops(self, basis_mem):
         clip = ClipFeatures(np.ones((1, 2, 1, 1)))
         with pytest.raises(ValueError, match="hops"):
-            encode_frames(clip, np.eye(2), basis_mem, hops=0)
+            encode_frames_cached(clip.regions(), np.eye(2), basis_mem, 0)
 
     def test_rejects_dimension_mismatch(self, basis_mem):
         clip = ClipFeatures(np.ones((1, 3, 1, 1)))
         with pytest.raises(ValueError):
-            encode_frames(clip, np.eye(2), basis_mem, hops=1)
+            encode_frames_cached(clip.regions(), np.eye(2), basis_mem, 1)
 
 
 def per_region_weight_grad(dframe, regions, weights, mem, hops):

@@ -5,12 +5,12 @@ import pytest
 
 from lmn.subtitle_memory import (
     SubtitleMemory,
+    _attend_cached,
+    _guide_cached,
+    _update_cached,
     build_memory,
-    encode_clip,
-    question_guide,
+    encode_clip_cached,
     rank_subtitles,
-    subtitle_attend,
-    update_hop,
 )
 from lmn.word_memory import StaticWordMemory
 
@@ -26,7 +26,8 @@ def raw_memory(matrix):
 
 
 def loop_encode(frames, memory, question, um_hops, qg, carry=False):
-    """Step-by-step scalar-loop execution of the clip pipeline."""
+    """Step-by-step scalar-loop execution of the clip pipeline; returns the
+    clip vector and the final memory."""
     t, d = frames.shape
     mem = [list(map(float, row)) for row in memory]
     cur = [list(map(float, row)) for row in frames]
@@ -59,7 +60,7 @@ def loop_encode(frames, memory, question, um_hops, qg, carry=False):
                 [math.fsum(betas[n] * mem[n][a] for n in range(len(mem))) for a in range(d)]
             )
         clip = [math.fsum(per[i][a] for i in range(t)) for a in range(d)]
-    return np.array(clip)
+    return np.array(clip), np.array(mem)
 
 
 class TestBuildMemory:
@@ -90,78 +91,74 @@ class TestBuildMemory:
 
 class TestSubtitleAttend:
     def test_aligned_unit_vectors(self):
-        sub = raw_memory([[1.0, 0.0]])
-        rep = subtitle_attend(np.array([[1.0, 0.0]]), sub)
-        np.testing.assert_array_equal(rep.beta, [[1.0]])
-        np.testing.assert_array_equal(rep.vector, [1.0, 0.0])
+        vector, cache = _attend_cached(np.array([[1.0, 0.0]]), np.array([[1.0, 0.0]]))
+        np.testing.assert_array_equal(cache.scores, [[1.0]])
+        np.testing.assert_array_equal(vector, [1.0, 0.0])
 
     def test_orthogonal_gives_zero(self):
-        sub = raw_memory([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
-        rep = subtitle_attend(np.array([[0.0, 0.0, 2.0]]), sub)
-        np.testing.assert_array_equal(rep.vector, np.zeros(3))
+        matrix = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+        vector, _ = _attend_cached(np.array([[0.0, 0.0, 2.0]]), matrix)
+        np.testing.assert_array_equal(vector, np.zeros(3))
 
     def test_matches_loop_oracle(self):
         rng = np.random.default_rng(8)
         frames = rng.normal(size=(3, 5))
-        sub = raw_memory(rng.normal(size=(4, 5)))
-        rep = subtitle_attend(frames, sub)
-        expected = loop_encode(frames, sub.matrix, None, um_hops=1, qg=False)
-        np.testing.assert_allclose(rep.vector, expected, atol=1e-12)
-        np.testing.assert_allclose(rep.vector, rep.per_frame.sum(axis=0), atol=1e-12)
+        matrix = rng.normal(size=(4, 5))
+        vector, cache = _attend_cached(frames, matrix)
+        expected, _ = loop_encode(frames, matrix, None, um_hops=1, qg=False)
+        np.testing.assert_allclose(vector, expected, atol=1e-12)
+        np.testing.assert_allclose(vector, cache.per_frame.sum(axis=0), atol=1e-12)
 
     def test_row_permutation_invariance(self):
         rng = np.random.default_rng(12)
         frames = rng.normal(size=(2, 4))
         matrix = rng.normal(size=(5, 4))
-        base = subtitle_attend(frames, raw_memory(matrix))
+        base, base_cache = _attend_cached(frames, matrix)
         perm = rng.permutation(5)
-        permuted = subtitle_attend(frames, raw_memory(matrix[perm]))
-        np.testing.assert_allclose(permuted.vector, base.vector, atol=1e-12)
-        np.testing.assert_allclose(permuted.beta, base.beta[:, perm], atol=1e-12)
+        permuted, permuted_cache = _attend_cached(frames, matrix[perm])
+        np.testing.assert_allclose(permuted, base, atol=1e-12)
+        np.testing.assert_allclose(permuted_cache.scores, base_cache.scores[:, perm], atol=1e-12)
 
     def test_zero_row_is_inert(self):
         rng = np.random.default_rng(14)
         frames = rng.normal(size=(3, 4))
         matrix = rng.normal(size=(3, 4))
         with_zero = np.vstack([matrix[:2], np.zeros(4), matrix[2:]])
-        base = subtitle_attend(frames, raw_memory(matrix))
-        padded = subtitle_attend(frames, raw_memory(with_zero))
-        np.testing.assert_array_equal(padded.vector, base.vector)
+        base, _ = _attend_cached(frames, matrix)
+        padded, _ = _attend_cached(frames, with_zero)
+        np.testing.assert_array_equal(padded, base)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            subtitle_attend(np.ones((2, 3)), raw_memory(np.ones((2, 4))))
+            encode_clip_cached(np.ones((2, 3)), np.ones((2, 4)), None, um_hops=1, qg=False)
 
 
 class TestUpdateHop:
     def test_negative_similarity_forgets_row(self):
-        sub = raw_memory([[1.0, 0.0]])
-        updated = update_hop(sub, np.array([-0.5, 0.0]))
-        np.testing.assert_array_equal(updated.matrix, [[0.0, 0.0]])
+        updated, _ = _update_cached(np.array([[1.0, 0.0]]), np.array([-0.5, 0.0]))
+        np.testing.assert_array_equal(updated, [[0.0, 0.0]])
 
     def test_unit_gate_keeps_row(self):
-        sub = raw_memory([[1.0, 0.0]])
-        updated = update_hop(sub, np.array([1.0, 0.0]))
-        np.testing.assert_array_equal(updated.matrix, [[1.0, 0.0]])
+        updated, _ = _update_cached(np.array([[1.0, 0.0]]), np.array([1.0, 0.0]))
+        np.testing.assert_array_equal(updated, [[1.0, 0.0]])
 
     def test_matches_loop_oracle_and_leaves_input_alone(self):
         rng = np.random.default_rng(23)
         matrix = rng.normal(size=(4, 3))
         clip = rng.normal(size=3)
-        sub = raw_memory(matrix)
-        updated = update_hop(sub, clip)
+        before = matrix.copy()
+        updated, _ = _update_cached(matrix, clip)
         for n in range(4):
             gate = max(float(matrix[n] @ clip), 0.0)
-            np.testing.assert_allclose(updated.matrix[n], gate * matrix[n], atol=1e-13)
-        np.testing.assert_array_equal(sub.matrix, matrix)
+            np.testing.assert_allclose(updated[n], gate * matrix[n], atol=1e-13)
+        np.testing.assert_array_equal(matrix, before)
 
     def test_rows_stay_nonnegative_collinear(self):
         rng = np.random.default_rng(29)
         for _ in range(20):
             matrix = rng.normal(size=(5, 4))
-            sub = raw_memory(matrix)
-            updated = update_hop(sub, rng.normal(size=4))
-            for old, new in zip(matrix, updated.matrix):
+            updated, _ = _update_cached(matrix, rng.normal(size=4))
+            for old, new in zip(matrix, updated):
                 assert float(new @ old) >= 0.0
                 unit = old / np.linalg.norm(old)
                 residual = np.linalg.norm(new - (new @ unit) * unit)
@@ -172,34 +169,33 @@ class TestQuestionGuide:
     def test_uniform_when_question_orthogonal(self):
         matrix = np.zeros((3, 4))
         matrix[:, :2] = np.random.default_rng(1).normal(size=(3, 2))
-        sub = raw_memory(matrix)
-        guided = question_guide(sub, np.array([0.0, 0.0, 1.0, 0.0]))
-        np.testing.assert_allclose(guided.matrix, matrix / 3.0, atol=1e-15)
+        guided, _ = _guide_cached(matrix, np.array([0.0, 0.0, 1.0, 0.0]))
+        np.testing.assert_allclose(guided, matrix / 3.0, atol=1e-15)
 
     def test_singleton_memory_unchanged(self):
-        sub = raw_memory([[2.0, -1.0]])
-        guided = question_guide(sub, np.array([0.3, 0.4]))
-        np.testing.assert_array_equal(guided.matrix, sub.matrix)
+        matrix = np.array([[2.0, -1.0]])
+        guided, _ = _guide_cached(matrix, np.array([0.3, 0.4]))
+        np.testing.assert_array_equal(guided, matrix)
 
     def test_matches_exp_normalize_oracle(self):
         rng = np.random.default_rng(37)
         matrix = rng.normal(size=(4, 3))
         question = rng.normal(size=3)
-        guided = question_guide(raw_memory(matrix), question)
+        guided, _ = _guide_cached(matrix, question)
         logits = [float(row @ question) for row in matrix]
         total = math.fsum(math.exp(z) for z in logits)
         for n in range(4):
             q = math.exp(logits[n]) / total
-            np.testing.assert_allclose(guided.matrix[n], q * matrix[n], atol=1e-12)
+            np.testing.assert_allclose(guided[n], q * matrix[n], atol=1e-12)
 
     def test_weights_form_a_distribution(self):
         rng = np.random.default_rng(41)
         for _ in range(20):
             matrix = rng.normal(size=(int(rng.integers(1, 7)), 3)) * 3.0
             question = rng.normal(size=3)
-            guided = question_guide(raw_memory(matrix), question)
+            guided, _ = _guide_cached(matrix, question)
             weights = []
-            for old, new in zip(matrix, guided.matrix):
+            for old, new in zip(matrix, guided):
                 k = np.argmax(np.abs(old))
                 weights.append(new[k] / old[k])
             assert all(w > 0 for w in weights)
@@ -210,12 +206,12 @@ class TestEncodeClip:
     def test_single_hop_no_guidance_is_attend(self):
         rng = np.random.default_rng(43)
         frames = rng.normal(size=(3, 4))
-        sub = raw_memory(rng.normal(size=(2, 4)))
-        base = subtitle_attend(frames, sub)
-        rep = encode_clip(frames, sub, um_hops=1, qg=False)
-        np.testing.assert_array_equal(rep.vector, base.vector)
-        np.testing.assert_array_equal(rep.per_frame, base.per_frame)
-        np.testing.assert_array_equal(rep.beta, base.beta)
+        matrix = rng.normal(size=(2, 4))
+        base, base_cache = _attend_cached(frames, matrix)
+        vector, _, cache = encode_clip_cached(frames, matrix, None, um_hops=1, qg=False)
+        np.testing.assert_array_equal(vector, base)
+        np.testing.assert_array_equal(cache.attends[-1].per_frame, base_cache.per_frame)
+        np.testing.assert_array_equal(cache.attends[-1].scores, base_cache.scores)
 
     def test_uniform_guidance_scaling_law(self):
         rng = np.random.default_rng(47)
@@ -223,11 +219,10 @@ class TestEncodeClip:
         matrix = np.zeros((n, 5))
         matrix[:, :3] = rng.normal(size=(n, 3))
         frames = rng.normal(size=(2, 5))
-        sub = raw_memory(matrix)
         question = np.array([0.0, 0.0, 0.0, 1.0, 0.0])  # orthogonal to every row
-        plain = encode_clip(frames, sub, um_hops=1, qg=False)
-        guided = encode_clip(frames, sub, question, um_hops=1, qg=True)
-        np.testing.assert_allclose(guided.vector, plain.vector / n**2, rtol=1e-10)
+        plain, _, _ = encode_clip_cached(frames, matrix, None, um_hops=1, qg=False)
+        guided, _, _ = encode_clip_cached(frames, matrix, question, um_hops=1, qg=True)
+        np.testing.assert_allclose(guided, plain / n**2, rtol=1e-10)
 
     @pytest.mark.parametrize("carry", [False, True])
     def test_matches_step_by_step_oracle(self, carry):
@@ -235,27 +230,29 @@ class TestEncodeClip:
         frames = rng.normal(size=(2, 4))
         matrix = rng.normal(size=(3, 4))
         question = rng.normal(size=4)
-        rep = encode_clip(frames, raw_memory(matrix), question,
-                          um_hops=2, qg=True, carry_frames=carry)
-        expected = loop_encode(frames, matrix, question, um_hops=2, qg=True, carry=carry)
-        np.testing.assert_allclose(rep.vector, expected, atol=1e-12)
+        vector, final, _ = encode_clip_cached(frames, matrix, question,
+                                              um_hops=2, qg=True, carry_frames=carry)
+        expected, expected_final = loop_encode(frames, matrix, question,
+                                               um_hops=2, qg=True, carry=carry)
+        np.testing.assert_allclose(vector, expected, atol=1e-12)
+        np.testing.assert_allclose(final, expected_final, atol=1e-12)
 
     def test_zero_row_inert_through_update_hops(self):
         rng = np.random.default_rng(59)
         frames = rng.normal(size=(2, 4))
         matrix = rng.normal(size=(3, 4))
         with_zero = np.vstack([matrix, np.zeros(4)])
-        base = encode_clip(frames, raw_memory(matrix), um_hops=3, qg=False)
-        padded = encode_clip(frames, raw_memory(with_zero), um_hops=3, qg=False)
-        np.testing.assert_array_equal(padded.vector, base.vector)
+        base, _, _ = encode_clip_cached(frames, matrix, None, um_hops=3, qg=False)
+        padded, _, _ = encode_clip_cached(frames, with_zero, None, um_hops=3, qg=False)
+        np.testing.assert_array_equal(padded, base)
 
     def test_rejects_bad_hops(self):
         with pytest.raises(ValueError, match="um_hops"):
-            encode_clip(np.ones((1, 2)), raw_memory([[1.0, 0.0]]), um_hops=0)
+            encode_clip_cached(np.ones((1, 2)), np.array([[1.0, 0.0]]), None, um_hops=0, qg=False)
 
     def test_guidance_requires_question(self):
         with pytest.raises(ValueError, match="question"):
-            encode_clip(np.ones((1, 2)), raw_memory([[1.0, 0.0]]), None, um_hops=1, qg=True)
+            encode_clip_cached(np.ones((1, 2)), np.array([[1.0, 0.0]]), None, um_hops=1, qg=True)
 
 
 class TestRankSubtitles:

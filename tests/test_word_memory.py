@@ -7,7 +7,6 @@ from lmn.word_memory import (
     EmbeddingFormatError,
     StaticWordMemory,
     embed_sentence,
-    embed_word,
     load_word2vec_text,
     save_word2vec_text,
     tokenize,
@@ -56,16 +55,18 @@ class TestUnitNormalize:
 
 
 class TestEmbedWord:
+    """A word's embedding is its matrix row, found by `lookup`."""
+
     def test_lookup(self, tiny_mem):
-        np.testing.assert_array_equal(embed_word(tiny_mem, "b"), [0.0, 1.0])
+        np.testing.assert_array_equal(tiny_mem.matrix[tiny_mem.lookup("b")], [0.0, 1.0])
 
     def test_oov_is_none(self, tiny_mem):
-        assert embed_word(tiny_mem, "c") is None
+        assert tiny_mem.lookup("c") is None
 
     def test_does_not_mutate(self, tiny_mem):
         before = tiny_mem.matrix.copy()
-        embed_word(tiny_mem, "a")
-        embed_word(tiny_mem, "zzz")
+        tiny_mem.lookup("a")
+        tiny_mem.lookup("zzz")
         np.testing.assert_array_equal(tiny_mem.matrix, before)
 
     def test_matrix_is_read_only(self, tiny_mem):
@@ -169,8 +170,8 @@ class TestWord2VecText:
                 fh.write(f"w{i} {i}.0 0.0 1.0 -2.5\n")
         mem = load_word2vec_text(path)
         assert mem.size == count
-        np.testing.assert_array_equal(embed_word(mem, "w12345"), [12345.0, 0.0, 1.0, -2.5])
-        assert embed_word(mem, "missing") is None
+        np.testing.assert_array_equal(mem.matrix[mem.lookup("w12345")], [12345.0, 0.0, 1.0, -2.5])
+        assert mem.lookup("missing") is None
 
     def test_round_trip_is_exact(self, tmp_path):
         rng = np.random.default_rng(7)
