@@ -5,6 +5,7 @@ probabilities by a max-shifted softmax."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
@@ -40,7 +41,13 @@ class QAItem:
             )
         if not self.clip_ids:
             raise ValueError(f"{self.qid or 'item'}: clip_ids must be nonempty")
-        if self.correct_index is not None and not 0 <= self.correct_index < NUM_CHOICES:
+        if self.correct_index is None:
+            return
+        if isinstance(self.correct_index, bool) or not isinstance(self.correct_index, Integral):
+            raise ValueError(
+                f"{self.qid or 'item'}: correct_index must be an integer, got {self.correct_index!r}"
+            )
+        if not 0 <= self.correct_index < NUM_CHOICES:
             raise ValueError(
                 f"{self.qid or 'item'}: correct_index {self.correct_index} out of range"
             )

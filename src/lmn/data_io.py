@@ -10,6 +10,7 @@ Feature payloads are stored as 32-bit little-endian floats and promoted to
 from __future__ import annotations
 
 import contextlib
+import io
 import json
 import os
 import re
@@ -21,7 +22,7 @@ import numpy as np
 
 from .answering import NUM_CHOICES, QAItem
 from .frame_encoder import ClipFeatures
-from .word_memory import StaticWordMemory, embed_sentence, unit_normalize
+from .word_memory import StaticWordMemory, embed_sentence, read_utf8, unit_normalize
 
 __all__ = [
     "DataFormatError",
@@ -88,8 +89,7 @@ def parse_srt(path) -> SubtitleFile:
     """Parse a SubRip file: blank-line-separated blocks of index line,
     timestamp line, and one or more text lines (joined with single spaces,
     angle-bracket markup removed). Accepts CRLF or LF and a leading BOM."""
-    with open(path, "r", encoding="utf-8-sig") as fh:
-        lines = fh.read().splitlines()
+    lines = read_utf8(path, DataFormatError, bom=True).splitlines()
 
     blocks: list[list[str]] = []
     current: list[str] = []
@@ -149,8 +149,8 @@ def srt_dumps(sub: SubtitleFile) -> str:
 
 def load_plaintext_subtitles(path) -> SubtitleFile:
     """One sentence per nonempty line; timestamps are zero."""
-    with open(path, "r", encoding="utf-8-sig") as fh:
-        sentences = [line.strip() for line in fh.read().splitlines()]
+    text = read_utf8(path, DataFormatError, bom=True)
+    sentences = [line.strip() for line in text.splitlines()]
     entries = tuple(SubtitleEntry(0, 0, s) for s in sentences if s)
     if not entries:
         raise DataFormatError(f"{path}: empty subtitle file")
@@ -222,7 +222,10 @@ def load_features(path) -> ClipFeatures:
             f"{path}: expected {expected} bytes, got {len(data)}"
         )
     values = np.frombuffer(data, dtype="<f4", offset=_HEADER.size, count=count)
-    return ClipFeatures(values.astype(np.float64).reshape(t, c, h, w))
+    try:
+        return ClipFeatures(values.astype(np.float64).reshape(t, c, h, w))
+    except ValueError as exc:  # non-finite payload
+        raise DataFormatError(f"{path}: {exc}") from None
 
 
 def save_params(weights: np.ndarray, path) -> None:
@@ -252,6 +255,8 @@ def load_params(path) -> np.ndarray:
     if len(data) != expected:
         raise DataFormatError(f"{path}: expected {expected} bytes, got {len(data)}")
     values = np.frombuffer(data, dtype="<f8", offset=_PARAMS_HEADER.size, count=d * c)
+    if not np.isfinite(values).all():
+        raise DataFormatError(f"{path}: parameters contain non-finite entries")
     return values.astype(np.float64).reshape(d, c)
 
 
@@ -264,13 +269,14 @@ def load_qa_jsonl(path) -> list[QAItem]:
     """One JSON object per line; see save_qa_jsonl for the schema. Violations
     are rejected with the offending 1-based line number."""
     items: list[QAItem] = []
-    with open(path, "r", encoding="utf-8") as fh:
+    text = read_utf8(path, DataFormatError)
+    with io.StringIO(text, newline=None) as fh:  # universal newlines, as open() reads
         for lineno, line in enumerate(fh, 1):
             if not line.strip():
                 continue
             try:
                 obj = json.loads(line)
-            except json.JSONDecodeError as exc:
+            except (ValueError, RecursionError) as exc:  # also too-deep nesting, too-long ints
                 raise DataFormatError(f"line {lineno}: invalid JSON: {exc}") from None
             if not isinstance(obj, dict):
                 raise DataFormatError(f"line {lineno}: expected a JSON object")
@@ -288,7 +294,11 @@ def load_qa_jsonl(path) -> list[QAItem]:
                 raise DataFormatError(f"line {lineno}: clip_ids must be a nonempty list")
             correct = obj.get("correct_index")
             if correct is not None:
-                if not isinstance(correct, int) or not 0 <= correct < NUM_CHOICES:
+                if isinstance(correct, bool) or not isinstance(correct, int):
+                    raise DataFormatError(
+                        f"line {lineno}: correct_index must be an integer, got {type(correct).__name__}"
+                    )
+                if not 0 <= correct < NUM_CHOICES:
                     raise DataFormatError(
                         f"line {lineno}: correct_index {correct!r} out of range"
                     )

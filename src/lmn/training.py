@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -192,9 +193,23 @@ def example_memory(
                         movie_id=example.item.movie_id)
 
 
+def _prepared(
+    mem: StaticWordMemory, dataset: Iterable[Example], config: ModelConfig
+) -> Iterator[Prepared]:
+    """The examples' prepared items in order. A subtitle memory is built
+    once per distinct (movie_id, subtitles) and shared by every question
+    about that movie; it is the same read-only matrix a per-question build
+    would give."""
+    memories: dict[tuple[str, tuple[str, ...] | None], SubtitleMemory | None] = {}
+    for example in dataset:
+        key = (example.item.movie_id, example.subtitles)
+        if key not in memories:
+            memories[key] = example_memory(mem, example, config)
+        yield prepare(mem, example.item, example.features, memories[key], config)
+
+
 def prepare_example(mem: StaticWordMemory, example: Example, config: ModelConfig) -> Prepared:
-    sub = example_memory(mem, example, config)
-    return prepare(mem, example.item, example.features, sub, config)
+    return next(_prepared(mem, [example], config))
 
 
 @dataclass
@@ -340,13 +355,15 @@ def gradcheck(
 def evaluate(
     params: ModelParams, mem: StaticWordMemory, dataset: list[Example]
 ) -> tuple[float, list[dict]]:
-    """Accuracy plus a per-question record of prediction and its probability."""
+    """Accuracy plus a per-question record of prediction and its probability.
+
+    Items are prepared and scored one at a time; only the subtitle
+    memories, one per movie, are kept between questions."""
     if not dataset:
         raise ValueError("empty dataset")
     records = []
     hits = 0
-    for example in dataset:
-        prep = prepare_example(mem, example, params.config)
+    for example, prep in zip(dataset, _prepared(mem, dataset, params.config)):
         state = run_forward(params.weights, prep, params.config, mem)
         choice = predict(state.dist)
         record = {
@@ -373,7 +390,8 @@ def train(
     The dataset is shuffled once to carve off the dev fraction, reshuffled
     every epoch for minibatching, and training stops after `patience` epochs
     without a dev-accuracy improvement. The returned parameters are the best
-    dev-epoch snapshot (ties keep the earlier epoch).
+    dev-epoch snapshot (ties keep the earlier epoch). Each movie's
+    subtitle memory is built once and shared by its questions.
     """
     if not dataset:
         raise ValueError("empty dataset")
@@ -382,7 +400,7 @@ def train(
             raise ValueError(f"item {example.item.qid!r} has no correct_index")
 
     model_config = params0.config
-    prepared = [prepare_example(mem, ex, model_config) for ex in dataset]
+    prepared = list(_prepared(mem, dataset, model_config))
     labels = [ex.item.correct_index for ex in dataset]
 
     rng = np.random.default_rng(config.seed)

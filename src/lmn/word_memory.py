@@ -8,6 +8,7 @@ promoted on load.
 
 from __future__ import annotations
 
+import codecs
 import math
 import re
 from dataclasses import dataclass
@@ -142,6 +143,22 @@ def embed_sentence(
     return SentenceEmbedding(vec, len(indices))
 
 
+def read_utf8(path, error: type[ValueError], bom: bool = False) -> str:
+    """The file's UTF-8 text (a leading byte-order mark dropped when `bom`).
+    Undecodable bytes raise `error` naming the file and the 1-based line,
+    counting \\n, \\r\\n and \\r breaks, of the first bad byte."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    if bom and data.startswith(codecs.BOM_UTF8):
+        data = data[len(codecs.BOM_UTF8):]
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        before = data[: exc.start].replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+        line = before.count(b"\n") + 1
+        raise error(f"{path}: line {line}: invalid UTF-8 byte 0x{data[exc.start]:02x}") from None
+
+
 def _parse_header(line: str) -> tuple[int, int] | None:
     parts = line.split(" ")
     if len(parts) != 2:
@@ -161,8 +178,7 @@ def load_word2vec_text(path) -> StaticWordMemory:
     The dimension is taken from the header or inferred from the first data
     line; every malformed line is reported with its 1-based line number.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
+    lines = read_utf8(path, EmbeddingFormatError).splitlines()
 
     start = 0
     declared_count = None

@@ -136,6 +136,11 @@ class TestQAItem:
         with pytest.raises(ValueError, match="out of range"):
             QAItem("q", "?", ("a",) * 5, "m", ("c",), correct_index=5)
 
+    @pytest.mark.parametrize("label", [True, False, 2.0])
+    def test_non_integer_label_rejected(self, label):
+        with pytest.raises(ValueError, match="correct_index must be an integer"):
+            QAItem("q", "?", ("a",) * 5, "m", ("c",), correct_index=label)
+
     def test_test_mode_item(self):
         item = QAItem("q", "?", ("a", "b", "c", "d", "e"), "m", ("c",))
         assert item.correct_index is None

@@ -1,6 +1,9 @@
+import codecs
 import filecmp
 import math
 import os
+import re
+import struct
 
 import numpy as np
 import pytest
@@ -158,11 +161,16 @@ class TestFeatureFiles:
             load_features(path)
 
     def test_zero_dimension_rejected(self, tmp_path):
-        import struct
-
         path = tmp_path / "c.lmnf"
         path.write_bytes(struct.pack("<4sIIIII", b"LMNF", 1, 0, 1, 1, 1))
         with pytest.raises(DataFormatError, match="zero-sized"):
+            load_features(path)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_payload_names_file(self, tmp_path, value):
+        path = tmp_path / "c.lmnf"
+        path.write_bytes(struct.pack("<4sIIIII2f", b"LMNF", 1, 1, 1, 1, 2, 0.5, value))
+        with pytest.raises(DataFormatError, match=f"{re.escape(str(path))}: .*non-finite"):
             load_features(path)
 
 
@@ -181,6 +189,12 @@ class TestParamsFiles:
         path = tmp_path / "p.lmnp"
         path.write_bytes(b"XXXX" + bytes(12))
         with pytest.raises(DataFormatError, match="magic"):
+            load_params(path)
+
+    def test_non_finite_payload_names_file(self, tmp_path):
+        path = tmp_path / "p.lmnp"
+        save_params(np.array([[1.0, math.nan]]), path)
+        with pytest.raises(DataFormatError, match=f"{re.escape(str(path))}: .*non-finite"):
             load_params(path)
 
     def test_truncated_payload(self, tmp_path):
@@ -232,6 +246,20 @@ class TestQaJsonl:
         with pytest.raises(DataFormatError, match="line 1: correct_index 7 out of range"):
             load_qa_jsonl(write(tmp_path / "qa.jsonl", bad + "\n"))
 
+    def test_boolean_correct_index_rejected(self, tmp_path):
+        bad = self.GOOD.replace('"correct_index": 2', '"correct_index": true')
+        with pytest.raises(DataFormatError,
+                           match="line 2: correct_index must be an integer, got bool"):
+            load_qa_jsonl(write(tmp_path / "qa.jsonl", self.GOOD + "\n" + bad + "\n"))
+
+    @pytest.mark.parametrize("line", ["[" * 100_000, "1" * 5_000],
+                             ids=["deep-nesting", "long-integer"])
+    def test_unparseable_json_names_line(self, tmp_path, line):
+        # too deep for the JSON parser's recursion, or an integer past
+        # Python's digit limit: both are invalid JSON input, not crashes
+        with pytest.raises(DataFormatError, match="line 2: invalid JSON"):
+            load_qa_jsonl(write(tmp_path / "qa.jsonl", self.GOOD + "\n" + line + "\n"))
+
     def test_malformed_json_names_line(self, tmp_path):
         with pytest.raises(DataFormatError, match="line 2: invalid JSON"):
             load_qa_jsonl(write(tmp_path / "qa.jsonl", self.GOOD + "\n{oops\n"))
@@ -245,6 +273,24 @@ class TestQaJsonl:
         bad = self.GOOD.replace('["c1"]', "[]")
         with pytest.raises(DataFormatError, match="line 1: clip_ids"):
             load_qa_jsonl(write(tmp_path / "qa.jsonl", bad + "\n"))
+
+
+class TestUndecodableBytes:
+    """A byte that is not UTF-8 is a format error naming the file and the
+    1-based line it sits on."""
+
+    @pytest.mark.parametrize("reader, text", [
+        (parse_srt, "1\r\n00:00:01,000 --> 00:00:02,000\r\nhello\r\n"),
+        (load_plaintext_subtitles, "first line\rsecond line\n"),
+        (load_qa_jsonl, TestQaJsonl.GOOD + "\n\n"),
+    ], ids=["srt", "plaintext", "jsonl"])
+    def test_names_file_and_line(self, tmp_path, reader, text):
+        path = tmp_path / "input"
+        path.write_bytes(codecs.BOM_UTF8 * (reader is parse_srt) + text.encode() + b"x\xffy\n")
+        lines = len(text.replace("\r\n", "\n").replace("\r", "\n").split("\n"))
+        with pytest.raises(DataFormatError,
+                           match=f"{re.escape(str(path))}: line {lines}: invalid UTF-8 byte 0xff"):
+            reader(path)
 
 
 class TestSubsample:

@@ -1,11 +1,14 @@
+import dataclasses
+import json
 import math
 
 import numpy as np
 import pytest
 
+import lmn.training
 from instances import config_sweep, make_instance
-from lmn.answering import QAItem
-from lmn.data_io import SyntheticSpec, generate_synthetic
+from lmn.answering import QAItem, predict
+from lmn.data_io import Example, SyntheticSpec, generate_synthetic
 from lmn.frame_encoder import ClipFeatures
 from lmn.subtitle_memory import build_memory
 from lmn.training import (
@@ -13,9 +16,12 @@ from lmn.training import (
     ModelParams,
     TrainConfig,
     backward,
+    evaluate,
     forward,
     gradcheck,
     init_params,
+    prepare,
+    run_forward,
     sgd_step,
     train,
 )
@@ -303,8 +309,6 @@ class TestTrain:
             train(broken, data.word_memory, TrainConfig(), init_params(6, 8))
 
     def test_report_json_schema(self, small_synthetic):
-        import json
-
         data = small_synthetic
         params0 = init_params(6, 8, seed=7)
         _, report = train(data.examples("train"), data.word_memory,
@@ -313,3 +317,101 @@ class TestTrain:
         assert set(doc) == {"epochs", "best_epoch", "best_dev_acc"}
         for entry in doc["epochs"]:
             assert set(entry) == {"epoch", "train_loss", "dev_acc"}
+
+
+def shared_movies(data):
+    """Three movies with three questions each, plus one video-only item; each
+    movie takes the subtitles of its first synthetic question."""
+    source = data.examples("train")
+    dataset = []
+    for k in range(9):
+        example = source[k]
+        movie = source[3 * (k // 3)]
+        item = dataclasses.replace(example.item, movie_id=f"movie{k // 3}")
+        dataset.append(Example(item, example.features, movie.subtitles))
+    dataset.append(Example(source[9].item, source[9].features, None))
+    return dataset
+
+
+def count_builds(monkeypatch):
+    """Record the (movie_id, sentences) of every `training.build_memory` call."""
+    calls = []
+    original = lmn.training.build_memory
+
+    def recording(sentences, mem, normalize=True, movie_id=""):
+        calls.append((movie_id, tuple(sentences)))
+        return original(sentences, mem, normalize=normalize, movie_id=movie_id)
+
+    monkeypatch.setattr(lmn.training, "build_memory", recording)
+    return calls
+
+
+def per_item_prepared(mem, dataset, config):
+    """Reference preparation: every item builds its own subtitle memory."""
+    for ex in dataset:
+        sub = None if ex.subtitles is None else build_memory(
+            ex.subtitles, mem, normalize=config.normalize_sentences)
+        yield prepare(mem, ex.item, ex.features, sub, config)
+
+
+class TestSubtitleMemoryCache:
+    CONFIG = ModelConfig(um_hops=2, qg=True)
+
+    def test_evaluate_builds_once_per_movie(self, small_synthetic, monkeypatch):
+        dataset = shared_movies(small_synthetic)
+        calls = count_builds(monkeypatch)
+        evaluate(init_params(6, 8, self.CONFIG, seed=2), small_synthetic.word_memory, dataset)
+        expected = {(ex.item.movie_id, ex.subtitles) for ex in dataset if ex.subtitles}
+        assert len(calls) == 3
+        assert set(calls) == expected
+
+    def test_train_builds_once_per_movie(self, small_synthetic, monkeypatch):
+        dataset = shared_movies(small_synthetic)
+        calls = count_builds(monkeypatch)
+        train(dataset, small_synthetic.word_memory, TrainConfig(max_epochs=1, seed=2),
+              init_params(6, 8, self.CONFIG, seed=2))
+        assert len(calls) == 3
+        assert len(set(calls)) == 3
+
+    def test_evaluate_matches_per_item_loop(self, small_synthetic):
+        dataset = shared_movies(small_synthetic)
+        mem = small_synthetic.word_memory
+        params = init_params(6, 8, self.CONFIG, seed=8)
+        _, records = evaluate(params, mem, dataset)
+        expected = []
+        for ex, prep in zip(dataset, per_item_prepared(mem, dataset, self.CONFIG)):
+            dist = run_forward(params.weights, prep, self.CONFIG, mem).dist
+            choice = predict(dist)
+            expected.append({"qid": ex.item.qid, "predicted": choice,
+                             "prob": float(dist.probs[choice]),
+                             "correct_index": ex.item.correct_index,
+                             "correct": choice == ex.item.correct_index})
+        assert json.dumps(records) == json.dumps(expected)
+
+    def test_train_matches_per_item_loop(self, small_synthetic, monkeypatch):
+        dataset = shared_movies(small_synthetic)
+        mem = small_synthetic.word_memory
+        config = TrainConfig(learning_rate=1e-3, batch_size=3, max_epochs=3, seed=8)
+        params0 = init_params(6, 8, self.CONFIG, seed=8)
+        cached, cached_report = train(dataset, mem, config, params0)
+        monkeypatch.setattr(lmn.training, "_prepared", per_item_prepared)
+        looped, looped_report = train(dataset, mem, config, params0)
+        assert cached.weights.tobytes() == looped.weights.tobytes()
+        assert cached_report == looped_report
+
+    def test_one_movie_id_with_two_sentence_lists(self, small_synthetic, monkeypatch):
+        source = small_synthetic.examples("train")
+        mem = small_synthetic.word_memory
+        dataset = [
+            Example(dataclasses.replace(source[k].item, movie_id="same"),
+                    source[k].features, source[s].subtitles)
+            for k, s in ((0, 0), (1, 1), (2, 0))
+        ]
+        calls = count_builds(monkeypatch)
+        preps = list(lmn.training._prepared(mem, dataset, self.CONFIG))
+        assert len(calls) == 2
+        assert not np.array_equal(preps[0].subtitle_mat, preps[1].subtitle_mat)
+        assert preps[2].subtitle_mat is preps[0].subtitle_mat
+        for ex, prep in zip(dataset, preps):
+            np.testing.assert_array_equal(prep.subtitle_mat,
+                                          build_memory(ex.subtitles, mem).matrix)

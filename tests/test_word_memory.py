@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -143,6 +144,13 @@ class TestWord2VecText:
         path = tmp_path / "emb.txt"
         path.write_text("a 1 0\na 0 1\n")
         with pytest.raises(EmbeddingFormatError, match="line 2.*duplicate"):
+            load_word2vec_text(path)
+
+    def test_undecodable_byte_names_file_and_line(self, tmp_path):
+        path = tmp_path / "emb.txt"
+        path.write_bytes(b"2 2\r\na 1 0\nb\xff 0 1\n")
+        with pytest.raises(EmbeddingFormatError,
+                           match=f"{re.escape(str(path))}: line 3: invalid UTF-8 byte 0xff"):
             load_word2vec_text(path)
 
     def test_empty_file(self, tmp_path):
