@@ -114,17 +114,17 @@ def parse_srt(path) -> SubtitleFile:
             # first line is the (ignored) index; the timestamp must follow
             if len(block) < 2:
                 raise DataFormatError(
-                    f"block {block_no}: malformed timestamp line: {block[0]!r}"
+                    f"{path}: block {block_no}: malformed timestamp line: {block[0]!r}"
                 )
             span = _parse_timestamp_line(block[1])
             if span is None:
                 raise DataFormatError(
-                    f"block {block_no}: malformed timestamp line: {block[1]!r}"
+                    f"{path}: block {block_no}: malformed timestamp line: {block[1]!r}"
                 )
             text_lines = block[2:]
         start, end = span
         if start > end:
-            raise DataFormatError(f"block {block_no}: start time after end time")
+            raise DataFormatError(f"{path}: block {block_no}: start time after end time")
         pieces = [_TAG_RE.sub("", line).strip() for line in text_lines]
         text = " ".join(p for p in pieces if p)
         entries.append(SubtitleEntry(start, end, text))
@@ -277,30 +277,30 @@ def load_qa_jsonl(path) -> list[QAItem]:
             try:
                 obj = json.loads(line)
             except (ValueError, RecursionError) as exc:  # also too-deep nesting, too-long ints
-                raise DataFormatError(f"line {lineno}: invalid JSON: {exc}") from None
+                raise DataFormatError(f"{path}: line {lineno}: invalid JSON: {exc}") from None
             if not isinstance(obj, dict):
-                raise DataFormatError(f"line {lineno}: expected a JSON object")
+                raise DataFormatError(f"{path}: line {lineno}: expected a JSON object")
             for name in _REQUIRED_QA_FIELDS:
                 if name not in obj:
-                    raise DataFormatError(f"line {lineno}: missing field {name!r}")
+                    raise DataFormatError(f"{path}: line {lineno}: missing field {name!r}")
             answers = obj["answers"]
             if not isinstance(answers, list) or len(answers) != NUM_CHOICES:
                 got = len(answers) if isinstance(answers, list) else type(answers).__name__
                 raise DataFormatError(
-                    f"line {lineno}: expected {NUM_CHOICES} answers, got {got}"
+                    f"{path}: line {lineno}: expected {NUM_CHOICES} answers, got {got}"
                 )
             clip_ids = obj["clip_ids"]
             if not isinstance(clip_ids, list) or not clip_ids:
-                raise DataFormatError(f"line {lineno}: clip_ids must be a nonempty list")
+                raise DataFormatError(f"{path}: line {lineno}: clip_ids must be a nonempty list")
             correct = obj.get("correct_index")
             if correct is not None:
                 if isinstance(correct, bool) or not isinstance(correct, int):
                     raise DataFormatError(
-                        f"line {lineno}: correct_index must be an integer, got {type(correct).__name__}"
+                        f"{path}: line {lineno}: correct_index must be an integer, got {type(correct).__name__}"
                     )
                 if not 0 <= correct < NUM_CHOICES:
                     raise DataFormatError(
-                        f"line {lineno}: correct_index {correct!r} out of range"
+                        f"{path}: line {lineno}: correct_index {correct!r} out of range"
                     )
             items.append(
                 QAItem(

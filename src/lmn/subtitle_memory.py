@@ -3,19 +3,22 @@ embeddings. Frames attend to subtitles by raw inner product; the memory can
 be rescaled between passes by a ReLU relevance gate (update mechanism) and by
 a softmax over question similarity (question guidance).
 
+Attention has no softmax, so a pass over frames f_t gives
+Σ_t (f_t Mᵀ) M = (s Mᵀ) M: the clip vector depends on the frames only
+through their sum s. The gate and the guide only rescale memory rows, so
+every memory version is diag(c) M for an (N,) row scale c of the built
+matrix M. The layer is therefore one recurrence of matrix-vector products
+with M, O(N·d) per pass, and the memory is never copied.
+
 `encode_clip_cached` is the single entry point: it runs every attention,
 update and guidance pass and returns the clip vector, the final memory and
-the cache that `encode_clip_backward` walks in reverse. Each pass is one
-private step (`_attend_cached`, `_update_cached`, `_guide_cached`) with its
-adjoint beside it.
-
-All memory transformations are functional: each pass returns a fresh memory
-and never mutates its input.
+the cache of (N,) vectors that `encode_clip_backward` walks in reverse.
+Neither function mutates its inputs.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -71,74 +74,22 @@ def build_memory(
     return SubtitleMemory(rows, sentences, movie_id)
 
 
-# --- attention pass -------------------------------------------------------
+# --- the scale recurrence -------------------------------------------------
 
-@dataclass
-class AttendCache:
-    frames: np.ndarray  # (T, d) representations that attended
-    memory: np.ndarray  # (N, d) memory version attended over
-    scores: np.ndarray  # (T, N)
-    per_frame: np.ndarray  # (T, d)
+# The forward's two products are written so that inserting an all-zero
+# memory row leaves every other number bitwise as it was: each row's inner
+# product is taken on its own, and rows are added in order, so a zero row
+# adds an exact zero. A BLAS matrix-vector product may regroup both when the
+# row count changes. The adjoint needs no such property and uses BLAS.
 
-
-def _attend_cached(frames: np.ndarray, memory: np.ndarray) -> tuple[np.ndarray, AttendCache]:
-    """Re-express each frame as a score-weighted sum of memory rows, then
-    sum frames into the clip vector."""
-    scores = frames @ memory.T  # raw inner products, no softmax
-    per_frame = scores @ memory
-    vector = per_frame.sum(axis=0)
-    return vector, AttendCache(frames, memory, scores, per_frame)
+def _row_dots(memory: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """(N,) inner product of each memory row with x."""
+    return np.einsum("nd,d->n", memory, x)
 
 
-def _attend_backward(
-    dvector: np.ndarray, dper_frame_extra: np.ndarray | None, cache: AttendCache
-) -> tuple[np.ndarray, np.ndarray]:
-    """Returns (dframes, dmemory) for one attention pass."""
-    t = cache.frames.shape[0]
-    dper_frame = np.broadcast_to(dvector, (t, dvector.shape[0])).copy()
-    if dper_frame_extra is not None:
-        dper_frame += dper_frame_extra
-    dscores = dper_frame @ cache.memory.T
-    dframes = dscores @ cache.memory
-    dmemory = cache.scores.T @ dper_frame + dscores.T @ cache.frames
-    return dframes, dmemory
-
-
-# --- update mechanism -----------------------------------------------------
-
-@dataclass
-class UpdateCache:
-    memory: np.ndarray  # (N, d) memory before the update
-    clip: np.ndarray  # (d,) clip vector that drove the gate
-    pre: np.ndarray  # (N,) gate pre-activations
-    gate: np.ndarray  # (N,) ReLU(pre)
-
-
-def _update_cached(memory: np.ndarray, clip: np.ndarray) -> tuple[np.ndarray, UpdateCache]:
-    """Rescale each row by ReLU of its inner product with the clip vector,
-    forgetting rows that point away from the clip."""
-    pre = memory @ clip
-    gate = np.maximum(pre, 0.0)
-    return gate[:, None] * memory, UpdateCache(memory, clip, pre, gate)
-
-
-def _update_backward(dnext: np.ndarray, cache: UpdateCache) -> tuple[np.ndarray, np.ndarray]:
-    """Returns (dmemory, dclip); the gate derivative at exactly zero is zero."""
-    dgate = np.sum(dnext * cache.memory, axis=1)
-    dmemory = cache.gate[:, None] * dnext
-    dpre = dgate * (cache.pre > 0.0)
-    dclip = cache.memory.T @ dpre
-    dmemory = dmemory + np.outer(dpre, cache.clip)
-    return dmemory, dclip
-
-
-# --- question guidance ----------------------------------------------------
-
-@dataclass
-class GuideCache:
-    memory: np.ndarray  # (N, d) memory before guidance
-    question: np.ndarray  # (d,)
-    weights: np.ndarray  # (N,) softmax weights
+def _weighted_row_sum(weights: np.ndarray, memory: np.ndarray) -> np.ndarray:
+    """(d,) sum of the memory rows scaled by weights, added in row order."""
+    return np.einsum("n,nd->d", weights, memory)
 
 
 def _softmax(logits: np.ndarray) -> np.ndarray:
@@ -146,30 +97,19 @@ def _softmax(logits: np.ndarray) -> np.ndarray:
     return shifted / shifted.sum()
 
 
-def _guide_cached(memory: np.ndarray, question: np.ndarray) -> tuple[np.ndarray, GuideCache]:
-    """Rescale rows by their softmax similarity to the question embedding."""
-    weights = _softmax(memory @ question)
-    return weights[:, None] * memory, GuideCache(memory, question, weights)
-
-
-def _guide_backward(dnext: np.ndarray, cache: GuideCache) -> np.ndarray:
-    """Returns dmemory; the question embedding is frozen and gets no gradient."""
-    q = cache.weights
-    dweights = np.sum(dnext * cache.memory, axis=1)
-    dmemory = q[:, None] * dnext
-    dlogits = q * (dweights - q @ dweights)
-    return dmemory + np.outer(dlogits, cache.question)
-
-
-# --- full clip pipeline ---------------------------------------------------
-
 @dataclass
 class ClipCache:
-    attends: list[AttendCache]
-    updates: list[UpdateCache]
-    guide: GuideCache | None
-    guide_attend: AttendCache | None
+    """The (N,) vectors `encode_clip_backward` walks, one entry per pass.
+    Pass k attends over the memory version `scales[k][:, None] * memory`."""
+
+    memory: np.ndarray  # (N, d) built memory M, never copied
+    frame_count: int  # T
     carry_frames: bool
+    scales: list[np.ndarray] = field(default_factory=list)  # (N,) row scale c of each pass
+    scores: list[np.ndarray] = field(default_factory=list)  # (N,) M s for each pass's frame sum s
+    pre: list[np.ndarray] = field(default_factory=list)  # (N,) update-gate pre-activations
+    guide: np.ndarray | None = None  # (N,) question-guide softmax weights
+    question_scores: np.ndarray | None = None  # (N,) M q
 
 
 def encode_clip_cached(
@@ -181,81 +121,83 @@ def encode_clip_cached(
     carry_frames: bool = False,
 ) -> tuple[np.ndarray, np.ndarray, ClipCache]:
     """Run the full subtitle pipeline; returns the clip vector, the final
-    memory matrix, and the cache for the backward pass. The last attention
-    pass's per-frame rows and scores are `cache.guide_attend` with guidance,
-    else `cache.attends[-1]`.
+    memory matrix, and the cache for the backward pass.
 
-    Pass t+1 attends over the memory rescaled by pass t's clip vector. By
-    default every pass attends with the frame-encoder output; with
-    `carry_frames` each pass reuses the previous pass's reattended frames.
-    Question guidance, when enabled, rescales the memory once more after all
-    update passes and triggers one final attention pass.
+    A pass over the memory version diag(c) M with frame sum s gives the clip
+    vector v = Mᵀ(c² · M s). Between passes the update gate rescales rows,
+    c ← ReLU(c · M v) · c, so pass t+1 attends over the memory gated by pass
+    t's clip vector v. Question guidance, when enabled, rescales once more
+    after the update passes, c ← softmax(c · M q) · c, and triggers one final
+    pass. By default every pass attends with the frame-encoder output; with
+    `carry_frames` each pass reuses the previous pass's reattended frames,
+    whose sum is the previous clip vector.
     """
     if um_hops < 1:
         raise ValueError(f"um_hops must be >= 1, got {um_hops}")
     if qg and question is None:
         raise ValueError("question guidance requires a question vector")
 
-    attends: list[AttendCache] = []
-    updates: list[UpdateCache] = []
-    memory = memory0
-    current = frames
-    vector = None
-    for t in range(um_hops):
-        vector, cache = _attend_cached(current, memory)
-        attends.append(cache)
-        if t < um_hops - 1:
-            memory, ucache = _update_cached(memory, vector)
-            updates.append(ucache)
-            current = cache.per_frame if carry_frames else frames
-
-    guide = None
-    guide_attend = None
-    if qg:
-        memory, guide = _guide_cached(memory, question)
-        final_frames = attends[-1].per_frame if carry_frames else frames
-        vector, guide_attend = _attend_cached(final_frames, memory)
-
-    return vector, memory, ClipCache(attends, updates, guide, guide_attend, carry_frames)
+    cache = ClipCache(memory0, frames.shape[0], carry_frames)
+    frame_sum = frames.sum(axis=0)
+    scale = np.ones(memory0.shape[0])
+    for k in range(um_hops + qg):
+        if k == um_hops:
+            cache.question_scores = _row_dots(memory0, question)
+            cache.guide = _softmax(scale * cache.question_scores)
+            scale = cache.guide * scale
+        elif k > 0:
+            pre = scale * _row_dots(memory0, vector)
+            cache.pre.append(pre)
+            scale = np.maximum(pre, 0.0) * scale
+        if k > 0 and carry_frames:
+            frame_sum = vector
+        scores = _row_dots(memory0, frame_sum)
+        vector = _weighted_row_sum(scale * scale * scores, memory0)
+        cache.scales.append(scale)
+        cache.scores.append(scores)
+    return vector, scale[:, None] * memory0, cache
 
 
 def encode_clip_backward(dvector: np.ndarray, cache: ClipCache) -> np.ndarray:
     """Gradient of the pipeline output with respect to the input frames.
 
-    Walks the recorded passes in reverse; gradients reach the frames both
-    through the attention scores and through the memory rescalings (whose
-    gates depend on earlier clip vectors).
+    The clip vector depends on the frames only through their sum, so every
+    row of the (T, d) result is the same frame-sum gradient. The passes are
+    walked in reverse; gradients reach the frame sum through each pass's
+    scores and through the update gates, whose pre-activations depend on
+    earlier clip vectors. The gate derivative at exactly zero is zero, and
+    the question embedding is frozen and gets no gradient.
     """
-    hops = len(cache.attends)
-    t_frames = cache.attends[0].frames.shape[0]
-    d = dvector.shape[0]
-    dframes_total = np.zeros((t_frames, d))
-    dper_frame_in = [None] * hops  # carry-path gradients into each pass's per_frame
-    dvector_in = [np.zeros(d) for _ in range(hops)]
-
-    if cache.guide_attend is not None:
-        dcur, dmem = _attend_backward(dvector, None, cache.guide_attend)
+    memory = cache.memory
+    # gradients with respect to the frame sum, the current pass's clip
+    # vector and the current pass's row scale
+    dsum = np.zeros_like(dvector)
+    dclip = dvector
+    dscale = np.zeros(memory.shape[0])
+    last = len(cache.scales) - 1
+    for k in range(last, -1, -1):
+        scale, scores = cache.scales[k], cache.scores[k]
+        dweights = memory @ dclip
+        dframe_sum = (scale * scale * dweights) @ memory
+        if k == 0:
+            break
+        dscale = dscale + 2.0 * scale * scores * dweights
         if cache.carry_frames:
-            dper_frame_in[hops - 1] = dcur
+            dclip = dframe_sum
         else:
-            dframes_total += dcur
-        dmem_ver = _guide_backward(dmem, cache.guide)
-    else:
-        dvector_in[hops - 1] = dvector
-        dmem_ver = np.zeros_like(cache.attends[-1].memory)
-
-    for t in range(hops - 1, -1, -1):
-        dcur, dmem = _attend_backward(dvector_in[t], dper_frame_in[t], cache.attends[t])
-        dmem_ver = dmem_ver + dmem
-        if t > 0 and cache.carry_frames:
-            prev = dper_frame_in[t - 1]
-            dper_frame_in[t - 1] = dcur if prev is None else prev + dcur
+            dsum = dsum + dframe_sum
+            dclip = np.zeros_like(dvector)
+        prev = cache.scales[k - 1]
+        if k == last and cache.guide is not None:
+            weights = cache.guide
+            dguide = dscale * prev
+            dlogits = weights * (dguide - weights @ dguide)
+            dscale = weights * dscale + dlogits * cache.question_scores
         else:
-            dframes_total += dcur
-        if t > 0:
-            dmem_ver, dclip = _update_backward(dmem_ver, cache.updates[t - 1])
-            dvector_in[t - 1] = dvector_in[t - 1] + dclip
-    return dframes_total
+            pre = cache.pre[k - 1]
+            dclip = dclip + (dscale * prev * prev * (pre > 0.0)) @ memory
+            dscale = 2.0 * np.maximum(pre, 0.0) * dscale
+    return np.repeat((dsum + dframe_sum)[None, :], cache.frame_count, axis=0)
 
 
 def rank_subtitles(frame: np.ndarray, sub: SubtitleMemory) -> list[tuple[int, float]]:

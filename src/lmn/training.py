@@ -248,10 +248,10 @@ def run_backward(
     if config.average_clip:
         dclip = dclip / prep.regions.shape[0]
     if state.clip_cache is not None:
-        dframes = encode_clip_backward(dclip, state.clip_cache)
-    else:
-        t = prep.regions.shape[0]
-        dframes = np.broadcast_to(dclip, (t, dclip.shape[0]))
+        dclip = encode_clip_backward(dclip, state.clip_cache)[0]
+    # with or without subtitles the clip depends on the frames only through
+    # their sum, so every frame gets the same gradient row
+    dframes = np.repeat(dclip[None, :], prep.regions.shape[0], axis=0)
     return encode_frames_backward(dframes, state.frame_cache, mem)
 
 

@@ -198,24 +198,24 @@ def load_word2vec_text(path) -> StaticWordMemory:
         parts = line.split(" ")
         if len(parts) < 2:
             raise EmbeddingFormatError(
-                f"line {lineno0}: expected '<word> <v1> ...', got {len(parts)} field(s)"
+                f"{path}: line {lineno0}: expected '<word> <v1> ...', got {len(parts)} field(s)"
             )
         word, coords = parts[0], parts[1:]
         if dim is None:
             dim = len(coords)
         elif len(coords) != dim:
             raise EmbeddingFormatError(
-                f"line {lineno0}: inconsistent dimension (expected {dim} values, got {len(coords)})"
+                f"{path}: line {lineno0}: inconsistent dimension (expected {dim} values, got {len(coords)})"
             )
         if word in seen:
-            raise EmbeddingFormatError(f"line {lineno0}: duplicate word {word!r}")
+            raise EmbeddingFormatError(f"{path}: line {lineno0}: duplicate word {word!r}")
         seen.add(word)
         try:
             values = [float(c) for c in coords]
         except ValueError as exc:
-            raise EmbeddingFormatError(f"line {lineno0}: invalid coordinate: {exc}") from None
+            raise EmbeddingFormatError(f"{path}: line {lineno0}: invalid coordinate: {exc}") from None
         if not all(math.isfinite(v) for v in values):
-            raise EmbeddingFormatError(f"line {lineno0}: non-finite coordinate")
+            raise EmbeddingFormatError(f"{path}: line {lineno0}: non-finite coordinate")
         vocab.append(word)
         rows.append(values)
 
@@ -223,7 +223,7 @@ def load_word2vec_text(path) -> StaticWordMemory:
         raise EmbeddingFormatError(f"{path}: no embedding rows found")
     if declared_count is not None and declared_count != len(rows):
         raise EmbeddingFormatError(
-            f"header declares {declared_count} words but file has {len(rows)}"
+            f"{path}: header declares {declared_count} words but file has {len(rows)}"
         )
     return StaticWordMemory(vocab, np.array(rows, dtype=np.float64))
 

@@ -101,8 +101,8 @@ def _well_conditioned(weights, prep, config, mem) -> bool:
         if np.min(np.abs(hop.norms)) < 1e-3:
             return False
     if state.clip_cache is not None:
-        for update in state.clip_cache.updates:
-            if np.min(np.abs(update.pre)) < 1e-6:
+        for pre in state.clip_cache.pre:
+            if np.min(np.abs(pre)) < 1e-6:
                 return False
     if np.max(np.abs(state.dist.logits)) > 30:  # keep the softmax well away from saturation
         return False

@@ -29,7 +29,12 @@ from lmn.data_io import (
     save_params,
 )
 from lmn.frame_encoder import ClipFeatures, encode_frames_cached
-from lmn.subtitle_memory import SubtitleMemory, _attend_cached, encode_clip_cached
+from lmn.subtitle_memory import (
+    SubtitleMemory,
+    _row_dots,
+    _weighted_row_sum,
+    encode_clip_cached,
+)
 from lmn.training import (
     ModelConfig,
     ModelParams,
@@ -208,13 +213,16 @@ def test_criterion_5_algebraic_invariants():
         rep_sperm, _, _ = encode_clip_cached(base_reps, sub_perm.matrix, None, um_hops=2, qg=False)
         np.testing.assert_allclose(rep_sperm, rep_base, atol=1e-12)
 
-        # single pass without guidance is bitwise the base attention
-        attend_vector, attend = _attend_cached(base_reps, sub2.matrix)
+        # single pass without guidance is bitwise the base attention: the
+        # frame sum scored against the unscaled memory, rows summed back
+        attend_scores = _row_dots(sub2.matrix, base_reps.sum(axis=0))
+        attend_vector = _weighted_row_sum(attend_scores, sub2.matrix)
         reduced_vector, _, reduced = encode_clip_cached(base_reps, sub2.matrix, None,
                                                         um_hops=1, qg=False)
         assert np.array_equal(reduced_vector, attend_vector)
-        assert np.array_equal(reduced.attends[-1].per_frame, attend.per_frame)
-        assert np.array_equal(reduced.attends[-1].scores, attend.scores)
+        assert len(reduced.scores) == 1 and not reduced.pre and reduced.guide is None
+        assert np.array_equal(reduced.scores[-1], attend_scores)
+        assert np.array_equal(reduced.scales[-1], np.ones(5))
 
         # uniform cross-entropy
         assert abs(cross_entropy(dist_from_logits(np.zeros(5)), 3) - LN5) <= 1e-12

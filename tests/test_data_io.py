@@ -1,5 +1,6 @@
 import codecs
 import filecmp
+import json
 import math
 import os
 import re
@@ -27,7 +28,7 @@ from lmn.data_io import (
     write_synthetic,
 )
 from lmn.frame_encoder import ClipFeatures
-from lmn.word_memory import embed_sentence
+from lmn.word_memory import EmbeddingFormatError, embed_sentence, load_word2vec_text
 
 
 def write(path, text, encoding="utf-8"):
@@ -292,6 +293,46 @@ class TestUndecodableBytes:
                            match=f"{re.escape(str(path))}: line {lines}: invalid UTF-8 byte 0xff"):
             reader(path)
 
+
+
+def _qa_line(**changes):
+    fields = {"qid": "q1", "question": "what", "answers": ["a", "b", "c", "d", "e"],
+              "movie_id": "m1", "clip_ids": ["c1"], "correct_index": 2}
+    fields.update(changes)
+    return json.dumps({k: v for k, v in fields.items() if v is not None})
+
+
+class TestFormatErrorsNameFile:
+    """Every located format error starts with the file's path, so a bad
+    block or line can be found among many input files."""
+
+    @pytest.mark.parametrize("reader, text, where", [
+        (parse_srt, "1\nnot a time\nhi\n", "block 1"),
+        (parse_srt, "1\n00:00:01,000 --> 00:00:02,000\nhi\n\njunk\n", "block 2"),
+        (parse_srt, "1\n00:00:03,000 --> 00:00:02,000\nhi\n", "block 1"),
+        (load_qa_jsonl, _qa_line() + "\n{not json\n", "line 2"),
+        (load_qa_jsonl, "[1]\n", "line 1"),
+        (load_qa_jsonl, _qa_line(movie_id=None) + "\n", "line 1"),
+        (load_qa_jsonl, _qa_line(answers=["a"] * 4) + "\n", "line 1"),
+        (load_qa_jsonl, "\n" + _qa_line(clip_ids=[]) + "\n", "line 2"),
+        (load_qa_jsonl, _qa_line(correct_index=True) + "\n", "line 1"),
+        (load_qa_jsonl, _qa_line(correct_index=7) + "\n", "line 1"),
+        (load_word2vec_text, "a 1 2\nb\n", "line 2"),
+        (load_word2vec_text, "a 1 2\nb 1\n", "line 2"),
+        (load_word2vec_text, "2 2\na 1 2\na 3 4\n", "line 3"),
+        (load_word2vec_text, "a 1 2\nb 1 x\n", "line 2"),
+        (load_word2vec_text, "a 1 2\nb 1 nan\n", "line 2"),
+        (load_word2vec_text, "3 2\na 1 2\n", "header declares"),
+    ], ids=["srt-timestamp", "srt-no-timestamp", "srt-reversed", "jsonl-syntax", "jsonl-object",
+            "jsonl-field", "jsonl-answers", "jsonl-clip-ids", "jsonl-bool-label",
+            "jsonl-label-range", "w2v-fields", "w2v-dimension", "w2v-duplicate",
+            "w2v-coordinate", "w2v-non-finite", "w2v-count"])
+    def test_message_starts_with_path(self, tmp_path, reader, text, where):
+        path = tmp_path / "input"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises((DataFormatError, EmbeddingFormatError),
+                           match=f"^{re.escape(str(path))}: {where}"):
+            reader(path)
 
 class TestSubsample:
     def test_every_other(self):

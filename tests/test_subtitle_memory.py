@@ -5,10 +5,10 @@ import pytest
 
 from lmn.subtitle_memory import (
     SubtitleMemory,
-    _attend_cached,
-    _guide_cached,
-    _update_cached,
+    _row_dots,
+    _weighted_row_sum,
     build_memory,
+    encode_clip_backward,
     encode_clip_cached,
     rank_subtitles,
 )
@@ -63,6 +63,117 @@ def loop_encode(frames, memory, question, um_hops, qg, carry=False):
     return np.array(clip), np.array(mem)
 
 
+# --- matrix oracle ----------------------------------------------------------
+# The clip layer written as explicit (T, N) passes over full (N, d) memory
+# copies, with one hand-written adjoint per pass type. `encode_clip_cached`
+# and `encode_clip_backward` must agree with it to rounding.
+
+def oracle_attend(frames, memory):
+    scores = frames @ memory.T  # (T, N) raw inner products
+    per_frame = scores @ memory
+    return per_frame.sum(axis=0), (frames, memory, scores, per_frame)
+
+
+def oracle_attend_backward(dvector, dper_frame_extra, cache):
+    frames, memory, scores, _ = cache
+    dper_frame = np.broadcast_to(dvector, (frames.shape[0], dvector.shape[0])).copy()
+    if dper_frame_extra is not None:
+        dper_frame += dper_frame_extra
+    dscores = dper_frame @ memory.T
+    dframes = dscores @ memory
+    dmemory = scores.T @ dper_frame + dscores.T @ frames
+    return dframes, dmemory
+
+
+def oracle_update(memory, clip):
+    pre = memory @ clip
+    gate = np.maximum(pre, 0.0)
+    return gate[:, None] * memory, (memory, clip, pre, gate)
+
+
+def oracle_update_backward(dnext, cache):
+    memory, clip, pre, gate = cache
+    dgate = np.sum(dnext * memory, axis=1)
+    dpre = dgate * (pre > 0.0)
+    return gate[:, None] * dnext + np.outer(dpre, clip), memory.T @ dpre
+
+
+def oracle_guide(memory, question):
+    logits = memory @ question
+    weights = np.exp(logits - logits.max())
+    weights = weights / weights.sum()
+    return weights[:, None] * memory, (memory, question, weights)
+
+
+def oracle_guide_backward(dnext, cache):
+    memory, question, weights = cache
+    dweights = np.sum(dnext * memory, axis=1)
+    dlogits = weights * (dweights - weights @ dweights)
+    return weights[:, None] * dnext + np.outer(dlogits, question)
+
+
+def oracle_encode(frames, memory, question, um_hops, qg, carry):
+    """Returns the clip vector, the final memory and the pass caches."""
+    attends, updates = [], []
+    current = frames
+    for t in range(um_hops):
+        vector, cache = oracle_attend(current, memory)
+        attends.append(cache)
+        if t < um_hops - 1:
+            memory, ucache = oracle_update(memory, vector)
+            updates.append(ucache)
+            current = cache[3] if carry else frames
+    guide = guide_attend = None
+    if qg:
+        memory, guide = oracle_guide(memory, question)
+        vector, guide_attend = oracle_attend(attends[-1][3] if carry else frames, memory)
+    return vector, memory, (attends, updates, guide, guide_attend, carry)
+
+
+def oracle_backward(dvector, caches):
+    """Gradient of the oracle's clip vector with respect to the frames."""
+    attends, updates, guide, guide_attend, carry = caches
+    hops = len(attends)
+    dframes = np.zeros_like(attends[0][0])
+    dper_frame_in = [None] * hops
+    dvector_in = [np.zeros_like(dvector) for _ in range(hops)]
+    if guide_attend is not None:
+        dcur, dmem = oracle_attend_backward(dvector, None, guide_attend)
+        if carry:
+            dper_frame_in[hops - 1] = dcur
+        else:
+            dframes += dcur
+        dmem_ver = oracle_guide_backward(dmem, guide)
+    else:
+        dvector_in[hops - 1] = dvector
+        dmem_ver = np.zeros_like(attends[-1][1])
+    for t in range(hops - 1, -1, -1):
+        dcur, dmem = oracle_attend_backward(dvector_in[t], dper_frame_in[t], attends[t])
+        dmem_ver = dmem_ver + dmem
+        if t > 0 and carry:
+            prev = dper_frame_in[t - 1]
+            dper_frame_in[t - 1] = dcur if prev is None else prev + dcur
+        else:
+            dframes += dcur
+        if t > 0:
+            dmem_ver, dclip = oracle_update_backward(dmem_ver, updates[t - 1])
+            dvector_in[t - 1] = dvector_in[t - 1] + dclip
+    return dframes
+
+
+def assert_matches_oracle(frames, matrix, question, um_hops, qg, carry, dvector):
+    """Clip vector, final memory and frame gradient within 1e-12 of the
+    oracle, relative to the oracle's largest entry."""
+    vector, final, cache = encode_clip_cached(frames, matrix, question, um_hops, qg, carry)
+    expected, expected_final, caches = oracle_encode(frames, matrix, question, um_hops, qg, carry)
+    dframes = encode_clip_backward(dvector, cache)
+    expected_dframes = oracle_backward(dvector, caches)
+    assert dframes.shape == frames.shape
+    for got, want in ((vector, expected), (final, expected_final), (dframes, expected_dframes)):
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.max(np.abs(want)))
+    return cache, caches
+
+
 class TestBuildMemory:
     def test_symmetric_sentence(self, tiny_mem):
         sub = build_memory(["a b"], tiny_mem, normalize=True)
@@ -91,41 +202,46 @@ class TestBuildMemory:
 
 class TestSubtitleAttend:
     def test_aligned_unit_vectors(self):
-        vector, cache = _attend_cached(np.array([[1.0, 0.0]]), np.array([[1.0, 0.0]]))
-        np.testing.assert_array_equal(cache.scores, [[1.0]])
+        vector, _, cache = encode_clip_cached(np.array([[1.0, 0.0]]), np.array([[1.0, 0.0]]),
+                                              None, um_hops=1, qg=False)
+        np.testing.assert_array_equal(cache.scores[0], [1.0])
         np.testing.assert_array_equal(vector, [1.0, 0.0])
 
     def test_orthogonal_gives_zero(self):
         matrix = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
-        vector, _ = _attend_cached(np.array([[0.0, 0.0, 2.0]]), matrix)
+        vector, _, _ = encode_clip_cached(np.array([[0.0, 0.0, 2.0]]), matrix,
+                                          None, um_hops=1, qg=False)
         np.testing.assert_array_equal(vector, np.zeros(3))
 
     def test_matches_loop_oracle(self):
         rng = np.random.default_rng(8)
         frames = rng.normal(size=(3, 5))
         matrix = rng.normal(size=(4, 5))
-        vector, cache = _attend_cached(frames, matrix)
+        vector, _, cache = encode_clip_cached(frames, matrix, None, um_hops=1, qg=False)
         expected, _ = loop_encode(frames, matrix, None, um_hops=1, qg=False)
         np.testing.assert_allclose(vector, expected, atol=1e-12)
-        np.testing.assert_allclose(vector, cache.per_frame.sum(axis=0), atol=1e-12)
+        # the clip is the sum of the reattended frames
+        np.testing.assert_allclose(vector, (frames @ matrix.T @ matrix).sum(axis=0), atol=1e-12)
+        np.testing.assert_allclose(cache.scores[0], (frames @ matrix.T).sum(axis=0), atol=1e-12)
 
     def test_row_permutation_invariance(self):
         rng = np.random.default_rng(12)
         frames = rng.normal(size=(2, 4))
         matrix = rng.normal(size=(5, 4))
-        base, base_cache = _attend_cached(frames, matrix)
+        base, _, base_cache = encode_clip_cached(frames, matrix, None, um_hops=1, qg=False)
         perm = rng.permutation(5)
-        permuted, permuted_cache = _attend_cached(frames, matrix[perm])
+        permuted, _, permuted_cache = encode_clip_cached(frames, matrix[perm], None,
+                                                         um_hops=1, qg=False)
         np.testing.assert_allclose(permuted, base, atol=1e-12)
-        np.testing.assert_allclose(permuted_cache.scores, base_cache.scores[:, perm], atol=1e-12)
+        np.testing.assert_allclose(permuted_cache.scores[0], base_cache.scores[0][perm], atol=1e-12)
 
     def test_zero_row_is_inert(self):
         rng = np.random.default_rng(14)
         frames = rng.normal(size=(3, 4))
         matrix = rng.normal(size=(3, 4))
         with_zero = np.vstack([matrix[:2], np.zeros(4), matrix[2:]])
-        base, _ = _attend_cached(frames, matrix)
-        padded, _ = _attend_cached(frames, with_zero)
+        base, _, _ = encode_clip_cached(frames, matrix, None, um_hops=1, qg=False)
+        padded, _, _ = encode_clip_cached(frames, with_zero, None, um_hops=1, qg=False)
         np.testing.assert_array_equal(padded, base)
 
     def test_dimension_mismatch(self):
@@ -133,22 +249,35 @@ class TestSubtitleAttend:
             encode_clip_cached(np.ones((2, 3)), np.ones((2, 4)), None, um_hops=1, qg=False)
 
 
+def updated_memory(matrix, frames):
+    """The memory after one update hop, gated by the first pass's clip
+    vector; with the clip vector itself and the gate pre-activations."""
+    clip, _, _ = encode_clip_cached(frames, matrix, None, um_hops=1, qg=False)
+    _, updated, cache = encode_clip_cached(frames, matrix, None, um_hops=2, qg=False)
+    return updated, clip, cache.pre[0]
+
+
 class TestUpdateHop:
     def test_negative_similarity_forgets_row(self):
-        updated, _ = _update_cached(np.array([[1.0, 0.0]]), np.array([-0.5, 0.0]))
+        # one frame [-0.5, 0] over the row [1, 0] gives the clip [-0.5, 0]
+        updated, clip, pre = updated_memory(np.array([[1.0, 0.0]]), np.array([[-0.5, 0.0]]))
+        np.testing.assert_array_equal(clip, [-0.5, 0.0])
+        np.testing.assert_array_equal(pre, [-0.5])
         np.testing.assert_array_equal(updated, [[0.0, 0.0]])
 
     def test_unit_gate_keeps_row(self):
-        updated, _ = _update_cached(np.array([[1.0, 0.0]]), np.array([1.0, 0.0]))
+        updated, clip, _ = updated_memory(np.array([[1.0, 0.0]]), np.array([[1.0, 0.0]]))
+        np.testing.assert_array_equal(clip, [1.0, 0.0])
         np.testing.assert_array_equal(updated, [[1.0, 0.0]])
 
     def test_matches_loop_oracle_and_leaves_input_alone(self):
         rng = np.random.default_rng(23)
         matrix = rng.normal(size=(4, 3))
-        clip = rng.normal(size=3)
+        frame = rng.normal(size=3)
         before = matrix.copy()
-        updated, _ = _update_cached(matrix, clip)
+        updated, clip, pre = updated_memory(matrix, frame[None, :])
         for n in range(4):
+            np.testing.assert_allclose(pre[n], float(matrix[n] @ clip), atol=1e-13)
             gate = max(float(matrix[n] @ clip), 0.0)
             np.testing.assert_allclose(updated[n], gate * matrix[n], atol=1e-13)
         np.testing.assert_array_equal(matrix, before)
@@ -157,7 +286,7 @@ class TestUpdateHop:
         rng = np.random.default_rng(29)
         for _ in range(20):
             matrix = rng.normal(size=(5, 4))
-            updated, _ = _update_cached(matrix, rng.normal(size=4))
+            updated, _, _ = updated_memory(matrix, rng.normal(size=4)[None, :])
             for old, new in zip(matrix, updated):
                 assert float(new @ old) >= 0.0
                 unit = old / np.linalg.norm(old)
@@ -165,41 +294,51 @@ class TestUpdateHop:
                 assert residual <= 1e-10
 
 
+def guided_memory(matrix, question):
+    """The memory after question guidance with no update hop before it,
+    and the cached guide weights."""
+    frames = np.ones((1, matrix.shape[1]))  # guidance does not read the frames
+    _, guided, cache = encode_clip_cached(frames, matrix, question, um_hops=1, qg=True)
+    return guided, cache.guide
+
+
 class TestQuestionGuide:
     def test_uniform_when_question_orthogonal(self):
         matrix = np.zeros((3, 4))
         matrix[:, :2] = np.random.default_rng(1).normal(size=(3, 2))
-        guided, _ = _guide_cached(matrix, np.array([0.0, 0.0, 1.0, 0.0]))
+        guided, _ = guided_memory(matrix, np.array([0.0, 0.0, 1.0, 0.0]))
         np.testing.assert_allclose(guided, matrix / 3.0, atol=1e-15)
 
     def test_singleton_memory_unchanged(self):
         matrix = np.array([[2.0, -1.0]])
-        guided, _ = _guide_cached(matrix, np.array([0.3, 0.4]))
+        guided, _ = guided_memory(matrix, np.array([0.3, 0.4]))
         np.testing.assert_array_equal(guided, matrix)
 
     def test_matches_exp_normalize_oracle(self):
         rng = np.random.default_rng(37)
         matrix = rng.normal(size=(4, 3))
         question = rng.normal(size=3)
-        guided, _ = _guide_cached(matrix, question)
+        guided, weights = guided_memory(matrix, question)
         logits = [float(row @ question) for row in matrix]
         total = math.fsum(math.exp(z) for z in logits)
         for n in range(4):
             q = math.exp(logits[n]) / total
             np.testing.assert_allclose(guided[n], q * matrix[n], atol=1e-12)
+            np.testing.assert_allclose(weights[n], q, atol=1e-12)
 
     def test_weights_form_a_distribution(self):
         rng = np.random.default_rng(41)
         for _ in range(20):
             matrix = rng.normal(size=(int(rng.integers(1, 7)), 3)) * 3.0
             question = rng.normal(size=3)
-            guided, _ = _guide_cached(matrix, question)
+            guided, cached = guided_memory(matrix, question)
             weights = []
             for old, new in zip(matrix, guided):
                 k = np.argmax(np.abs(old))
                 weights.append(new[k] / old[k])
             assert all(w > 0 for w in weights)
             assert abs(math.fsum(weights) - 1.0) <= 1e-12
+            assert abs(math.fsum(cached) - 1.0) <= 1e-12
 
 
 class TestEncodeClip:
@@ -207,11 +346,12 @@ class TestEncodeClip:
         rng = np.random.default_rng(43)
         frames = rng.normal(size=(3, 4))
         matrix = rng.normal(size=(2, 4))
-        base, base_cache = _attend_cached(frames, matrix)
+        scores = _row_dots(matrix, frames.sum(axis=0))
         vector, _, cache = encode_clip_cached(frames, matrix, None, um_hops=1, qg=False)
-        np.testing.assert_array_equal(vector, base)
-        np.testing.assert_array_equal(cache.attends[-1].per_frame, base_cache.per_frame)
-        np.testing.assert_array_equal(cache.attends[-1].scores, base_cache.scores)
+        np.testing.assert_array_equal(vector, _weighted_row_sum(scores, matrix))
+        np.testing.assert_array_equal(cache.scores[-1], scores)
+        np.testing.assert_array_equal(cache.scales[-1], np.ones(2))
+        assert not cache.pre and cache.guide is None
 
     def test_uniform_guidance_scaling_law(self):
         rng = np.random.default_rng(47)
@@ -253,6 +393,43 @@ class TestEncodeClip:
     def test_guidance_requires_question(self):
         with pytest.raises(ValueError, match="question"):
             encode_clip_cached(np.ones((1, 2)), np.array([[1.0, 0.0]]), None, um_hops=1, qg=True)
+
+
+class TestMatrixOracle:
+    @pytest.mark.parametrize("carry", [False, True])
+    @pytest.mark.parametrize("qg", [False, True])
+    @pytest.mark.parametrize("um_hops", [1, 2, 3])
+    def test_matches_pass_by_pass_oracle(self, um_hops, qg, carry):
+        rng = np.random.default_rng(100 * um_hops + 10 * qg + carry)
+        for t, n, d in ((3, 5, 4), (7, 40, 16)):
+            frames = rng.normal(size=(t, d))
+            matrix = rng.normal(size=(n, d)) / math.sqrt(d)
+            question = rng.normal(size=d)
+            cache, caches = assert_matches_oracle(frames, matrix, question, um_hops, qg, carry,
+                                                  rng.normal(size=d))
+            assert len(cache.scales) == um_hops + qg
+            for pre, (_, _, expected_pre, _) in zip(cache.pre, caches[1], strict=True):
+                np.testing.assert_allclose(pre, expected_pre, rtol=0,
+                                           atol=1e-12 * np.max(np.abs(expected_pre)))
+            if qg:
+                np.testing.assert_allclose(cache.guide, caches[2][2], rtol=0, atol=1e-12)
+
+    def test_gate_exactly_at_zero(self):
+        # the last row is orthogonal to every other row and to the frames,
+        # so its score, its share of the clip and its gate input are all 0.0;
+        # the guide after the one update sends that row a nonzero gradient,
+        # which the gate's zero derivative at 0.0 must stop
+        rng = np.random.default_rng(7)
+        frames = np.hstack([rng.normal(size=(4, 3)), np.zeros((4, 1))])
+        # small rows keep the guide softmax away from saturation
+        matrix = np.vstack([np.hstack([0.3 * rng.normal(size=(5, 3)), np.zeros((5, 1))]),
+                            [0.0, 0.0, 0.0, 1.0]])
+        question = rng.normal(size=4)
+        cache, caches = assert_matches_oracle(frames, matrix, question, 2, True, False,
+                                              rng.normal(size=4))
+        assert len(cache.pre) == 1
+        for pre, (_, _, expected_pre, _) in zip(cache.pre, caches[1], strict=True):
+            assert pre[-1] == 0.0 and expected_pre[-1] == 0.0
 
 
 class TestRankSubtitles:

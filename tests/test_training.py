@@ -133,8 +133,9 @@ class TestBackward:
                 checked += 1
         assert checked == 20
 
-    def test_carry_frames_variant(self):
-        inst = make_instance(seed=555, um_hops=3, qg=True, carry_frames=True, avoid_kinks=True)
+    @pytest.mark.parametrize("um_hops, qg", [(1, True), (2, False), (2, True), (3, False), (3, True)])
+    def test_carry_frames_variant(self, um_hops, qg):
+        inst = make_instance(seed=555, um_hops=um_hops, qg=qg, carry_frames=True, avoid_kinks=True)
         err = gradcheck(as_params(inst), inst.mem, inst.item, inst.features, inst.sub, step=1e-5)
         assert err <= 1e-4
 
