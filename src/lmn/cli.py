@@ -185,17 +185,19 @@ def cmd_rank_subtitles(args) -> int:
     params = _load_model(args, mem)
     config = params.config
     prep = prepare_example(mem, example, config)
-    frames, _ = encode_frames_cached(prep.regions, params.weights, mem, config.swm_hops)
-    if not 0 <= args.frame_index < frames.shape[0]:
-        raise ValueError(
-            f"frame index {args.frame_index} out of range (clip has {frames.shape[0]} frames)"
-        )
+    i = args.frame_index
+    if not 0 <= i < len(prep.regions):
+        raise ValueError(f"frame index {i} out of range (clip has {len(prep.regions)} frames)")
+    # a one-frame clip's frame sum is that frame's vector
+    frame, _ = encode_frames_cached(prep.regions[i : i + 1], params.weights, mem, config.swm_hops)
     memory = prep.subtitle_mat
     if args.memory_state == "final":
-        _, memory, _ = encode_clip_cached(frames, memory, prep.question, config.um_hops,
-                                          config.qg, config.um_carry_frames)
+        frame_sum, _ = encode_frames_cached(prep.regions, params.weights, mem, config.swm_hops)
+        _, cache = encode_clip_cached(frame_sum, memory, prep.question, config.um_hops,
+                                      config.qg, config.um_carry_frames)
+        memory = cache.scales[-1][:, None] * memory
     sub = SubtitleMemory(memory, example.subtitles)
-    ranked = rank_subtitles(frames[args.frame_index], sub)
+    ranked = rank_subtitles(frame, sub)
     for rank, (idx, sim) in enumerate(ranked, 1):
         print(f"{rank}\t{sim:+.6f}\t{sub.sentences[idx]}")
     return 0

@@ -5,13 +5,15 @@ attended regions.
 
 One hop normalizes its input and multiplies by the (d, d) Gram matrix G of
 the unit word rows. After the normalization that multiply is linear, so for
-the last hop the region sum moves inside it:
+the last hop the sum over the clip's frames t and regions r moves inside it:
 
-    Σ_r x̂_r G = (Σ_r x̂_r) G
+    Σ_t Σ_r x̂_tr G = (Σ_t Σ_r x̂_tr) G
 
-The frame encoder therefore sums the normalized regions of each frame and
-runs the last Gram multiply once per frame, (T, d) @ G, instead of once per
-region. Hops before the last still run per region.
+The subtitle layer reads the frames only through their sum, so the frame
+encoder returns that one (d,) vector: it sums the last hop's normalized
+regions over the whole clip and runs the last Gram multiply once per clip.
+A one-frame clip gives that frame's vector, and the clip's frame sum is the
+sum of its frames' vectors. Hops before the last still run per region.
 
 `encode_frames_cached` is the single entry point: it projects the regions
 and runs the hop chain, and `encode_frames_backward` is its adjoint. Each
@@ -141,8 +143,9 @@ def encode_frames_cached(
     hops: int,
 ) -> tuple[np.ndarray, FrameCache]:
     """Project (T,R,C) regions with the (d, C) weights, the model's single
-    learnable tensor (no bias), run the hop chain per region, sum the last
-    hop's normalized regions per frame and attend once per frame."""
+    learnable tensor (no bias), run the hop chain per region and return the
+    clip's (d,) frame sum: the last hop's normalized regions are summed over
+    all frames and attended once."""
     weights = np.asarray(weights, dtype=np.float64)
     if weights.ndim != 2:
         raise ValueError(f"projection weights must be 2-D (d,C), got {weights.shape}")
@@ -157,27 +160,22 @@ def encode_frames_cached(
     t, r, c = regions.shape
     projected = (regions.reshape(t * r, c) @ weights.T).reshape(t, r, -1)  # one GEMM, not T
     xhat_last, hop_caches = hop_chain(projected, mem, hops)
-    frame_reps = _attend(xhat_last.sum(axis=1), mem)  # (T, d)
-    return frame_reps, FrameCache(regions, hop_caches)
+    frame_sum = _attend(xhat_last.sum(axis=(0, 1)), mem)
+    return frame_sum, FrameCache(regions, hop_caches)
 
 
 def encode_frames_backward(
-    dframe_reps: np.ndarray, cache: FrameCache, mem: StaticWordMemory
+    dsum: np.ndarray, cache: FrameCache, mem: StaticWordMemory
 ) -> np.ndarray:
-    """Gradient of the frame encoding with respect to the projection weights.
+    """Gradient of the frame sum with respect to the projection weights.
 
-    Every region of a frame receives the frame's gradient, and by
-    Σ_r x̂_r G = (Σ_r x̂_r) G the last hop's Gram multiply runs once
-    per frame: dframe G is broadcast over the regions into that hop's
-    normalization Jacobian. The weight gradient is one (T*R, d)^T @ (T*R, C)
-    matrix product."""
+    Every region of the clip receives the same frame-sum gradient, so the
+    last hop's Gram multiply, its own adjoint, runs once: dsum G is
+    broadcast over all T*R regions into that hop's normalization Jacobian.
+    The weight gradient is one (T*R, d)^T @ (T*R, C) matrix product."""
     t, r, c = cache.regions.shape
-    dframe_reps = np.asarray(dframe_reps, dtype=np.float64)
-    if dframe_reps.shape != (t, mem.dim):
-        raise ValueError(
-            f"frame gradient must have shape {(t, mem.dim)}, got {dframe_reps.shape}"
-        )
-    dxhat_last = _attend(dframe_reps, mem)[:, None, :]  # (T, 1, d), broadcast over R
-    dprojected = hop_chain_backward(dxhat_last, cache.hop_caches, mem)
+    dsum = np.asarray(dsum, dtype=np.float64)
+    if dsum.shape != (mem.dim,):
+        raise ValueError(f"frame gradient must have shape {(mem.dim,)}, got {dsum.shape}")
+    dprojected = hop_chain_backward(_attend(dsum, mem), cache.hop_caches, mem)
     return dprojected.reshape(t * r, -1).T @ cache.regions.reshape(t * r, c)
-

@@ -10,10 +10,11 @@ every memory version is diag(c) M for an (N,) row scale c of the built
 matrix M. The layer is therefore one recurrence of matrix-vector products
 with M, O(N·d) per pass, and the memory is never copied.
 
-`encode_clip_cached` is the single entry point: it runs every attention,
-update and guidance pass and returns the clip vector, the final memory and
-the cache of (N,) vectors that `encode_clip_backward` walks in reverse.
-Neither function mutates its inputs.
+`encode_clip_cached` is the single entry point: it takes the clip's (d,)
+frame sum from the frame encoder, runs every attention, update and guidance
+pass and returns the clip vector and the cache of (N,) vectors that
+`encode_clip_backward` walks in reverse to the frame-sum gradient. Neither
+function mutates its inputs.
 """
 
 from __future__ import annotations
@@ -103,7 +104,6 @@ class ClipCache:
     Pass k attends over the memory version `scales[k][:, None] * memory`."""
 
     memory: np.ndarray  # (N, d) built memory M, never copied
-    frame_count: int  # T
     carry_frames: bool
     scales: list[np.ndarray] = field(default_factory=list)  # (N,) row scale c of each pass
     scores: list[np.ndarray] = field(default_factory=list)  # (N,) M s for each pass's frame sum s
@@ -113,22 +113,23 @@ class ClipCache:
 
 
 def encode_clip_cached(
-    frames: np.ndarray,
+    frame_sum: np.ndarray,
     memory0: np.ndarray,
     question: np.ndarray | None,
     um_hops: int,
     qg: bool,
     carry_frames: bool = False,
-) -> tuple[np.ndarray, np.ndarray, ClipCache]:
-    """Run the full subtitle pipeline; returns the clip vector, the final
-    memory matrix, and the cache for the backward pass.
+) -> tuple[np.ndarray, ClipCache]:
+    """Run the full subtitle pipeline on the (d,) frame sum; returns the
+    clip vector and the cache for the backward pass. The memory the last
+    pass attends over is `cache.scales[-1][:, None] * memory0`.
 
     A pass over the memory version diag(c) M with frame sum s gives the clip
     vector v = Mᵀ(c² · M s). Between passes the update gate rescales rows,
     c ← ReLU(c · M v) · c, so pass t+1 attends over the memory gated by pass
     t's clip vector v. Question guidance, when enabled, rescales once more
     after the update passes, c ← softmax(c · M q) · c, and triggers one final
-    pass. By default every pass attends with the frame-encoder output; with
+    pass. By default every pass attends with the input frame sum; with
     `carry_frames` each pass reuses the previous pass's reattended frames,
     whose sum is the previous clip vector.
     """
@@ -137,8 +138,7 @@ def encode_clip_cached(
     if qg and question is None:
         raise ValueError("question guidance requires a question vector")
 
-    cache = ClipCache(memory0, frames.shape[0], carry_frames)
-    frame_sum = frames.sum(axis=0)
+    cache = ClipCache(memory0, carry_frames)
     scale = np.ones(memory0.shape[0])
     for k in range(um_hops + qg):
         if k == um_hops:
@@ -155,16 +155,14 @@ def encode_clip_cached(
         vector = _weighted_row_sum(scale * scale * scores, memory0)
         cache.scales.append(scale)
         cache.scores.append(scores)
-    return vector, scale[:, None] * memory0, cache
+    return vector, cache
 
 
 def encode_clip_backward(dvector: np.ndarray, cache: ClipCache) -> np.ndarray:
-    """Gradient of the pipeline output with respect to the input frames.
+    """Gradient of the pipeline output with respect to the (d,) frame sum.
 
-    The clip vector depends on the frames only through their sum, so every
-    row of the (T, d) result is the same frame-sum gradient. The passes are
-    walked in reverse; gradients reach the frame sum through each pass's
-    scores and through the update gates, whose pre-activations depend on
+    The passes are walked in reverse; gradients reach the frame sum through
+    each pass's scores and through the update gates, whose pre-activations depend on
     earlier clip vectors. The gate derivative at exactly zero is zero, and
     the question embedding is frozen and gets no gradient.
     """
@@ -197,7 +195,7 @@ def encode_clip_backward(dvector: np.ndarray, cache: ClipCache) -> np.ndarray:
             pre = cache.pre[k - 1]
             dclip = dclip + (dscale * prev * prev * (pre > 0.0)) @ memory
             dscale = 2.0 * np.maximum(pre, 0.0) * dscale
-    return np.repeat((dsum + dframe_sum)[None, :], cache.frame_count, axis=0)
+    return dsum + dframe_sum
 
 
 def rank_subtitles(frame: np.ndarray, sub: SubtitleMemory) -> list[tuple[int, float]]:

@@ -15,6 +15,7 @@ from __future__ import annotations
 import hashlib
 import json
 from collections.abc import Iterable, Iterator
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -222,15 +223,15 @@ class ForwardState:
 
 
 def run_forward(weights: np.ndarray, prep: Prepared, config: ModelConfig, mem: StaticWordMemory) -> ForwardState:
-    frame_reps, frame_cache = encode_frames_cached(prep.regions, weights, mem, config.swm_hops)
+    frame_sum, frame_cache = encode_frames_cached(prep.regions, weights, mem, config.swm_hops)
     if prep.subtitle_mat is not None:
-        clip, _, clip_cache = encode_clip_cached(
-            frame_reps, prep.subtitle_mat, prep.question,
+        clip, clip_cache = encode_clip_cached(
+            frame_sum, prep.subtitle_mat, prep.question,
             config.um_hops, config.qg, config.um_carry_frames,
         )
     else:
         clip_cache = None
-        clip = frame_reps.sum(axis=0)
+        clip = frame_sum
     if config.average_clip:
         clip = clip / prep.regions.shape[0]
     dist = score_answers(clip, prep.question, prep.answer_mat)
@@ -248,11 +249,8 @@ def run_backward(
     if config.average_clip:
         dclip = dclip / prep.regions.shape[0]
     if state.clip_cache is not None:
-        dclip = encode_clip_backward(dclip, state.clip_cache)[0]
-    # with or without subtitles the clip depends on the frames only through
-    # their sum, so every frame gets the same gradient row
-    dframes = np.repeat(dclip[None, :], prep.regions.shape[0], axis=0)
-    return encode_frames_backward(dframes, state.frame_cache, mem)
+        dclip = encode_clip_backward(dclip, state.clip_cache)
+    return encode_frames_backward(dclip, state.frame_cache, mem)
 
 
 def _labeled_forward(
@@ -379,6 +377,17 @@ def evaluate(
     return hits / len(dataset), records
 
 
+@contextmanager
+def _located(where: str):
+    """Raise numpy overflow and invalid operations inside the block, and
+    report any numeric failure as one ValueError that starts with `where`."""
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            yield
+    except (FloatingPointError, ValueError) as exc:
+        raise ValueError(f"{where}: {exc}") from exc
+
+
 def train(
     dataset: list[Example],
     mem: StaticWordMemory,
@@ -392,6 +401,10 @@ def train(
     without a dev-accuracy improvement. The returned parameters are the best
     dev-epoch snapshot (ties keep the earlier epoch). Each movie's
     subtitle memory is built once and shared by its questions.
+
+    A batch or dev pass that overflows, or whose loss or gradient is not
+    finite, raises one ValueError that starts `epoch E batch B: ` or
+    `epoch E dev: `.
     """
     if not dataset:
         raise ValueError("empty dataset")
@@ -419,7 +432,10 @@ def train(
             state = run_forward(weights, prepared[i], model_config, mem)
             grad += run_backward(state, prepared[i], model_config, mem)
             loss_sum += state.loss
-        return loss_sum, grad / len(indices)
+        grad = grad / len(indices)
+        if not (np.isfinite(loss_sum) and np.isfinite(grad).all()):
+            raise ValueError("loss or gradient is not finite")
+        return loss_sum, grad
 
     def dev_accuracy(weights):
         hits = 0
@@ -438,12 +454,14 @@ def train(
     for epoch in range(1, config.max_epochs + 1):
         epoch_order = rng.permutation(train_idx)
         loss_total = 0.0
-        for lo in range(0, len(epoch_order), config.batch_size):
+        for number, lo in enumerate(range(0, len(epoch_order), config.batch_size), 1):
             batch = epoch_order[lo : lo + config.batch_size]
-            loss_sum, grad = batch_stats(weights, batch)
+            with _located(f"epoch {epoch} batch {number}"):
+                loss_sum, grad = batch_stats(weights, batch)
+                weights = sgd_step(weights, grad, config.learning_rate)
             loss_total += loss_sum
-            weights = sgd_step(weights, grad, config.learning_rate)
-        acc = dev_accuracy(weights)
+        with _located(f"epoch {epoch} dev"):
+            acc = dev_accuracy(weights)
         history.append(EpochStats(epoch, loss_total / len(epoch_order), acc))
         if acc > best_acc:
             best_acc = acc

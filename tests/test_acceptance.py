@@ -177,8 +177,8 @@ def test_criterion_5_algebraic_invariants():
         frames = rng.normal(size=(3, 6))
         sub = SubtitleMemory(matrix, tuple(f"s{i}" for i in range(n)))
         question = np.array([0.0, 0.0, 0.0, 0.0, 1.0, 0.0])
-        plain, _, _ = encode_clip_cached(frames, sub.matrix, None, um_hops=1, qg=False)
-        guided, _, _ = encode_clip_cached(frames, sub.matrix, question, um_hops=1, qg=True)
+        plain, _ = encode_clip_cached(frames.sum(0), sub.matrix, None, um_hops=1, qg=False)
+        guided, _ = encode_clip_cached(frames.sum(0), sub.matrix, question, um_hops=1, qg=True)
         np.testing.assert_allclose(guided, plain / n**2, rtol=1e-10)
 
         # positive scaling of a regional feature does not change its attention
@@ -197,28 +197,29 @@ def test_criterion_5_algebraic_invariants():
         flat = tensor.reshape(3, 5, 4)
         rperm = rng.permutation(4)
         w45 = rng.normal(size=(4, 5))
-        base_reps, _ = encode_frames_cached(ClipFeatures(tensor).regions(), w45, mem, 2)
-        perm_reps, _ = encode_frames_cached(
+        regions = ClipFeatures(tensor).regions()
+        base_sum, _ = encode_frames_cached(regions, w45, mem, 2)
+        perm_sum, _ = encode_frames_cached(
             ClipFeatures(flat[:, :, rperm].reshape(3, 5, 2, 2)).regions(), w45, mem, 2)
-        np.testing.assert_allclose(perm_reps, base_reps, atol=1e-12)
+        np.testing.assert_allclose(perm_sum, base_sum, atol=1e-12)
 
         smatrix = rng.normal(size=(5, 4))
         sub2 = SubtitleMemory(smatrix, tuple(f"s{i}" for i in range(5)))
-        rep_base, _, _ = encode_clip_cached(base_reps, sub2.matrix, None, um_hops=2, qg=False)
+        rep_base, _ = encode_clip_cached(base_sum, sub2.matrix, None, um_hops=2, qg=False)
         fperm = rng.permutation(3)
-        rep_fperm, _, _ = encode_clip_cached(base_reps[fperm], sub2.matrix, None, um_hops=2, qg=False)
-        np.testing.assert_allclose(rep_fperm, rep_base, atol=1e-12)
+        fperm_sum, _ = encode_frames_cached(regions[fperm], w45, mem, 2)
+        np.testing.assert_allclose(fperm_sum, base_sum, atol=1e-12)
         sperm = rng.permutation(5)
         sub_perm = SubtitleMemory(smatrix[sperm], tuple(f"s{i}" for i in sperm))
-        rep_sperm, _, _ = encode_clip_cached(base_reps, sub_perm.matrix, None, um_hops=2, qg=False)
+        rep_sperm, _ = encode_clip_cached(base_sum, sub_perm.matrix, None, um_hops=2, qg=False)
         np.testing.assert_allclose(rep_sperm, rep_base, atol=1e-12)
 
         # single pass without guidance is bitwise the base attention: the
         # frame sum scored against the unscaled memory, rows summed back
-        attend_scores = _row_dots(sub2.matrix, base_reps.sum(axis=0))
+        attend_scores = _row_dots(sub2.matrix, base_sum)
         attend_vector = _weighted_row_sum(attend_scores, sub2.matrix)
-        reduced_vector, _, reduced = encode_clip_cached(base_reps, sub2.matrix, None,
-                                                        um_hops=1, qg=False)
+        reduced_vector, reduced = encode_clip_cached(base_sum, sub2.matrix, None,
+                                                     um_hops=1, qg=False)
         assert np.array_equal(reduced_vector, attend_vector)
         assert len(reduced.scores) == 1 and not reduced.pre and reduced.guide is None
         assert np.array_equal(reduced.scores[-1], attend_scores)

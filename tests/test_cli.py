@@ -111,6 +111,23 @@ class TestTrain:
             )
         assert outputs["a"] == outputs["b"]
 
+    def test_overflow_stops_with_epoch_and_batch(self, tmp_path, capsys):
+        # six subtitle passes overflow the update gate of every item at the
+        # initial params of the default synthetic shape
+        data_dir = tmp_path / "data"
+        assert main(["synth", "--out", str(data_dir), "--n-train", "40", "--n-eval", "10"]) == 0
+        capsys.readouterr()
+        code = main([
+            "train", "--embeddings", str(data_dir / "embeddings.txt"),
+            "--qa", str(data_dir / "train.jsonl"),
+            "--features", str(data_dir / "features"),
+            "--subtitles", str(data_dir / "subtitles"),
+            "--frames", "4", "--um-hops", "6", "--out", str(tmp_path / "run"),
+        ])
+        err = capsys.readouterr().err.splitlines()
+        assert code == 1
+        assert len(err) == 1 and err[0].startswith("error: epoch 1 batch 1:"), err
+
 
 class TestEval:
     def test_writes_accuracy_json(self, synth_dir, trained_dir, tmp_path, capsys):

@@ -10,6 +10,7 @@ from lmn.frame_encoder import (
     hop_chain,
 )
 from lmn.word_memory import StaticWordMemory, unit_normalize
+from reference import reference_forward
 
 
 @pytest.fixture
@@ -25,8 +26,8 @@ def random_mem(rng, v_size, d):
 def encode_region(region, weights, mem):
     """One word-memory hop on one projected region: the frame encoding of a
     single frame holding that single region."""
-    reps, _ = encode_frames_cached(np.asarray(region, dtype=float)[None, None, :], weights, mem, 1)
-    return reps[0]
+    rep, _ = encode_frames_cached(np.asarray(region, dtype=float)[None, None, :], weights, mem, 1)
+    return rep
 
 
 def attend_once(vector, mem):
@@ -147,7 +148,7 @@ class TestEncodeFrames:
     def test_single_region_basis(self, basis_mem):
         clip = ClipFeatures(np.array([0.0, 1.0]).reshape(1, 2, 1, 1))
         out, _ = encode_frames_cached(clip.regions(), np.eye(2), basis_mem, 1)
-        np.testing.assert_allclose(out, [[0.0, 1.0]])
+        np.testing.assert_allclose(out, [0.0, 1.0])
 
     def test_two_hops_is_attend_twice(self):
         rng = np.random.default_rng(31)
@@ -156,9 +157,9 @@ class TestEncodeFrames:
         weights = rng.normal(size=(3, 4))
         two_hop, _ = encode_frames_cached(clip.regions(), weights, mem, 2)
         manual = np.zeros_like(two_hop)
-        for i, frame in enumerate(clip.regions()):
+        for frame in clip.regions():
             for region in frame:
-                manual[i] += attend_once(attend_once(weights @ region, mem), mem)
+                manual += attend_once(attend_once(weights @ region, mem), mem)
         np.testing.assert_allclose(two_hop, manual, atol=1e-12)
 
     def test_matches_full_loop_oracle(self):
@@ -166,17 +167,27 @@ class TestEncodeFrames:
         mem = random_mem(rng, 3, 2)
         clip = ClipFeatures(rng.normal(size=(2, 3, 1, 2)))
         weights = rng.normal(size=(2, 3))
-        got, _ = encode_frames_cached(clip.regions(), weights, mem, 1)
+        regions = clip.regions()
+        got, _ = encode_frames_cached(regions, weights, mem, 1)
         rows = [unit_normalize(r) for r in mem.matrix]
         expected = np.zeros((2, 2))
-        for i, frame in enumerate(clip.regions()):
+        for i, frame in enumerate(regions):
             for region in frame:
                 xh = unit_normalize(weights @ region)
                 attended = np.zeros(2)
                 for w in rows:
                     attended += float(xh @ w) * w
                 expected[i] += attended
-        np.testing.assert_allclose(got, expected, atol=1e-12)
+        np.testing.assert_allclose(got, expected.sum(axis=0), atol=1e-12)
+        # a one-frame clip is that frame's vector, and the clip's frame sum
+        # is the sum of those vectors
+        reference = reference_forward(mem.matrix, weights, regions, None,
+                                      np.zeros(2), np.zeros((5, 2)))["frames"]
+        single = [encode_frames_cached(regions[t : t + 1], weights, mem, 1)[0] for t in range(2)]
+        for t in range(2):
+            np.testing.assert_allclose(single[t], expected[t], atol=1e-12)
+            np.testing.assert_allclose(single[t], reference[t], atol=1e-12)
+        np.testing.assert_allclose(got, np.sum(single, axis=0), atol=1e-12)
 
     def test_region_permutation_invariance(self):
         rng = np.random.default_rng(47)
@@ -219,10 +230,11 @@ class TestEncodeFrames:
             encode_frames_cached(clip.regions(), np.eye(2), basis_mem, 1)
 
 
-def per_region_weight_grad(dframe, regions, weights, mem, hops):
+def per_region_weight_grad(dsum, regions, weights, mem, hops):
     """The frame-encoder weight gradient computed region by region: every
-    hop, the last one included, multiplies each region row by the Gram
-    matrix, and the weight gradient is an einsum over frames and regions."""
+    region gets the frame-sum gradient, every hop, the last one included,
+    multiplies each region row by the Gram matrix, and the weight gradient
+    is an einsum over frames and regions."""
     x = regions @ weights.T
     caches = []
     for _ in range(hops):
@@ -230,7 +242,7 @@ def per_region_weight_grad(dframe, regions, weights, mem, hops):
         xhat = x / np.where(norms == 0.0, 1.0, norms)
         caches.append((norms, xhat))
         x = xhat @ mem.gram
-    dx = np.broadcast_to(dframe[:, None, :], x.shape)
+    dx = np.broadcast_to(dsum, x.shape)
     for norms, xhat in reversed(caches):
         dxhat = dx @ mem.gram
         inner = np.sum(xhat * dxhat, axis=-1, keepdims=True)
@@ -250,19 +262,19 @@ class TestEncodeFramesBackward:
         regions[0, 5] = 0.0
         regions[2] = 0.0
         weights = rng.normal(size=(4, 64))
-        dframe = rng.normal(size=(3, 4))
-        return mem, regions, weights, dframe
+        dsum = rng.normal(size=4)
+        return mem, regions, weights, dsum
 
     @pytest.mark.parametrize("hops", [1, 2, 3])
     def test_matches_finite_differences_with_zero_regions(self, setup, hops):
-        mem, regions, weights, dframe = setup
-        reps, cache = encode_frames_cached(regions, weights, mem, hops)
-        np.testing.assert_array_equal(reps[2], 0.0)
-        grad = encode_frames_backward(dframe, cache, mem)
+        mem, regions, weights, dsum = setup
+        np.testing.assert_array_equal(encode_frames_cached(regions[2:], weights, mem, hops)[0], 0.0)
+        _, cache = encode_frames_cached(regions, weights, mem, hops)
+        grad = encode_frames_backward(dsum, cache, mem)
         assert np.isfinite(grad).all()
 
         def objective(w):
-            return float(np.sum(dframe * encode_frames_cached(regions, w, mem, hops)[0]))
+            return float(np.sum(dsum * encode_frames_cached(regions, w, mem, hops)[0]))
 
         eps = 1e-6
         numeric = np.zeros_like(weights)
@@ -274,14 +286,15 @@ class TestEncodeFramesBackward:
 
     @pytest.mark.parametrize("hops", [1, 2, 3])
     def test_matches_per_region_oracle(self, setup, hops):
-        mem, regions, weights, dframe = setup
+        mem, regions, weights, dsum = setup
         _, cache = encode_frames_cached(regions, weights, mem, hops)
-        grad = encode_frames_backward(dframe, cache, mem)
-        expected = per_region_weight_grad(dframe, regions, weights, mem, hops)
+        grad = encode_frames_backward(dsum, cache, mem)
+        expected = per_region_weight_grad(dsum, regions, weights, mem, hops)
         assert np.max(np.abs(grad - expected)) <= 1e-12 * np.max(np.abs(expected))
 
-    # (1, d) and (T, 1) would broadcast across frames or coordinates
-    @pytest.mark.parametrize("shape", [(1, 4), (3, 1), (4,), (3, 4, 1)])
+    # (1, d) would broadcast across the regions; (T, d) is a per-frame
+    # gradient, which the (d,) frame sum does not take
+    @pytest.mark.parametrize("shape", [(1, 4), (3, 1), (3, 4, 1), (3, 4)])
     def test_rejects_wrong_gradient_shape(self, setup, shape):
         mem, regions, weights, _ = setup
         _, cache = encode_frames_cached(regions, weights, mem, 1)

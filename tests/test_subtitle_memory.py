@@ -161,14 +161,22 @@ def oracle_backward(dvector, caches):
     return dframes
 
 
+def final_memory(matrix, cache):
+    """The memory version the last pass attended over."""
+    return cache.scales[-1][:, None] * matrix
+
+
 def assert_matches_oracle(frames, matrix, question, um_hops, qg, carry, dvector):
     """Clip vector, final memory and frame gradient within 1e-12 of the
-    oracle, relative to the oracle's largest entry."""
-    vector, final, cache = encode_clip_cached(frames, matrix, question, um_hops, qg, carry)
+    oracle, relative to the oracle's largest entry. Every frame's oracle
+    gradient is the frame-sum gradient."""
+    vector, cache = encode_clip_cached(frames.sum(0), matrix, question, um_hops, qg, carry)
+    final = final_memory(matrix, cache)
     expected, expected_final, caches = oracle_encode(frames, matrix, question, um_hops, qg, carry)
-    dframes = encode_clip_backward(dvector, cache)
+    dsum = encode_clip_backward(dvector, cache)
     expected_dframes = oracle_backward(dvector, caches)
-    assert dframes.shape == frames.shape
+    assert dsum.shape == frames.shape[1:]
+    dframes = np.broadcast_to(dsum, frames.shape)
     for got, want in ((vector, expected), (final, expected_final), (dframes, expected_dframes)):
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.max(np.abs(want)))
     return cache, caches
@@ -202,22 +210,22 @@ class TestBuildMemory:
 
 class TestSubtitleAttend:
     def test_aligned_unit_vectors(self):
-        vector, _, cache = encode_clip_cached(np.array([[1.0, 0.0]]), np.array([[1.0, 0.0]]),
-                                              None, um_hops=1, qg=False)
+        vector, cache = encode_clip_cached(np.array([1.0, 0.0]), np.array([[1.0, 0.0]]),
+                                           None, um_hops=1, qg=False)
         np.testing.assert_array_equal(cache.scores[0], [1.0])
         np.testing.assert_array_equal(vector, [1.0, 0.0])
 
     def test_orthogonal_gives_zero(self):
         matrix = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
-        vector, _, _ = encode_clip_cached(np.array([[0.0, 0.0, 2.0]]), matrix,
-                                          None, um_hops=1, qg=False)
+        vector, _ = encode_clip_cached(np.array([0.0, 0.0, 2.0]), matrix,
+                                       None, um_hops=1, qg=False)
         np.testing.assert_array_equal(vector, np.zeros(3))
 
     def test_matches_loop_oracle(self):
         rng = np.random.default_rng(8)
         frames = rng.normal(size=(3, 5))
         matrix = rng.normal(size=(4, 5))
-        vector, _, cache = encode_clip_cached(frames, matrix, None, um_hops=1, qg=False)
+        vector, cache = encode_clip_cached(frames.sum(0), matrix, None, um_hops=1, qg=False)
         expected, _ = loop_encode(frames, matrix, None, um_hops=1, qg=False)
         np.testing.assert_allclose(vector, expected, atol=1e-12)
         # the clip is the sum of the reattended frames
@@ -228,10 +236,10 @@ class TestSubtitleAttend:
         rng = np.random.default_rng(12)
         frames = rng.normal(size=(2, 4))
         matrix = rng.normal(size=(5, 4))
-        base, _, base_cache = encode_clip_cached(frames, matrix, None, um_hops=1, qg=False)
+        base, base_cache = encode_clip_cached(frames.sum(0), matrix, None, um_hops=1, qg=False)
         perm = rng.permutation(5)
-        permuted, _, permuted_cache = encode_clip_cached(frames, matrix[perm], None,
-                                                         um_hops=1, qg=False)
+        permuted, permuted_cache = encode_clip_cached(frames.sum(0), matrix[perm], None,
+                                                      um_hops=1, qg=False)
         np.testing.assert_allclose(permuted, base, atol=1e-12)
         np.testing.assert_allclose(permuted_cache.scores[0], base_cache.scores[0][perm], atol=1e-12)
 
@@ -240,21 +248,21 @@ class TestSubtitleAttend:
         frames = rng.normal(size=(3, 4))
         matrix = rng.normal(size=(3, 4))
         with_zero = np.vstack([matrix[:2], np.zeros(4), matrix[2:]])
-        base, _, _ = encode_clip_cached(frames, matrix, None, um_hops=1, qg=False)
-        padded, _, _ = encode_clip_cached(frames, with_zero, None, um_hops=1, qg=False)
+        base, _ = encode_clip_cached(frames.sum(0), matrix, None, um_hops=1, qg=False)
+        padded, _ = encode_clip_cached(frames.sum(0), with_zero, None, um_hops=1, qg=False)
         np.testing.assert_array_equal(padded, base)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            encode_clip_cached(np.ones((2, 3)), np.ones((2, 4)), None, um_hops=1, qg=False)
+            encode_clip_cached(np.ones(3), np.ones((2, 4)), None, um_hops=1, qg=False)
 
 
 def updated_memory(matrix, frames):
     """The memory after one update hop, gated by the first pass's clip
     vector; with the clip vector itself and the gate pre-activations."""
-    clip, _, _ = encode_clip_cached(frames, matrix, None, um_hops=1, qg=False)
-    _, updated, cache = encode_clip_cached(frames, matrix, None, um_hops=2, qg=False)
-    return updated, clip, cache.pre[0]
+    clip, _ = encode_clip_cached(frames.sum(0), matrix, None, um_hops=1, qg=False)
+    _, cache = encode_clip_cached(frames.sum(0), matrix, None, um_hops=2, qg=False)
+    return final_memory(matrix, cache), clip, cache.pre[0]
 
 
 class TestUpdateHop:
@@ -297,9 +305,9 @@ class TestUpdateHop:
 def guided_memory(matrix, question):
     """The memory after question guidance with no update hop before it,
     and the cached guide weights."""
-    frames = np.ones((1, matrix.shape[1]))  # guidance does not read the frames
-    _, guided, cache = encode_clip_cached(frames, matrix, question, um_hops=1, qg=True)
-    return guided, cache.guide
+    frame_sum = np.ones(matrix.shape[1])  # guidance does not read the frames
+    _, cache = encode_clip_cached(frame_sum, matrix, question, um_hops=1, qg=True)
+    return final_memory(matrix, cache), cache.guide
 
 
 class TestQuestionGuide:
@@ -347,7 +355,7 @@ class TestEncodeClip:
         frames = rng.normal(size=(3, 4))
         matrix = rng.normal(size=(2, 4))
         scores = _row_dots(matrix, frames.sum(axis=0))
-        vector, _, cache = encode_clip_cached(frames, matrix, None, um_hops=1, qg=False)
+        vector, cache = encode_clip_cached(frames.sum(0), matrix, None, um_hops=1, qg=False)
         np.testing.assert_array_equal(vector, _weighted_row_sum(scores, matrix))
         np.testing.assert_array_equal(cache.scores[-1], scores)
         np.testing.assert_array_equal(cache.scales[-1], np.ones(2))
@@ -360,8 +368,8 @@ class TestEncodeClip:
         matrix[:, :3] = rng.normal(size=(n, 3))
         frames = rng.normal(size=(2, 5))
         question = np.array([0.0, 0.0, 0.0, 1.0, 0.0])  # orthogonal to every row
-        plain, _, _ = encode_clip_cached(frames, matrix, None, um_hops=1, qg=False)
-        guided, _, _ = encode_clip_cached(frames, matrix, question, um_hops=1, qg=True)
+        plain, _ = encode_clip_cached(frames.sum(0), matrix, None, um_hops=1, qg=False)
+        guided, _ = encode_clip_cached(frames.sum(0), matrix, question, um_hops=1, qg=True)
         np.testing.assert_allclose(guided, plain / n**2, rtol=1e-10)
 
     @pytest.mark.parametrize("carry", [False, True])
@@ -370,8 +378,9 @@ class TestEncodeClip:
         frames = rng.normal(size=(2, 4))
         matrix = rng.normal(size=(3, 4))
         question = rng.normal(size=4)
-        vector, final, _ = encode_clip_cached(frames, matrix, question,
-                                              um_hops=2, qg=True, carry_frames=carry)
+        vector, cache = encode_clip_cached(frames.sum(0), matrix, question,
+                                           um_hops=2, qg=True, carry_frames=carry)
+        final = final_memory(matrix, cache)
         expected, expected_final = loop_encode(frames, matrix, question,
                                                um_hops=2, qg=True, carry=carry)
         np.testing.assert_allclose(vector, expected, atol=1e-12)
@@ -382,17 +391,17 @@ class TestEncodeClip:
         frames = rng.normal(size=(2, 4))
         matrix = rng.normal(size=(3, 4))
         with_zero = np.vstack([matrix, np.zeros(4)])
-        base, _, _ = encode_clip_cached(frames, matrix, None, um_hops=3, qg=False)
-        padded, _, _ = encode_clip_cached(frames, with_zero, None, um_hops=3, qg=False)
+        base, _ = encode_clip_cached(frames.sum(0), matrix, None, um_hops=3, qg=False)
+        padded, _ = encode_clip_cached(frames.sum(0), with_zero, None, um_hops=3, qg=False)
         np.testing.assert_array_equal(padded, base)
 
     def test_rejects_bad_hops(self):
         with pytest.raises(ValueError, match="um_hops"):
-            encode_clip_cached(np.ones((1, 2)), np.array([[1.0, 0.0]]), None, um_hops=0, qg=False)
+            encode_clip_cached(np.ones(2), np.array([[1.0, 0.0]]), None, um_hops=0, qg=False)
 
     def test_guidance_requires_question(self):
         with pytest.raises(ValueError, match="question"):
-            encode_clip_cached(np.ones((1, 2)), np.array([[1.0, 0.0]]), None, um_hops=1, qg=True)
+            encode_clip_cached(np.ones(2), np.array([[1.0, 0.0]]), None, um_hops=1, qg=True)
 
 
 class TestMatrixOracle:
