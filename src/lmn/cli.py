@@ -24,6 +24,7 @@ from .training import (
     ModelConfig,
     ModelParams,
     TrainConfig,
+    _located,
     evaluate,
     example_memory,
     gradcheck,
@@ -61,9 +62,15 @@ def _require(path: str | None, role: str) -> str:
     return path
 
 
-def _load_inputs(args) -> tuple[StaticWordMemory, list[Example]]:
+def _load_inputs(args, qid: str | None = None) -> tuple[StaticWordMemory, list[Example]]:
+    """The embeddings and the QA file's examples; given a qid, only that
+    question's example, so no other question's clips are decoded."""
     mem = load_word2vec_text(_require(args.embeddings, "embedding file"))
     items = data_io.load_qa_jsonl(_require(args.qa, "QA file"))
+    if qid is not None:
+        items = [item for item in items if item.qid == qid][:1]
+        if not items:
+            raise ValueError(f"unknown qid {qid!r}")
     feature_dir = _require(args.features, "feature directory")
     subtitle_dir = None
     if not args.video_only:
@@ -103,13 +110,6 @@ def _load_model(args, mem: StaticWordMemory) -> ModelParams:
             f"params dimension {weights.shape[0]} does not match embedding dimension {mem.dim}"
         )
     return ModelParams(weights, _model_config(args))
-
-
-def _find_item(examples: list[Example], qid: str) -> Example:
-    for example in examples:
-        if example.item.qid == qid:
-            return example
-    raise ValueError(f"unknown qid {qid!r}")
 
 
 def _write_text(path: str, text: str) -> None:
@@ -161,11 +161,11 @@ def cmd_eval(args) -> int:
 
 
 def cmd_answer(args) -> int:
-    mem, examples = _load_inputs(args)
-    example = _find_item(examples, args.qid)
+    mem, (example,) = _load_inputs(args, args.qid)
     params = _load_model(args, mem)
     prep = prepare_example(mem, example, params.config)
-    state = run_forward(params.weights, prep, params.config, mem)
+    with _located(f"question {example.item.qid}"):
+        state = run_forward(params.weights, prep, params.config, mem)
     choice = predict(state.dist)
     print(f"qid {example.item.qid}: predicted answer {choice}")
     for h, (text, p) in enumerate(zip(example.item.answers, state.dist.probs)):
@@ -178,43 +178,45 @@ def cmd_answer(args) -> int:
 
 
 def cmd_rank_subtitles(args) -> int:
-    mem, examples = _load_inputs(args)
+    mem, (example,) = _load_inputs(args, args.qid)
     if args.video_only:
         raise ValueError("rank-subtitles requires subtitles")
-    example = _find_item(examples, args.qid)
     params = _load_model(args, mem)
     config = params.config
     prep = prepare_example(mem, example, config)
     i = args.frame_index
     if not 0 <= i < len(prep.regions):
         raise ValueError(f"frame index {i} out of range (clip has {len(prep.regions)} frames)")
-    # a one-frame clip's frame sum is that frame's vector
-    frame, _ = encode_frames_cached(prep.regions[i : i + 1], params.weights, mem, config.swm_hops)
-    memory = prep.subtitle_mat
-    if args.memory_state == "final":
-        frame_sum, _ = encode_frames_cached(prep.regions, params.weights, mem, config.swm_hops)
-        _, cache = encode_clip_cached(frame_sum, memory, prep.question, config.um_hops,
-                                      config.qg, config.um_carry_frames)
-        memory = cache.scales[-1][:, None] * memory
-    sub = SubtitleMemory(memory, example.subtitles)
-    ranked = rank_subtitles(frame, sub)
+    with _located(f"question {example.item.qid}"):
+        # a one-frame clip's frame sum is that frame's vector
+        frame, _ = encode_frames_cached(prep.regions[i : i + 1], params.weights, mem,
+                                        config.swm_hops)
+        memory = prep.subtitle_mat
+        if args.memory_state == "final":
+            frame_sum, _ = encode_frames_cached(prep.regions, params.weights, mem, config.swm_hops)
+            _, cache = encode_clip_cached(frame_sum, memory, prep.question, config.um_hops,
+                                          config.qg, config.um_carry_frames)
+            memory = cache.scales[-1][:, None] * memory
+        sub = SubtitleMemory(memory, example.subtitles)
+        ranked = rank_subtitles(frame, sub)
     for rank, (idx, sim) in enumerate(ranked, 1):
         print(f"{rank}\t{sim:+.6f}\t{sub.sentences[idx]}")
     return 0
 
 
 def cmd_gradcheck(args) -> int:
-    mem, examples = _load_inputs(args)
+    mem, examples = _load_inputs(args, args.qid)
     if not examples:
         raise ValueError("empty dataset")
-    example = _find_item(examples, args.qid) if args.qid else examples[0]
+    example = examples[0]
     if args.params:
         params = _load_model(args, mem)
     else:
         params = init_params(mem.dim, example.features.channels, _model_config(args),
                              seed=args.seed)
     sub = example_memory(mem, example, params.config)
-    err = gradcheck(params, mem, example.item, example.features, sub, step=args.step)
+    with _located(f"question {example.item.qid}"):
+        err = gradcheck(params, mem, example.item, example.features, sub, step=args.step)
     print(f"gradcheck qid {example.item.qid}: max relative error {err:.3e} (step {args.step:g})")
     return 0
 

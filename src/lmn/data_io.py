@@ -9,20 +9,19 @@ Feature payloads are stored as 32-bit little-endian floats and promoted to
 
 from __future__ import annotations
 
-import contextlib
-import io
 import json
+import math
 import os
 import re
 import struct
-import tempfile
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .answering import NUM_CHOICES, QAItem
 from .frame_encoder import ClipFeatures
-from .word_memory import StaticWordMemory, embed_sentence, read_utf8, unit_normalize
+from .word_memory import (StaticWordMemory, atomic_write_bytes, embed_sentence, read_lines,
+                          save_word2vec_text, unit_normalize)
 
 __all__ = [
     "DataFormatError",
@@ -89,7 +88,7 @@ def parse_srt(path) -> SubtitleFile:
     """Parse a SubRip file: blank-line-separated blocks of index line,
     timestamp line, and one or more text lines (joined with single spaces,
     angle-bracket markup removed). Accepts CRLF or LF and a leading BOM."""
-    lines = read_utf8(path, DataFormatError, bom=True).splitlines()
+    lines = read_lines(path, DataFormatError, bom=True)
 
     blocks: list[list[str]] = []
     current: list[str] = []
@@ -149,8 +148,7 @@ def srt_dumps(sub: SubtitleFile) -> str:
 
 def load_plaintext_subtitles(path) -> SubtitleFile:
     """One sentence per nonempty line; timestamps are zero."""
-    text = read_utf8(path, DataFormatError, bom=True)
-    sentences = [line.strip() for line in text.splitlines()]
+    sentences = [line.strip() for line in read_lines(path, DataFormatError, bom=True)]
     entries = tuple(SubtitleEntry(0, 0, s) for s in sentences if s)
     if not entries:
         raise DataFormatError(f"{path}: empty subtitle file")
@@ -159,105 +157,70 @@ def load_plaintext_subtitles(path) -> SubtitleFile:
 
 # --- binary containers ------------------------------------------------------
 
+# LMNF and LMNP share one layout: a 4-byte magic, a u32 version, one u32 per
+# dimension, then the little-endian payload in C order.
 _FEATURE_MAGIC = b"LMNF"
 _PARAMS_MAGIC = b"LMNP"
 _VERSION = 1
-_HEADER = struct.Struct("<4sIIIII")  # magic, version, then four u32 dims
-_PARAMS_HEADER = struct.Struct("<4sIII")  # magic, version, d, C
 _MAX_PAYLOAD_BYTES = 1 << 62
 
 
-# The process umask, read once (os.umask can only be read by setting it).
-_UMASK = os.umask(0o022)
-os.umask(_UMASK)
+def _header(ndim: int) -> struct.Struct:
+    return struct.Struct(f"<4sI{ndim}I")
 
 
-def atomic_write_bytes(path, data: bytes) -> None:
-    """Write `data` to a unique temporary file beside `path`, flush it to
-    disk, then rename it over `path`. On any failure the temporary file is
-    removed and `path` is left as it was."""
-    path = os.fspath(path)
-    fd, tmp = tempfile.mkstemp(prefix=os.path.basename(path) + ".",
-                               suffix=".tmp", dir=os.path.dirname(path) or ".")
-    try:
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(data)
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.chmod(tmp, 0o666 & ~_UMASK)  # mkstemp creates 0600; match open()
-        os.replace(tmp, path)
-    except BaseException:
-        with contextlib.suppress(OSError):
-            os.unlink(tmp)
-        raise
+def _write_container(path, magic: bytes, array: np.ndarray, dtype: str) -> None:
+    head = _header(array.ndim).pack(magic, _VERSION, *array.shape)
+    atomic_write_bytes(path, head + np.ascontiguousarray(array, dtype=dtype).tobytes())
+
+
+def _read_container(path, magic: bytes, ndim: int, dtype: str) -> np.ndarray:
+    """The payload, promoted to float64 and shaped by the header's dims."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    header = _header(ndim)
+    if len(data) < header.size:
+        raise DataFormatError(
+            f"{path}: truncated header (expected {header.size} bytes, got {len(data)})"
+        )
+    found, version, *dims = header.unpack_from(data)
+    dims = tuple(dims)
+    if found != magic:
+        raise DataFormatError(f"{path}: bad magic {found!r}")
+    if version != _VERSION:
+        raise DataFormatError(f"{path}: unsupported version {version}")
+    if min(dims) < 1:
+        raise DataFormatError(f"{path}: zero-sized dimension in header {dims}")
+    count = math.prod(dims)
+    itemsize = np.dtype(dtype).itemsize
+    if count * itemsize > _MAX_PAYLOAD_BYTES:
+        raise DataFormatError(f"{path}: dimension overflow {dims}")
+    expected = header.size + count * itemsize
+    if len(data) != expected:
+        raise DataFormatError(f"{path}: expected {expected} bytes, got {len(data)}")
+    values = np.frombuffer(data, dtype=dtype, offset=header.size, count=count)
+    if not np.isfinite(values).all():
+        raise DataFormatError(f"{path}: payload contains non-finite entries")
+    return values.astype(np.float64).reshape(dims)
 
 
 def save_features(clip: ClipFeatures, path) -> None:
-    t, c, h, w = clip.tensor.shape
-    header = _HEADER.pack(_FEATURE_MAGIC, _VERSION, t, c, h, w)
-    payload = np.ascontiguousarray(clip.tensor, dtype="<f4").tobytes()
-    atomic_write_bytes(path, header + payload)
+    _write_container(path, _FEATURE_MAGIC, clip.tensor, "<f4")
 
 
 def load_features(path) -> ClipFeatures:
-    with open(path, "rb") as fh:
-        data = fh.read()
-    if len(data) < _HEADER.size:
-        raise DataFormatError(
-            f"{path}: truncated header (expected {_HEADER.size} bytes, got {len(data)})"
-        )
-    magic, version, t, c, h, w = _HEADER.unpack_from(data)
-    if magic != _FEATURE_MAGIC:
-        raise DataFormatError(f"{path}: bad magic {magic!r}")
-    if version != _VERSION:
-        raise DataFormatError(f"{path}: unsupported version {version}")
-    if min(t, c, h, w) < 1:
-        raise DataFormatError(f"{path}: zero-sized dimension in header {(t, c, h, w)}")
-    count = t * c * h * w
-    if count * 4 > _MAX_PAYLOAD_BYTES:
-        raise DataFormatError(f"{path}: dimension overflow {(t, c, h, w)}")
-    expected = _HEADER.size + count * 4
-    if len(data) != expected:
-        raise DataFormatError(
-            f"{path}: expected {expected} bytes, got {len(data)}"
-        )
-    values = np.frombuffer(data, dtype="<f4", offset=_HEADER.size, count=count)
-    try:
-        return ClipFeatures(values.astype(np.float64).reshape(t, c, h, w))
-    except ValueError as exc:  # non-finite payload
-        raise DataFormatError(f"{path}: {exc}") from None
+    return ClipFeatures(_read_container(path, _FEATURE_MAGIC, 4, "<f4"))
 
 
 def save_params(weights: np.ndarray, path) -> None:
     weights = np.asarray(weights, dtype=np.float64)
     if weights.ndim != 2:
         raise ValueError(f"parameters must be 2-D (d,C), got {weights.shape}")
-    d, c = weights.shape
-    header = _PARAMS_HEADER.pack(_PARAMS_MAGIC, _VERSION, d, c)
-    atomic_write_bytes(path, header + np.ascontiguousarray(weights, dtype="<f8").tobytes())
+    _write_container(path, _PARAMS_MAGIC, weights, "<f8")
 
 
 def load_params(path) -> np.ndarray:
-    with open(path, "rb") as fh:
-        data = fh.read()
-    if len(data) < _PARAMS_HEADER.size:
-        raise DataFormatError(
-            f"{path}: truncated header (expected {_PARAMS_HEADER.size} bytes, got {len(data)})"
-        )
-    magic, version, d, c = _PARAMS_HEADER.unpack_from(data)
-    if magic != _PARAMS_MAGIC:
-        raise DataFormatError(f"{path}: bad magic {magic!r}")
-    if version != _VERSION:
-        raise DataFormatError(f"{path}: unsupported version {version}")
-    if min(d, c) < 1:
-        raise DataFormatError(f"{path}: zero-sized dimension in header {(d, c)}")
-    expected = _PARAMS_HEADER.size + d * c * 8
-    if len(data) != expected:
-        raise DataFormatError(f"{path}: expected {expected} bytes, got {len(data)}")
-    values = np.frombuffer(data, dtype="<f8", offset=_PARAMS_HEADER.size, count=d * c)
-    if not np.isfinite(values).all():
-        raise DataFormatError(f"{path}: parameters contain non-finite entries")
-    return values.astype(np.float64).reshape(d, c)
+    return _read_container(path, _PARAMS_MAGIC, 2, "<f8")
 
 
 # --- QA dataset -------------------------------------------------------------
@@ -269,49 +232,47 @@ def load_qa_jsonl(path) -> list[QAItem]:
     """One JSON object per line; see save_qa_jsonl for the schema. Violations
     are rejected with the offending 1-based line number."""
     items: list[QAItem] = []
-    text = read_utf8(path, DataFormatError)
-    with io.StringIO(text, newline=None) as fh:  # universal newlines, as open() reads
-        for lineno, line in enumerate(fh, 1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-            except (ValueError, RecursionError) as exc:  # also too-deep nesting, too-long ints
-                raise DataFormatError(f"{path}: line {lineno}: invalid JSON: {exc}") from None
-            if not isinstance(obj, dict):
-                raise DataFormatError(f"{path}: line {lineno}: expected a JSON object")
-            for name in _REQUIRED_QA_FIELDS:
-                if name not in obj:
-                    raise DataFormatError(f"{path}: line {lineno}: missing field {name!r}")
-            answers = obj["answers"]
-            if not isinstance(answers, list) or len(answers) != NUM_CHOICES:
-                got = len(answers) if isinstance(answers, list) else type(answers).__name__
-                raise DataFormatError(
-                    f"{path}: line {lineno}: expected {NUM_CHOICES} answers, got {got}"
-                )
-            clip_ids = obj["clip_ids"]
-            if not isinstance(clip_ids, list) or not clip_ids:
-                raise DataFormatError(f"{path}: line {lineno}: clip_ids must be a nonempty list")
-            correct = obj.get("correct_index")
-            if correct is not None:
-                if isinstance(correct, bool) or not isinstance(correct, int):
-                    raise DataFormatError(
-                        f"{path}: line {lineno}: correct_index must be an integer, got {type(correct).__name__}"
-                    )
-                if not 0 <= correct < NUM_CHOICES:
-                    raise DataFormatError(
-                        f"{path}: line {lineno}: correct_index {correct!r} out of range"
-                    )
-            items.append(
-                QAItem(
-                    qid=str(obj["qid"]),
-                    question=str(obj["question"]),
-                    answers=tuple(str(a) for a in answers),
-                    movie_id=str(obj["movie_id"]),
-                    clip_ids=tuple(str(c) for c in clip_ids),
-                    correct_index=correct,
-                )
+    for lineno, line in enumerate(read_lines(path, DataFormatError), 1):
+        if not line.strip():
+            continue
+        try:
+            obj = json.loads(line)
+        except (ValueError, RecursionError) as exc:  # also too-deep nesting, too-long ints
+            raise DataFormatError(f"{path}: line {lineno}: invalid JSON: {exc}") from None
+        if not isinstance(obj, dict):
+            raise DataFormatError(f"{path}: line {lineno}: expected a JSON object")
+        for name in _REQUIRED_QA_FIELDS:
+            if name not in obj:
+                raise DataFormatError(f"{path}: line {lineno}: missing field {name!r}")
+        answers = obj["answers"]
+        if not isinstance(answers, list) or len(answers) != NUM_CHOICES:
+            got = len(answers) if isinstance(answers, list) else type(answers).__name__
+            raise DataFormatError(
+                f"{path}: line {lineno}: expected {NUM_CHOICES} answers, got {got}"
             )
+        clip_ids = obj["clip_ids"]
+        if not isinstance(clip_ids, list) or not clip_ids:
+            raise DataFormatError(f"{path}: line {lineno}: clip_ids must be a nonempty list")
+        correct = obj.get("correct_index")
+        if correct is not None:
+            if isinstance(correct, bool) or not isinstance(correct, int):
+                raise DataFormatError(
+                    f"{path}: line {lineno}: correct_index must be an integer, got {type(correct).__name__}"
+                )
+            if not 0 <= correct < NUM_CHOICES:
+                raise DataFormatError(
+                    f"{path}: line {lineno}: correct_index {correct!r} out of range"
+                )
+        items.append(
+            QAItem(
+                qid=str(obj["qid"]),
+                question=str(obj["question"]),
+                answers=tuple(str(a) for a in answers),
+                movie_id=str(obj["movie_id"]),
+                clip_ids=tuple(str(c) for c in clip_ids),
+                correct_index=correct,
+            )
+        )
     return items
 
 
@@ -532,8 +493,6 @@ def generate_synthetic(spec: SyntheticSpec) -> SyntheticDataset:
 def write_synthetic(data: SyntheticDataset, outdir) -> dict[str, str]:
     """Write a synthetic dataset in the standard on-disk layout; returns the
     paths keyed by role."""
-    from .word_memory import save_word2vec_text
-
     outdir = str(outdir)
     feature_dir = os.path.join(outdir, "features")
     subtitle_dir = os.path.join(outdir, "subtitles")

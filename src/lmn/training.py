@@ -356,13 +356,16 @@ def evaluate(
     """Accuracy plus a per-question record of prediction and its probability.
 
     Items are prepared and scored one at a time; only the subtitle
-    memories, one per movie, are kept between questions."""
+    memories, one per movie, are kept between questions. A question that
+    overflows or scores non-finite logits raises one ValueError that starts
+    `question <qid>: `."""
     if not dataset:
         raise ValueError("empty dataset")
     records = []
     hits = 0
     for example, prep in zip(dataset, _prepared(mem, dataset, params.config)):
-        state = run_forward(params.weights, prep, params.config, mem)
+        with _located(f"question {example.item.qid}"):
+            state = run_forward(params.weights, prep, params.config, mem)
         choice = predict(state.dist)
         record = {
             "qid": example.item.qid,

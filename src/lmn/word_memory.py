@@ -3,14 +3,18 @@ lookup table for sentence embeddings and as the attention memory for frame
 encoding.
 
 All arithmetic is 64-bit; embedding files may store fewer digits and are
-promoted on load.
+promoted on load. The module also holds the I/O core every reader and
+writer shares: `read_lines`, the one line rule, and `atomic_write_bytes`.
 """
 
 from __future__ import annotations
 
 import codecs
+import contextlib
 import math
+import os
 import re
+import tempfile
 from dataclasses import dataclass
 
 import numpy as np
@@ -143,20 +147,55 @@ def embed_sentence(
     return SentenceEmbedding(vec, len(indices))
 
 
-def read_utf8(path, error: type[ValueError], bom: bool = False) -> str:
-    """The file's UTF-8 text (a leading byte-order mark dropped when `bom`).
-    Undecodable bytes raise `error` naming the file and the 1-based line,
-    counting \\n, \\r\\n and \\r breaks, of the first bad byte."""
+def _split_lines(text: str) -> list[str]:
+    """Lines of `text`, ended only by \n, \r\n or \r; other Unicode line
+    separators (U+2028, U+0085, form feed, ...) are ordinary characters."""
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    return text.split("\n")
+
+
+def read_lines(path, error: type[ValueError], bom: bool = False) -> list[str]:
+    """The lines of a UTF-8 text file (a leading byte-order mark dropped when
+    `bom`), split by the one line rule every reader shares. Undecodable
+    bytes raise `error` naming the file and the 1-based line of the first
+    bad byte."""
     with open(path, "rb") as fh:
         data = fh.read()
     if bom and data.startswith(codecs.BOM_UTF8):
         data = data[len(codecs.BOM_UTF8):]
     try:
-        return data.decode("utf-8")
+        text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
-        before = data[: exc.start].replace(b"\r\n", b"\n").replace(b"\r", b"\n")
-        line = before.count(b"\n") + 1
+        line = len(_split_lines(data[: exc.start].decode("utf-8")))
         raise error(f"{path}: line {line}: invalid UTF-8 byte 0x{data[exc.start]:02x}") from None
+    del data  # a large file's bytes need not outlive its text
+    return _split_lines(text)
+
+
+# The process umask, read once (os.umask can only be read by setting it).
+_UMASK = os.umask(0o022)
+os.umask(_UMASK)
+
+
+def atomic_write_bytes(path, data: bytes) -> None:
+    """Write `data` to a unique temporary file beside `path`, flush it to
+    disk, then rename it over `path`. On any failure the temporary file is
+    removed and `path` is left as it was."""
+    path = os.fspath(path)
+    fd, tmp = tempfile.mkstemp(prefix=os.path.basename(path) + ".",
+                               suffix=".tmp", dir=os.path.dirname(path) or ".")
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(data)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.chmod(tmp, 0o666 & ~_UMASK)  # mkstemp creates 0600; match open()
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
+        raise
 
 
 def _parse_header(line: str) -> tuple[int, int] | None:
@@ -175,10 +214,12 @@ def load_word2vec_text(path) -> StaticWordMemory:
 
     Accepted layout: an optional "<count> <dim>" first line, then one
     "<word> <v1> ... <vd>" line per word, single-space separated, UTF-8.
-    The dimension is taken from the header or inferred from the first data
-    line; every malformed line is reported with its 1-based line number.
+    Spaces at the end of a line are ignored: the reference word2vec tool
+    writes each value as "%lf ". The dimension is taken from the header or
+    inferred from the first data line; every malformed line is reported
+    with its 1-based line number.
     """
-    lines = read_utf8(path, EmbeddingFormatError).splitlines()
+    lines = [line.rstrip(" ") for line in read_lines(path, EmbeddingFormatError)]
 
     start = 0
     declared_count = None
@@ -228,10 +269,10 @@ def load_word2vec_text(path) -> StaticWordMemory:
     return StaticWordMemory(vocab, np.array(rows, dtype=np.float64))
 
 
-def save_word2vec_text(mem: StaticWordMemory, path, header: bool = True) -> None:
-    """Inverse of load_word2vec_text; coordinates use shortest round-trip form."""
-    with open(path, "w", encoding="utf-8") as fh:
-        if header:
-            fh.write(f"{mem.size} {mem.dim}\n")
-        for word, row in zip(mem.vocab, mem.matrix):
-            fh.write(word + " " + " ".join(repr(float(v)) for v in row) + "\n")
+def save_word2vec_text(mem: StaticWordMemory, path) -> None:
+    """Inverse of load_word2vec_text, with a "<count> <dim>" header;
+    coordinates use shortest round-trip form. Written atomically."""
+    lines = [f"{mem.size} {mem.dim}\n"]
+    for word, row in zip(mem.vocab, mem.matrix):
+        lines.append(word + " " + " ".join(repr(float(v)) for v in row) + "\n")
+    atomic_write_bytes(path, "".join(lines).encode("utf-8"))

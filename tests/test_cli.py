@@ -1,5 +1,6 @@
 import json
 import math
+import shutil
 
 import numpy as np
 import pytest
@@ -10,9 +11,11 @@ from lmn.data_io import (
     load_params,
     load_plaintext_subtitles,
     load_qa_jsonl,
+    save_params,
     subsample_frames,
 )
 from lmn.subtitle_memory import build_memory
+from lmn.training import init_params
 from lmn.word_memory import embed_sentence, load_word2vec_text
 from reference import reference_forward
 from test_subtitle_memory import loop_encode
@@ -128,6 +131,31 @@ class TestTrain:
         assert code == 1
         assert len(err) == 1 and err[0].startswith("error: epoch 1 batch 1:"), err
 
+    @pytest.mark.parametrize("command", [
+        ["eval"],
+        ["answer", "--qid", "eval00003"],
+        ["rank-subtitles", "--memory-state", "final", "--qid", "eval00003"],
+        ["gradcheck", "--qid", "eval00003"],
+    ], ids=["eval", "answer", "rank-subtitles", "gradcheck"])
+    def test_overflow_names_question(self, tmp_path, capsys, command):
+        # the same six passes overflow every question at the initial params
+        data_dir = tmp_path / "data"
+        assert main(["synth", "--out", str(data_dir), "--n-train", "1", "--n-eval", "10"]) == 0
+        params = tmp_path / "params.lmnp"
+        save_params(init_params(16, 24, seed=0).weights, params)
+        capsys.readouterr()
+        code = main([
+            *command, "--embeddings", str(data_dir / "embeddings.txt"),
+            "--qa", str(data_dir / "eval.jsonl"),
+            "--features", str(data_dir / "features"),
+            "--subtitles", str(data_dir / "subtitles"),
+            "--frames", "4", "--um-hops", "6", "--params", str(params),
+        ])
+        qid = command[-1] if len(command) > 1 else "eval00000"
+        err = capsys.readouterr().err.splitlines()
+        assert code == 1
+        assert err == [f"error: question {qid}: overflow encountered in multiply"], err
+
 
 class TestEval:
     def test_writes_accuracy_json(self, synth_dir, trained_dir, tmp_path, capsys):
@@ -222,6 +250,22 @@ class TestAnswer:
         ])
         assert code != 0
         assert "unknown qid" in capsys.readouterr().err
+
+    def test_decodes_only_the_asked_question(self, synth_dir, trained_dir, tmp_path, capsys):
+        # another question's truncated clip does not stop this one
+        data = tmp_path / "data"
+        shutil.copytree(synth_dir, data)
+        items = load_qa_jsonl(data / "train.jsonl")
+        other = data / "features" / f"{items[1].clip_ids[0]}.lmnf"
+        other.write_bytes(other.read_bytes()[:4])
+        code = main([
+            "answer", *data_args(data),
+            "--params", str(trained_dir / "params.lmnp"),
+            "--qid", items[0].qid,
+        ])
+        captured = capsys.readouterr()
+        assert code == 0, captured.err
+        assert f"qid {items[0].qid}: predicted answer" in captured.out
 
 
 class TestRankSubtitles:

@@ -109,7 +109,63 @@ class TestPlaintextSubtitles:
         assert a == b
 
 
-class TestFeatureFiles:
+class ContainerChecks:
+    """Every check the shared LMNF/LMNP container reader makes, written
+    once and run for each format by the two subclasses. Each rejection is
+    a DataFormatError whose message starts with the file's path."""
+
+    MAGIC: bytes
+    NDIM: int
+    VALUE: str  # struct code of one payload value
+    load: staticmethod  # the format's reader
+
+    def pack(self, dims, values=(), magic=None, version=1) -> bytes:
+        layout = f"<4sI{len(dims)}I{len(values)}{self.VALUE}"
+        return struct.pack(layout, magic or self.MAGIC, version, *dims, *values)
+
+    def rejects(self, path, data: bytes, fact: str) -> None:
+        path.write_bytes(data)
+        with pytest.raises(DataFormatError, match=f"^{re.escape(str(path))}: .*{fact}"):
+            self.load(path)
+
+    def two_values(self) -> tuple[int, ...]:
+        return (1,) * (self.NDIM - 1) + (2,)
+
+    def test_truncation_names_byte_counts(self, tmp_path):
+        data = self.pack(self.two_values(), (0.5, 1.5))
+        self.rejects(tmp_path / "f", data[:-4],
+                     rf"expected {len(data)} bytes, got {len(data) - 4}")
+
+    def test_truncated_header_names_byte_counts(self, tmp_path):
+        size = 8 + 4 * self.NDIM
+        self.rejects(tmp_path / "f", self.MAGIC,
+                     re.escape(f"truncated header (expected {size} bytes, got 4)"))
+
+    def test_bad_magic(self, tmp_path):
+        self.rejects(tmp_path / "f", self.pack(self.two_values(), (0.5, 1.5), magic=b"NOPE"),
+                     "bad magic b'NOPE'")
+
+    def test_bad_version(self, tmp_path):
+        self.rejects(tmp_path / "f", self.pack(self.two_values(), (0.5, 1.5), version=9),
+                     "unsupported version 9")
+
+    def test_zero_dimension_rejected(self, tmp_path):
+        dims = (0,) + (1,) * (self.NDIM - 1)
+        self.rejects(tmp_path / "f", self.pack(dims), re.escape(f"zero-sized dimension in header {dims}"))
+
+    def test_dimension_overflow_rejected(self, tmp_path):
+        dims = (2**32 - 1,) * self.NDIM
+        self.rejects(tmp_path / "f", self.pack(dims), re.escape(f"dimension overflow {dims}"))
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_payload_names_file(self, tmp_path, value):
+        self.rejects(tmp_path / "f", self.pack(self.two_values(), (0.5, value)), "non-finite")
+
+
+class TestFeatureFiles(ContainerChecks):
+    MAGIC, NDIM, VALUE = b"LMNF", 4, "f"
+    load = staticmethod(load_features)
+
     def test_round_trip_after_f32_rounding(self, tmp_path):
         rng = np.random.default_rng(5)
         clip = ClipFeatures(rng.normal(size=(2, 3, 2, 2)))
@@ -136,46 +192,11 @@ class TestFeatureFiles:
         loaded = load_features(path)
         assert loaded.tensor.shape == (32, 512, 7, 7)
 
-    def test_truncation_names_byte_counts(self, tmp_path):
-        clip = ClipFeatures(np.ones((1, 1, 1, 2)))
-        path = tmp_path / "c.lmnf"
-        save_features(clip, path)
-        data = path.read_bytes()
-        path.write_bytes(data[:-4])
-        with pytest.raises(DataFormatError, match=rf"expected {len(data)} bytes, got {len(data) - 4}"):
-            load_features(path)
 
-    def test_bad_magic(self, tmp_path):
-        path = tmp_path / "c.lmnf"
-        path.write_bytes(b"NOPE" + bytes(20))
-        with pytest.raises(DataFormatError, match="magic"):
-            load_features(path)
+class TestParamsFiles(ContainerChecks):
+    MAGIC, NDIM, VALUE = b"LMNP", 2, "d"
+    load = staticmethod(load_params)
 
-    def test_bad_version(self, tmp_path):
-        clip = ClipFeatures(np.ones((1, 1, 1, 1)))
-        path = tmp_path / "c.lmnf"
-        save_features(clip, path)
-        data = bytearray(path.read_bytes())
-        data[4] = 9
-        path.write_bytes(bytes(data))
-        with pytest.raises(DataFormatError, match="version"):
-            load_features(path)
-
-    def test_zero_dimension_rejected(self, tmp_path):
-        path = tmp_path / "c.lmnf"
-        path.write_bytes(struct.pack("<4sIIIII", b"LMNF", 1, 0, 1, 1, 1))
-        with pytest.raises(DataFormatError, match="zero-sized"):
-            load_features(path)
-
-    @pytest.mark.parametrize("value", [math.nan, math.inf])
-    def test_non_finite_payload_names_file(self, tmp_path, value):
-        path = tmp_path / "c.lmnf"
-        path.write_bytes(struct.pack("<4sIIIII2f", b"LMNF", 1, 1, 1, 1, 2, 0.5, value))
-        with pytest.raises(DataFormatError, match=f"{re.escape(str(path))}: .*non-finite"):
-            load_features(path)
-
-
-class TestParamsFiles:
     def test_round_trip_byte_exact(self, tmp_path):
         rng = np.random.default_rng(8)
         weights = rng.normal(size=(4, 6))
@@ -185,25 +206,6 @@ class TestParamsFiles:
         np.testing.assert_array_equal(loaded, weights)
         save_params(loaded, second)
         assert first.read_bytes() == second.read_bytes()
-
-    def test_bad_magic(self, tmp_path):
-        path = tmp_path / "p.lmnp"
-        path.write_bytes(b"XXXX" + bytes(12))
-        with pytest.raises(DataFormatError, match="magic"):
-            load_params(path)
-
-    def test_non_finite_payload_names_file(self, tmp_path):
-        path = tmp_path / "p.lmnp"
-        save_params(np.array([[1.0, math.nan]]), path)
-        with pytest.raises(DataFormatError, match=f"{re.escape(str(path))}: .*non-finite"):
-            load_params(path)
-
-    def test_truncated_payload(self, tmp_path):
-        path = tmp_path / "p.lmnp"
-        save_params(np.ones((2, 2)), path)
-        path.write_bytes(path.read_bytes()[:-1])
-        with pytest.raises(DataFormatError, match="expected"):
-            load_params(path)
 
     def test_stale_tmp_directory_does_not_block_save(self, tmp_path):
         path = tmp_path / "p.lmnp"
@@ -294,12 +296,66 @@ class TestUndecodableBytes:
             reader(path)
 
 
-
 def _qa_line(**changes):
     fields = {"qid": "q1", "question": "what", "answers": ["a", "b", "c", "d", "e"],
               "movie_id": "m1", "clip_ids": ["c1"], "correct_index": 2}
     fields.update(changes)
     return json.dumps({k: v for k, v in fields.items() if v is not None})
+
+
+# The separators str.splitlines() splits on besides \n, \r\n and \r.
+SEPARATORS = ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
+# reader: (line 1 holding the separator {sep}, the lines after it, what the
+# reader makes of the whole file, and that as a function of the separator)
+WHOLE_LINE_CASES = {
+    "word2vec": (load_word2vec_text, "a{sep}b 1.0 2.0", "c 3.0 4.0\n",
+                 lambda mem: mem.vocab, lambda sep: (f"a{sep}b", "c")),
+    "srt": (parse_srt, "1{sep}", "00:00:01,000 --> 00:00:02,000\nhello\n",
+            lambda sub: sub.entries, lambda sep: (SubtitleEntry(1000, 2000, "hello"),)),
+    "plaintext": (load_plaintext_subtitles, "hello{sep}world", "again\n",
+                  SubtitleFile.texts, lambda sep: [f"hello{sep}world", "again"]),
+    # every separator is whitespace, so line 1 is a blank line
+    "jsonl": (load_qa_jsonl, " {sep} ", _qa_line() + "\n",
+              lambda items: [item.qid for item in items], lambda sep: ["q1"]),
+}
+
+# reader: (line 1 holding the separator, a malformed line 2, its error)
+MALFORMED_LINE_2_CASES = {
+    "word2vec": (load_word2vec_text, "a{sep}b 1.0 2.0", "c 3.0\n",
+                 "line 2: inconsistent dimension"),
+    "jsonl": (load_qa_jsonl, " {sep} ", "{oops\n", "line 2: invalid JSON"),
+}
+
+
+@pytest.mark.parametrize("sep", SEPARATORS, ids=lambda sep: f"U+{ord(sep):04X}")
+class TestLineRule:
+    """Every text reader ends a line only at \n, \r\n or \r, the rule its
+    undecodable-byte locator counts by. Other separators are ordinary
+    characters: they neither split a line nor shift a later line's number."""
+
+    @pytest.mark.parametrize("name", WHOLE_LINE_CASES)
+    def test_separator_leaves_line_whole(self, tmp_path, name, sep):
+        reader, first, rest, view, expected = WHOLE_LINE_CASES[name]
+        path = write(tmp_path / "input", first.format(sep=sep) + "\n" + rest)
+        assert view(reader(path)) == expected(sep)
+
+    @pytest.mark.parametrize("name", MALFORMED_LINE_2_CASES)
+    def test_malformed_line_2_is_line_2(self, tmp_path, name, sep):
+        reader, first, line, where = MALFORMED_LINE_2_CASES[name]
+        path = write(tmp_path / "input", first.format(sep=sep) + "\n" + line)
+        with pytest.raises((DataFormatError, EmbeddingFormatError),
+                           match=f"^{re.escape(str(path))}: {where}"):
+            reader(path)
+
+    @pytest.mark.parametrize("name", WHOLE_LINE_CASES)
+    def test_undecodable_byte_in_line_2_is_line_2(self, tmp_path, name, sep):
+        reader, first = WHOLE_LINE_CASES[name][:2]
+        path = tmp_path / "input"
+        path.write_bytes((first.format(sep=sep) + "\n").encode() + b"x\xffy\n")
+        with pytest.raises((DataFormatError, EmbeddingFormatError),
+                           match=f"^{re.escape(str(path))}: line 2: invalid UTF-8 byte 0xff"):
+            reader(path)
 
 
 class TestFormatErrorsNameFile:

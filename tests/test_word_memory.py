@@ -128,6 +128,16 @@ class TestWord2VecText:
         mem = load_word2vec_text(path)
         assert mem.size == 2 and mem.dim == 2
 
+    @pytest.mark.parametrize("header", ["2 2\n", ""], ids=["header", "headerless"])
+    def test_trailing_spaces_ignored(self, tmp_path, header):
+        # the reference word2vec tool writes each text value as "%lf "
+        plain, spaced = tmp_path / "plain.txt", tmp_path / "spaced.txt"
+        plain.write_text(header + "a 1.0 2.0\nb 3.0 4.0\n")
+        spaced.write_text(header + "a 1.0 2.0 \nb 3.0 4.0 \n")
+        expected, mem = load_word2vec_text(plain), load_word2vec_text(spaced)
+        assert mem.vocab == expected.vocab == ("a", "b")
+        assert mem.matrix.tobytes() == expected.matrix.tobytes()
+
     def test_inconsistent_dimension_reports_line(self, tmp_path):
         path = tmp_path / "emb.txt"
         path.write_text("a 1 0\nb 0 1 1\n")
