@@ -46,7 +46,7 @@ def _model_config(args) -> ModelConfig:
     best = args.preset == "best"  # strongest reported: two subtitle passes plus guidance
     return ModelConfig(
         swm_hops=args.swm_hops,
-        um_hops=2 if best else args.um_hops,
+        um_hops=2 if best else (1 if args.um_hops is None else args.um_hops),
         qg=best or args.qg,
         normalize_sentences=args.normalize_sentences,
         average_clip=args.average_clip,
@@ -62,15 +62,18 @@ def _require(path: str | None, role: str) -> str:
     return path
 
 
-def _load_inputs(args, qid: str | None = None) -> tuple[StaticWordMemory, list[Example]]:
-    """The embeddings and the QA file's examples; given a qid, only that
-    question's example, so no other question's clips are decoded."""
+def _load_inputs(args, first: bool = False) -> tuple[StaticWordMemory, list[Example]]:
+    """The embeddings and the QA file's examples. With `first`, only the
+    question `args.qid` names, or the file's first question when it names
+    none, so no other question's clips are decoded."""
     mem = load_word2vec_text(_require(args.embeddings, "embedding file"))
     items = data_io.load_qa_jsonl(_require(args.qa, "QA file"))
-    if qid is not None:
-        items = [item for item in items if item.qid == qid][:1]
-        if not items:
-            raise ValueError(f"unknown qid {qid!r}")
+    if first:
+        if args.qid is not None:
+            items = [item for item in items if item.qid == args.qid]
+            if not items:
+                raise ValueError(f"unknown qid {args.qid!r}")
+        items = items[:1]
     feature_dir = _require(args.features, "feature directory")
     subtitle_dir = None
     if not args.video_only:
@@ -161,7 +164,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_answer(args) -> int:
-    mem, (example,) = _load_inputs(args, args.qid)
+    mem, (example,) = _load_inputs(args, first=True)
     params = _load_model(args, mem)
     prep = prepare_example(mem, example, params.config)
     with _located(f"question {example.item.qid}"):
@@ -178,7 +181,7 @@ def cmd_answer(args) -> int:
 
 
 def cmd_rank_subtitles(args) -> int:
-    mem, (example,) = _load_inputs(args, args.qid)
+    mem, (example,) = _load_inputs(args, first=True)
     if args.video_only:
         raise ValueError("rank-subtitles requires subtitles")
     params = _load_model(args, mem)
@@ -205,7 +208,7 @@ def cmd_rank_subtitles(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
-    mem, examples = _load_inputs(args, args.qid)
+    mem, examples = _load_inputs(args, first=True)
     if not examples:
         raise ValueError("empty dataset")
     example = examples[0]
@@ -248,7 +251,7 @@ def cmd_synth(args) -> int:
 
 def _add_model_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--swm-hops", type=int, default=1, help="word-memory attention passes")
-    p.add_argument("--um-hops", type=int, default=1, help="subtitle-memory passes")
+    p.add_argument("--um-hops", type=int, default=None, help="subtitle-memory passes (default 1)")
     p.add_argument("--qg", action="store_true", help="enable question-guided reweighting")
     p.add_argument("--no-normalize-sentences", dest="normalize_sentences",
                    action="store_false", help="skip unit-normalizing sentence embeddings")
@@ -346,6 +349,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if getattr(args, "preset", None) == "best" and args.um_hops is not None:
+            parser.error("argument --um-hops: not allowed with argument --preset best")
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -3,8 +3,8 @@ the LMNF feature-tensor and LMNP parameter containers, the QA JSONL schema,
 frame subsampling across clips, and a planted-signal synthetic generator used
 by the verification harness.
 
-Feature payloads are stored as 32-bit little-endian floats and promoted to
-64-bit in memory; parameters are stored at full 64-bit width.
+Feature payloads are stored as 32-bit little-endian floats, promoted to 64-bit
+once and held in region order; parameters are stored at full 64-bit width.
 """
 
 from __future__ import annotations
@@ -175,7 +175,7 @@ def _write_container(path, magic: bytes, array: np.ndarray, dtype: str) -> None:
 
 
 def _read_container(path, magic: bytes, ndim: int, dtype: str) -> np.ndarray:
-    """The payload, promoted to float64 and shaped by the header's dims."""
+    """The checked payload as a read-only view shaped by the header's dims."""
     with open(path, "rb") as fh:
         data = fh.read()
     header = _header(ndim)
@@ -201,7 +201,7 @@ def _read_container(path, magic: bytes, ndim: int, dtype: str) -> np.ndarray:
     values = np.frombuffer(data, dtype=dtype, offset=header.size, count=count)
     if not np.isfinite(values).all():
         raise DataFormatError(f"{path}: payload contains non-finite entries")
-    return values.astype(np.float64).reshape(dims)
+    return values.reshape(dims)
 
 
 def save_features(clip: ClipFeatures, path) -> None:
@@ -209,7 +209,9 @@ def save_features(clip: ClipFeatures, path) -> None:
 
 
 def load_features(path) -> ClipFeatures:
-    return ClipFeatures(_read_container(path, _FEATURE_MAGIC, 4, "<f4"))
+    payload = _read_container(path, _FEATURE_MAGIC, 4, "<f4").transpose(0, 2, 3, 1)
+    # one copy promotes the payload into the clip's region-order buffer
+    return ClipFeatures(payload.astype(np.float64, order="C").transpose(0, 3, 1, 2))
 
 
 def save_params(weights: np.ndarray, path) -> None:
@@ -220,7 +222,7 @@ def save_params(weights: np.ndarray, path) -> None:
 
 
 def load_params(path) -> np.ndarray:
-    return _read_container(path, _PARAMS_MAGIC, 2, "<f8")
+    return _read_container(path, _PARAMS_MAGIC, 2, "<f8").astype(np.float64)
 
 
 # --- QA dataset -------------------------------------------------------------

@@ -38,20 +38,22 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ClipFeatures:
-    """Frame-wise CNN feature maps, shaped (frames, channels, height, width)."""
+    """Frame-wise CNN feature maps, held as one read-only float64 buffer in
+    region order (T, H, W, C); `tensor` is its (T, C, H, W) view."""
 
     tensor: np.ndarray
 
     def __post_init__(self):
-        t = np.ascontiguousarray(self.tensor, dtype=np.float64)
-        if t.ndim != 4:
-            raise ValueError(f"feature tensor must be 4-D (T,C,H,W), got {t.shape}")
+        t = np.asarray(self.tensor, dtype=np.float64)
+        if t.ndim != 4:  # a scalar reports shape (1,)
+            raise ValueError(f"feature tensor must be 4-D (T,C,H,W), got {t.shape or (1,)}")
         if min(t.shape) < 1:
             raise ValueError(f"feature tensor has a zero-sized axis: {t.shape}")
-        if not np.isfinite(t).all():
+        buffer = np.ascontiguousarray(t.transpose(0, 2, 3, 1))  # no copy if already in region order
+        if not np.isfinite(buffer).all():
             raise ValueError("feature tensor contains non-finite entries")
-        t.setflags(write=False)
-        object.__setattr__(self, "tensor", t)
+        buffer.setflags(write=False)
+        object.__setattr__(self, "tensor", buffer.transpose(0, 3, 1, 2))
 
     @property
     def frames(self) -> int:
@@ -65,9 +67,7 @@ class ClipFeatures:
         """View as (frames, height*width, channels); region index runs
         row-major over the spatial grid."""
         t, c, h, w = self.tensor.shape
-        return np.ascontiguousarray(
-            self.tensor.transpose(0, 2, 3, 1).reshape(t, h * w, c)
-        )
+        return self.tensor.transpose(0, 2, 3, 1).reshape(t, h * w, c)
 
 
 def _normalize_rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

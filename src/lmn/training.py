@@ -155,12 +155,11 @@ def _digest(weights: np.ndarray) -> str:
 class Prepared:
     """Frozen per-item inputs: everything but the projection weights."""
 
-    regions: np.ndarray  # (T, R, C)
+    regions: np.ndarray  # (T, R, C), a view of the clip's feature buffer
     question: np.ndarray  # (d,)
     answer_mat: np.ndarray  # (5, d)
     subtitle_mat: np.ndarray | None  # (N, d); None selects video-only mode
     label: int | None
-    qid: str = ""
 
 
 def prepare(
@@ -180,7 +179,6 @@ def prepare(
         answer_mat=answer_mat,
         subtitle_mat=None if sub is None else sub.matrix,
         label=item.correct_index,
-        qid=item.qid,
     )
 
 
@@ -417,7 +415,6 @@ def train(
 
     model_config = params0.config
     prepared = list(_prepared(mem, dataset, model_config))
-    labels = [ex.item.correct_index for ex in dataset]
 
     rng = np.random.default_rng(config.seed)
     n = len(prepared)
@@ -444,7 +441,7 @@ def train(
         hits = 0
         for i in dev_idx:
             state = run_forward(weights, prepared[i], model_config, mem)
-            hits += predict(state.dist) == labels[i]
+            hits += predict(state.dist) == prepared[i].label
         return hits / len(dev_idx)
 
     weights = np.array(params0.weights)

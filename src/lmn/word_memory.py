@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import codecs
 import contextlib
-import math
 import os
 import re
 import tempfile
@@ -55,8 +54,8 @@ def unit_normalize(x: np.ndarray) -> np.ndarray:
 class StaticWordMemory:
     """Immutable vocabulary plus its embedding matrix (one row per word).
 
-    The matrix is exposed read-only; unit-normalized rows and their Gram
-    matrix are computed once on first use and cached.
+    The matrix is exposed read-only; only the (d, d) Gram matrix of its
+    unit-normalized rows is cached, computed on first use.
     """
 
     def __init__(self, vocab: list[str] | tuple[str, ...], matrix: np.ndarray):
@@ -78,7 +77,6 @@ class StaticWordMemory:
         self.vocab = vocab
         self.matrix = matrix
         self._index = {word: k for k, word in enumerate(vocab)}
-        self._unit_rows: np.ndarray | None = None
         self._gram: np.ndarray | None = None
 
     @property
@@ -94,20 +92,16 @@ class StaticWordMemory:
 
     @property
     def unit_rows(self) -> np.ndarray:
-        """Rows scaled to unit length (zero rows stay zero); cached."""
-        if self._unit_rows is None:
-            norms = np.linalg.norm(self.matrix, axis=1, keepdims=True)
-            safe = np.where(norms == 0.0, 1.0, norms)
-            rows = self.matrix / safe
-            rows.setflags(write=False)
-            self._unit_rows = rows
-        return self._unit_rows
+        """Rows scaled to unit length (zero rows stay zero); not cached."""
+        norms = np.linalg.norm(self.matrix, axis=1, keepdims=True)
+        return self.matrix / np.where(norms == 0.0, 1.0, norms)
 
     @property
     def gram(self) -> np.ndarray:
         """Gram matrix (d, d) of the unit rows; cached, used by word attention."""
         if self._gram is None:
-            g = self.unit_rows.T @ self.unit_rows
+            rows = self.unit_rows
+            g = rows.T @ rows
             g.setflags(write=False)
             self._gram = g
         return self._gram
@@ -231,7 +225,7 @@ def load_word2vec_text(path) -> StaticWordMemory:
             start = 1
 
     vocab: list[str] = []
-    rows: list[list[float]] = []
+    rows: list[np.ndarray] = []
     seen: set[str] = set()
     for lineno0, line in enumerate(lines[start:], start=start + 1):
         if line == "":
@@ -252,10 +246,10 @@ def load_word2vec_text(path) -> StaticWordMemory:
             raise EmbeddingFormatError(f"{path}: line {lineno0}: duplicate word {word!r}")
         seen.add(word)
         try:
-            values = [float(c) for c in coords]
+            values = np.fromiter(map(float, coords), dtype=np.float64, count=dim)
         except ValueError as exc:
             raise EmbeddingFormatError(f"{path}: line {lineno0}: invalid coordinate: {exc}") from None
-        if not all(math.isfinite(v) for v in values):
+        if not np.isfinite(values).all():
             raise EmbeddingFormatError(f"{path}: line {lineno0}: non-finite coordinate")
         vocab.append(word)
         rows.append(values)
@@ -266,7 +260,7 @@ def load_word2vec_text(path) -> StaticWordMemory:
         raise EmbeddingFormatError(
             f"{path}: header declares {declared_count} words but file has {len(rows)}"
         )
-    return StaticWordMemory(vocab, np.array(rows, dtype=np.float64))
+    return StaticWordMemory(vocab, np.stack(rows))
 
 
 def save_word2vec_text(mem: StaticWordMemory, path) -> None:

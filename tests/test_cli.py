@@ -371,6 +371,22 @@ class TestGradcheck:
         assert code == 0
         assert "max relative error" in capsys.readouterr().out
 
+    def test_without_qid_decodes_only_the_first_question(self, tmp_path, capsys):
+        data = tmp_path / "data"
+        assert main(["synth", "--out", str(data), "--n-train", "20", "--n-eval", "6",
+                     "--seed", "1"]) == 0
+        other = data / "features" / "eval00001_c0.lmnf"
+        other.write_bytes(other.read_bytes()[:4])
+        capsys.readouterr()
+        code = main([
+            "gradcheck", "--embeddings", str(data / "embeddings.txt"),
+            "--qa", str(data / "eval.jsonl"), "--features", str(data / "features"),
+            "--subtitles", str(data / "subtitles"), "--frames", "4",
+        ])
+        captured = capsys.readouterr()
+        assert code == 0, captured.err
+        assert captured.out.startswith("gradcheck qid eval00000: max relative error")
+
 
 class TestParsing:
     def test_unknown_command_is_usage_error(self, capsys):
@@ -393,3 +409,26 @@ class TestParsing:
             "--preset", "best", "--lr", "1e-5",
             "--max-epochs", "2", "--seed", "3", "--out", str(out),
         ]) == 0
+
+    @pytest.mark.parametrize("command,extra", [
+        ("train", ()),
+        ("eval", ("--params", "p.lmnp")),
+        ("answer", ("--params", "p.lmnp", "--qid", "q")),
+        ("rank-subtitles", ("--params", "p.lmnp", "--qid", "q")),
+        ("gradcheck", ()),
+    ])
+    def test_preset_best_rejects_explicit_um_hops(self, synth_dir, command, extra, capsys,
+                                                  tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)  # train's default --out is "."
+        code = main([command, *data_args(synth_dir), *extra, "--preset", "best", "--um-hops", "3"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.count("\n") == 1 and err.startswith("error:")
+        assert "--um-hops" in err and "--preset" in err
+
+    def test_preset_best_allows_qg(self, synth_dir):
+        assert main(["gradcheck", *data_args(synth_dir), "--preset", "best", "--qg"]) == 0
+
+    def test_zero_um_hops_still_fails(self, synth_dir, capsys):
+        assert main(["gradcheck", *data_args(synth_dir), "--um-hops", "0"]) == 1
+        assert capsys.readouterr().err == "error: hop counts must be >= 1\n"

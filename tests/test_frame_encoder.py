@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -11,6 +12,9 @@ from lmn.frame_encoder import (
 )
 from lmn.word_memory import StaticWordMemory, unit_normalize
 from reference import reference_forward
+
+
+_BASE = np.arange(12.0).reshape(1, 3, 2, 2) / 4
 
 
 @pytest.fixture
@@ -64,6 +68,50 @@ class TestClipFeatures:
         bad[0, 0, 0, 0] = np.inf
         with pytest.raises(ValueError, match="non-finite"):
             ClipFeatures(bad)
+
+    @pytest.mark.parametrize("given,expected", [
+        pytest.param(_BASE, _BASE, id="float64"),
+        pytest.param(_BASE.astype(np.float32), _BASE, id="float32"),
+        pytest.param(np.arange(12).reshape(1, 3, 2, 2), 4 * _BASE, id="int"),
+        pytest.param(_BASE.tolist(), _BASE, id="nested-list"),
+        pytest.param(_BASE.astype(object), _BASE, id="object"),
+        pytest.param(np.array([[[[1, 2.5], [np.float32(0.5), True]]]], dtype=object),
+                     np.array([[[[1.0, 2.5], [0.5, 1.0]]]]), id="object-mixed"),
+        pytest.param(np.array([[[[None]]]], dtype=object),
+                     (ValueError, "feature tensor contains non-finite entries"), id="object-none"),
+        pytest.param(_BASE.astype(str), _BASE, id="string"),
+        pytest.param(np.array([[[["1.0", "a"]]]]),
+                     (ValueError, "could not convert string to float: (np.str_\\()?'a'\\)?"),
+                     id="string-bad"),
+        pytest.param(np.zeros((2, 3, 4)),
+                     (ValueError, re.escape("feature tensor must be 4-D (T,C,H,W), got (2, 3, 4)")),
+                     id="3-D"),
+        pytest.param(5.0, (ValueError, re.escape("feature tensor must be 4-D (T,C,H,W), got (1,)")),
+                     id="0-D"),
+        pytest.param(np.zeros((0, 2, 1, 1)),
+                     (ValueError, re.escape("feature tensor has a zero-sized axis: (0, 2, 1, 1)")),
+                     id="zero-size"),
+        pytest.param(np.array([[[[0.0, np.nan]]]]),
+                     (ValueError, "feature tensor contains non-finite entries"), id="NaN"),
+    ])
+    def test_accepts_and_rejects_each_input_kind(self, given, expected):
+        if isinstance(expected, tuple):
+            error, message = expected
+            with pytest.raises(error, match=f"^{message}$"):
+                ClipFeatures(given)
+            return
+        clip = ClipFeatures(given)
+        assert clip.tensor.dtype == np.float64 and not clip.tensor.flags.writeable
+        np.testing.assert_array_equal(clip.tensor, expected)
+        t, c, h, w = expected.shape
+        np.testing.assert_array_equal(clip.regions(),
+                                      expected.transpose(0, 2, 3, 1).reshape(t, h * w, c))
+
+    def test_regions_is_a_view_of_the_tensor(self):
+        clip = ClipFeatures(np.arange(24.0).reshape(2, 3, 2, 2))
+        regions = clip.regions()
+        assert regions.flags.c_contiguous and not regions.flags.writeable
+        assert np.shares_memory(regions, clip.tensor)
 
 
 class TestProjectRegion:

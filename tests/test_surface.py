@@ -2,9 +2,12 @@
 
 The benchmark's tracer (`bench/spans.py`) wraps each of its ENTRY_POINTS and
 silently skips one it cannot find, which would leave that layer's metrics at
-zero; the package root exports exactly the names the README documents.
+zero; every other name a `bench/` script reads from the package must still
+resolve; the package root exports exactly the names the README documents.
 """
 
+import ast
+import glob
 import importlib
 import importlib.util
 import os
@@ -30,6 +33,34 @@ def _bench_entry_points():
 def test_bench_entry_point_resolves(module_name, attr, span):
     module = importlib.import_module(module_name)
     assert callable(getattr(module, attr, None)), f"{module_name}.{attr} (span {span}) is gone"
+
+
+# the package modules the bench scripts import and call through by name
+_BENCH_MODULES = ("data_io", "training", "subtitle_memory", "word_memory")
+
+
+def _bench_names():
+    """(module, name) for each `data_io.X`, `training.X`, `subtitle_memory.X`
+    and `word_memory.X` reference in bench/*.py, and for each name a bench
+    script imports with `from lmn... import`."""
+    names = set()
+    for path in sorted(glob.glob(os.path.join(ROOT, "bench", "*.py"))):
+        with open(path, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read(), path)
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                    and node.value.id in _BENCH_MODULES):
+                names.add((f"lmn.{node.value.id}", node.attr))
+            elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "lmn":
+                names.update((node.module, alias.name) for alias in node.names)
+    return sorted(names)
+
+
+@pytest.mark.parametrize("module_name,attr", _bench_names(), ids=lambda v: v)
+def test_bench_name_resolves(module_name, attr):
+    module = importlib.import_module(module_name)
+    found = hasattr(module, attr) or importlib.util.find_spec(f"{module_name}.{attr}") is not None
+    assert found, f"bench/ reads {module_name}.{attr}, which is gone"
 
 
 def test_package_exports_are_the_documented_surface():

@@ -21,6 +21,7 @@ from lmn.training import (
     gradcheck,
     init_params,
     prepare,
+    prepare_example,
     run_forward,
     sgd_step,
     train,
@@ -416,3 +417,16 @@ class TestSubtitleMemoryCache:
         for ex, prep in zip(dataset, preps):
             np.testing.assert_array_equal(prep.subtitle_mat,
                                           build_memory(ex.subtitles, mem).matrix)
+
+
+class TestHoldOnce:
+    """An item's frames exist once: its prepared regions are a view of the
+    example's feature buffer, not a second (T, R, C) copy."""
+
+    def test_prepared_regions_share_the_feature_buffer(self, small_synthetic):
+        example = small_synthetic.examples("train")[0]
+        prep = prepare_example(small_synthetic.word_memory, example, ModelConfig())
+        assert np.shares_memory(prep.regions, example.features.tensor)
+        np.testing.assert_array_equal(prep.regions, example.features.tensor.transpose(0, 2, 3, 1)
+                                      .reshape(prep.regions.shape))
+        assert not prep.regions.flags.writeable

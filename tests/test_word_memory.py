@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -215,3 +216,39 @@ class TestConstruction:
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError, match="non-finite"):
             StaticWordMemory(["a", "b"], np.array([[1.0, 0.0], [np.nan, 1.0]]))
+
+
+class TestHoldOnce:
+    """The embedding table exists once: loading builds no per-value Python
+    float and the Gram product keeps no second |V|-row table alive."""
+
+    @pytest.fixture(scope="class")
+    def emb_path(self, tmp_path_factory):
+        rng = np.random.default_rng(13)
+        path = tmp_path_factory.mktemp("emb") / "emb.txt"
+        save_word2vec_text(StaticWordMemory([f"w{i}" for i in range(2000)],
+                                            rng.normal(size=(2000, 100))), path)
+        return path
+
+    def test_gram_keeps_no_second_table(self, emb_path):
+        tracemalloc.start()
+        try:
+            mem = load_word2vec_text(emb_path)
+            gram = mem.gram
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert held < 1.5 * mem.matrix.nbytes
+        rows = mem.unit_rows
+        assert gram.tobytes() == (rows.T @ rows).tobytes()
+        assert not any(isinstance(v, np.ndarray) and v.shape == mem.matrix.shape
+                       for name, v in vars(mem).items() if name != "matrix")
+
+    def test_load_peak_is_bounded_by_the_text(self, emb_path):
+        tracemalloc.start()
+        try:
+            load_word2vec_text(emb_path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * emb_path.stat().st_size
