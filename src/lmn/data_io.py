@@ -210,8 +210,8 @@ def save_features(clip: ClipFeatures, path) -> None:
 
 def load_features(path) -> ClipFeatures:
     payload = _read_container(path, _FEATURE_MAGIC, 4, "<f4").transpose(0, 2, 3, 1)
-    # one copy promotes the payload into the clip's region-order buffer
-    return ClipFeatures(payload.astype(np.float64, order="C").transpose(0, 3, 1, 2))
+    # one copy promotes the checked payload into the clip's region-order buffer
+    return ClipFeatures._adopt(payload.astype(np.float64, order="C"))
 
 
 def save_params(weights: np.ndarray, path) -> None:
@@ -305,7 +305,9 @@ def subsample_indices(total: int, target: int) -> list[int]:
 
 def subsample_frames(clips, target: int) -> ClipFeatures:
     """Concatenate the clips' frames in order and pick `target` equally spaced
-    frames; short inputs repeat frames as the spacing rule dictates."""
+    frames; short inputs repeat frames as the spacing rule dictates. A lone
+    clip that already has `target` frames is returned as it is; otherwise the
+    picked frames are copied once, into the result's buffer."""
     clips = list(clips)
     if not clips:
         raise ValueError("need at least one clip")
@@ -315,9 +317,10 @@ def subsample_frames(clips, target: int) -> ClipFeatures:
             raise ValueError(
                 f"clip shape mismatch: {clip.tensor.shape[1:]} vs {shape}"
             )
-    stacked = np.concatenate([c.tensor for c in clips], axis=0)
-    idx = subsample_indices(stacked.shape[0], target)
-    return ClipFeatures(stacked[idx])
+    if len(clips) == 1 and clips[0].frames == target:
+        return clips[0]
+    frames = [frame for clip in clips for frame in clip.tensor.transpose(0, 2, 3, 1)]
+    return ClipFeatures._adopt(np.stack([frames[i] for i in subsample_indices(len(frames), target)]))
 
 
 # --- dataset assembly -------------------------------------------------------

@@ -39,7 +39,8 @@ __all__ = [
 @dataclass(frozen=True)
 class ClipFeatures:
     """Frame-wise CNN feature maps, held as one read-only float64 buffer in
-    region order (T, H, W, C); `tensor` is its (T, C, H, W) view."""
+    region order (T, H, W, C) that the clip owns; `tensor` is its
+    (T, C, H, W) view."""
 
     tensor: np.ndarray
 
@@ -49,9 +50,22 @@ class ClipFeatures:
             raise ValueError(f"feature tensor must be 4-D (T,C,H,W), got {t.shape or (1,)}")
         if min(t.shape) < 1:
             raise ValueError(f"feature tensor has a zero-sized axis: {t.shape}")
-        buffer = np.ascontiguousarray(t.transpose(0, 2, 3, 1))  # no copy if already in region order
+        # a copy: no array the caller holds can write under the clip
+        buffer = t.transpose(0, 2, 3, 1).copy()
         if not np.isfinite(buffer).all():
             raise ValueError("feature tensor contains non-finite entries")
+        self._hold(buffer)
+
+    @classmethod
+    def _adopt(cls, buffer: np.ndarray) -> ClipFeatures:
+        """A clip that takes `buffer`, a fresh (T, H, W, C) float64 C-order
+        array that no caller holds and whose values the caller has checked
+        finite, without copying or checking it again."""
+        clip = cls.__new__(cls)
+        clip._hold(buffer)
+        return clip
+
+    def _hold(self, buffer: np.ndarray) -> None:
         buffer.setflags(write=False)
         object.__setattr__(self, "tensor", buffer.transpose(0, 3, 1, 2))
 

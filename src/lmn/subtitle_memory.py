@@ -43,7 +43,7 @@ class SubtitleMemory:
     movie_id: str = ""
 
     def __post_init__(self):
-        m = np.ascontiguousarray(self.matrix, dtype=np.float64)
+        m = np.array(self.matrix, dtype=np.float64, order="C")  # a copy; the caller's array stays writable
         if m.ndim != 2 or m.shape[0] < 1:
             raise ValueError(f"subtitle matrix must be (N>=1, d), got {m.shape}")
         if len(self.sentences) != m.shape[0]:

@@ -76,7 +76,7 @@ class ModelParams:
     config: ModelConfig = field(default_factory=ModelConfig)
 
     def __post_init__(self):
-        w = np.ascontiguousarray(self.weights, dtype=np.float64)
+        w = np.array(self.weights, dtype=np.float64, order="C")  # a copy; the caller's array stays writable
         if w.ndim != 2:
             raise ValueError(f"weights must be 2-D (d,C), got {w.shape}")
         if not np.isfinite(w).all():

@@ -5,6 +5,13 @@ encoding.
 All arithmetic is 64-bit; embedding files may store fewer digits and are
 promoted on load. The module also holds the I/O core every reader and
 writer shares: `read_lines`, the one line rule, and `atomic_write_bytes`.
+
+Every text reader streams: `read_lines` yields one decoded line at a time,
+and `load_word2vec_text` parses each line as it arrives into one float64
+matrix, so a load holds the matrix plus one line, never the file's text. A reader that checks line by line (word2vec text, QA JSONL)
+therefore reports the first fault in line order, an undecodable byte
+included; the SubRip reader gathers its blocks before it checks them, so an
+undecodable byte there wins over any block error.
 """
 
 from __future__ import annotations
@@ -14,6 +21,7 @@ import contextlib
 import os
 import re
 import tempfile
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,13 +62,23 @@ def unit_normalize(x: np.ndarray) -> np.ndarray:
 class StaticWordMemory:
     """Immutable vocabulary plus its embedding matrix (one row per word).
 
-    The matrix is exposed read-only; only the (d, d) Gram matrix of its
-    unit-normalized rows is cached, computed on first use.
+    The matrix is the memory's own read-only copy; only the (d, d) Gram
+    matrix of its unit-normalized rows is cached, computed on first use.
     """
 
     def __init__(self, vocab: list[str] | tuple[str, ...], matrix: np.ndarray):
-        vocab = tuple(vocab)
-        matrix = np.ascontiguousarray(matrix, dtype=np.float64)
+        # a copy: no array the caller holds can write under the cached Gram matrix
+        self._take(tuple(vocab), np.array(matrix, dtype=np.float64, order="C"))
+
+    @classmethod
+    def _adopt(cls, vocab: list[str], matrix: np.ndarray) -> StaticWordMemory:
+        """A memory that takes `matrix`, a fresh float64 C-order array that
+        no caller holds, without copying it."""
+        mem = cls.__new__(cls)
+        mem._take(tuple(vocab), matrix)
+        return mem
+
+    def _take(self, vocab: tuple[str, ...], matrix: np.ndarray) -> None:
         if matrix.ndim != 2:
             raise ValueError(f"embedding matrix must be 2-D, got shape {matrix.shape}")
         if len(vocab) != matrix.shape[0]:
@@ -141,30 +159,35 @@ def embed_sentence(
     return SentenceEmbedding(vec, len(indices))
 
 
-def _split_lines(text: str) -> list[str]:
-    """Lines of `text`, ended only by \n, \r\n or \r; other Unicode line
-    separators (U+2028, U+0085, form feed, ...) are ordinary characters."""
-    if "\r" in text:
-        text = text.replace("\r\n", "\n").replace("\r", "\n")
-    return text.split("\n")
+def read_lines(path, error: type[ValueError], bom: bool = False) -> Iterator[str]:
+    """The lines of a UTF-8 text file, read and decoded one at a time.
 
-
-def read_lines(path, error: type[ValueError], bom: bool = False) -> list[str]:
-    """The lines of a UTF-8 text file (a leading byte-order mark dropped when
-    `bom`), split by the one line rule every reader shares. Undecodable
-    bytes raise `error` naming the file and the 1-based line of the first
-    bad byte."""
+    A line ends only at \n, \r\n or \r; other Unicode line separators
+    (U+2028, U+0085, form feed, ...) are ordinary characters. A file ending
+    in a terminator ends with one empty line, and an empty file is one
+    empty line. A leading byte-order mark is dropped when `bom`. The first
+    undecodable byte raises `error` naming the file and that byte's 1-based
+    line, once the reader reaches the line."""
     with open(path, "rb") as fh:
-        data = fh.read()
-    if bom and data.startswith(codecs.BOM_UTF8):
-        data = data[len(codecs.BOM_UTF8):]
-    try:
-        text = data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        line = len(_split_lines(data[: exc.start].decode("utf-8")))
-        raise error(f"{path}: line {line}: invalid UTF-8 byte 0x{data[exc.start]:02x}") from None
-    del data  # a large file's bytes need not outlive its text
-    return _split_lines(text)
+        lineno = 0
+        ended = True
+        for chunk in fh:  # a binary file's lines end only at b"\n"
+            if bom and lineno == 0 and chunk.startswith(codecs.BOM_UTF8):
+                chunk = chunk[len(codecs.BOM_UTF8):]
+            ended = chunk.endswith(b"\n")
+            if ended:
+                chunk = chunk[:-2] if chunk.endswith(b"\r\n") else chunk[:-1]
+            for raw in chunk.split(b"\r"):
+                lineno += 1
+                try:
+                    line = raw.decode("utf-8")
+                except UnicodeDecodeError as exc:
+                    raise error(
+                        f"{path}: line {lineno}: invalid UTF-8 byte 0x{raw[exc.start]:02x}"
+                    ) from None
+                yield line
+        if ended:
+            yield ""
 
 
 # The process umask, read once (os.umask can only be read by setting it).
@@ -212,22 +235,25 @@ def load_word2vec_text(path) -> StaticWordMemory:
     writes each value as "%lf ". The dimension is taken from the header or
     inferred from the first data line; every malformed line is reported
     with its 1-based line number.
-    """
-    lines = [line.rstrip(" ") for line in read_lines(path, EmbeddingFormatError)]
 
-    start = 0
+    Each line is parsed as it is read, into one float64 matrix. The matrix
+    is preallocated from the header's count when the file is large enough
+    to hold that many rows (each value needs a digit and a separator, so
+    count * 2 * dim <= file size) and grown otherwise, so a false count
+    allocates nothing the file cannot fill.
+    """
     declared_count = None
     dim = None
-    if lines:
-        header = _parse_header(lines[0])
-        if header is not None:
-            declared_count, dim = header
-            start = 1
-
     vocab: list[str] = []
-    rows: list[np.ndarray] = []
     seen: set[str] = set()
-    for lineno0, line in enumerate(lines[start:], start=start + 1):
+    matrix = np.empty((0, 0))
+    for lineno0, line in enumerate(read_lines(path, EmbeddingFormatError), 1):
+        line = line.rstrip(" ")
+        if lineno0 == 1:
+            header = _parse_header(line)
+            if header is not None:
+                declared_count, dim = header
+                continue
         if line == "":
             continue
         parts = line.split(" ")
@@ -251,16 +277,24 @@ def load_word2vec_text(path) -> StaticWordMemory:
             raise EmbeddingFormatError(f"{path}: line {lineno0}: invalid coordinate: {exc}") from None
         if not np.isfinite(values).all():
             raise EmbeddingFormatError(f"{path}: line {lineno0}: non-finite coordinate")
+        if not vocab:
+            fits = (declared_count is not None
+                    and 1 <= declared_count <= os.path.getsize(path) // (2 * dim))
+            matrix = np.empty((declared_count if fits else 1, dim))
+        elif len(vocab) == len(matrix):
+            matrix = np.concatenate([matrix, np.empty_like(matrix)])
+        matrix[len(vocab)] = values
         vocab.append(word)
-        rows.append(values)
 
-    if not rows:
+    if not vocab:
         raise EmbeddingFormatError(f"{path}: no embedding rows found")
-    if declared_count is not None and declared_count != len(rows):
+    if declared_count is not None and declared_count != len(vocab):
         raise EmbeddingFormatError(
-            f"{path}: header declares {declared_count} words but file has {len(rows)}"
+            f"{path}: header declares {declared_count} words but file has {len(vocab)}"
         )
-    return StaticWordMemory(vocab, np.stack(rows))
+    if len(vocab) < len(matrix):  # a grown matrix keeps no spare rows
+        matrix = matrix[: len(vocab)].copy()
+    return StaticWordMemory._adopt(vocab, matrix)
 
 
 def save_word2vec_text(mem: StaticWordMemory, path) -> None:

@@ -5,6 +5,7 @@ import math
 import os
 import re
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -398,6 +399,25 @@ class TestSubsample:
         clip = ClipFeatures(np.arange(24.0).reshape(4, 2, 1, 3))
         out = subsample_frames([clip], 4)
         np.testing.assert_array_equal(out.tensor, clip.tensor)
+
+    def test_whole_lone_clip_is_shared(self):
+        clip = ClipFeatures(np.arange(24.0).reshape(4, 2, 1, 3))
+        assert subsample_frames([clip], clip.frames) is clip
+
+    def test_gather_allocates_one_frame_buffer(self):
+        rng = np.random.default_rng(4)
+        a, b = (ClipFeatures(rng.normal(size=(4, 64, 5, 5))) for _ in range(2))
+        tracemalloc.start()
+        try:
+            out = subsample_frames([a, b], 6)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        buffer = out.tensor.transpose(0, 2, 3, 1)
+        assert buffer.shape == (6, 5, 5, 64) and buffer.flags.c_contiguous
+        assert buffer.nbytes <= peak < 1.25 * buffer.nbytes
+        both = np.concatenate([a.tensor, b.tensor])
+        assert out.tensor.tobytes() == both[subsample_indices(8, 6)].tobytes()
 
     def test_short_input_repeats_frames(self):
         assert subsample_indices(3, 5) == [0, 0, 1, 1, 2]

@@ -107,6 +107,14 @@ class TestClipFeatures:
         np.testing.assert_array_equal(clip.regions(),
                                       expected.transpose(0, 2, 3, 1).reshape(t, h * w, c))
 
+    def test_caller_array_stays_writable_and_cannot_reach_the_clip(self):
+        b = np.zeros((1, 2, 2, 3))
+        given = b.transpose(0, 3, 1, 2)  # already in the buffer's region order
+        clip = ClipFeatures(given)
+        assert given.flags.writeable
+        b[...] = 1.0
+        assert clip.tensor.max() == 0.0
+
     def test_regions_is_a_view_of_the_tensor(self):
         clip = ClipFeatures(np.arange(24.0).reshape(2, 3, 2, 2))
         regions = clip.regions()

@@ -207,6 +207,13 @@ class TestBuildMemory:
         with pytest.raises(ValueError, match="empty"):
             build_memory([], tiny_mem)
 
+    def test_caller_array_stays_writable_and_cannot_reach_the_memory(self):
+        m = np.eye(2)
+        sub = SubtitleMemory(m, ("s0", "s1"))
+        assert m.flags.writeable and not sub.matrix.flags.writeable
+        m[0, 0] = 5.0
+        np.testing.assert_array_equal(sub.matrix, np.eye(2))
+
 
 class TestSubtitleAttend:
     def test_aligned_unit_vectors(self):

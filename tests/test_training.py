@@ -419,6 +419,14 @@ class TestSubtitleMemoryCache:
                                           build_memory(ex.subtitles, mem).matrix)
 
 
+def test_params_copy_the_callers_weights():
+    w = np.zeros((2, 3))
+    params = ModelParams(w)
+    assert w.flags.writeable and not params.weights.flags.writeable
+    w[0, 0] = 5.0
+    assert params.weights[0, 0] == 0.0
+
+
 class TestHoldOnce:
     """An item's frames exist once: its prepared regions are a view of the
     example's feature buffer, not a second (T, R, C) copy."""

@@ -217,6 +217,17 @@ class TestConstruction:
         with pytest.raises(ValueError, match="non-finite"):
             StaticWordMemory(["a", "b"], np.array([[1.0, 0.0], [np.nan, 1.0]]))
 
+    def test_caller_array_stays_writable_and_cannot_reach_the_memory(self):
+        a = np.eye(2)
+        v = a[:]
+        mem = StaticWordMemory(["x", "y"], a)
+        gram = mem.gram
+        assert a.flags.writeable
+        v[0, 0] = 5.0
+        np.testing.assert_array_equal(mem.matrix, np.eye(2))
+        rows = mem.unit_rows
+        assert gram.tobytes() == (rows.T @ rows).tobytes()
+
 
 class TestHoldOnce:
     """The embedding table exists once: loading builds no per-value Python
@@ -251,4 +262,23 @@ class TestHoldOnce:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 2.5 * emb_path.stat().st_size
+        assert peak < 1.0 * emb_path.stat().st_size
+
+    def test_false_header_count_allocates_nothing_the_file_cannot_fill(self, tmp_path):
+        path = tmp_path / "emb.txt"
+        path.write_text("999999999 300\nw " + " ".join(["0.5"] * 300) + "\n")
+        with pytest.raises(EmbeddingFormatError,
+                           match="header declares 999999999 words but file has 1"):
+            load_word2vec_text(path)
+
+    @pytest.mark.parametrize("header", ["2000 100\n", ""], ids=["header", "headerless"])
+    def test_streamed_matrix_is_exact(self, emb_path, tmp_path, header):
+        # the preallocated and the grown matrix both equal one np.stack of the rows
+        lines = emb_path.read_text().splitlines()[1:]
+        path = tmp_path / "emb.txt"
+        path.write_text(header + "\n".join(lines) + "\n")
+        mem = load_word2vec_text(path)
+        expected = np.stack([np.array([float(v) for v in line.split(" ")[1:]]) for line in lines])
+        assert mem.vocab == tuple(line.split(" ")[0] for line in lines)
+        assert mem.matrix.flags.c_contiguous and mem.matrix.base is None
+        assert mem.matrix.tobytes() == expected.tobytes()
