@@ -1,6 +1,8 @@
 """Answer scoring for five-way multiple choice: logits are inner products of
 the clip-plus-question vector with each candidate embedding, turned into
-probabilities by a max-shifted softmax."""
+probabilities by a max-shifted softmax. Scoring and the loss carry any
+leading batch axes: (B, d) clips and questions with (B, 5, d) answers give
+(B, 5) logits and B losses."""
 
 from __future__ import annotations
 
@@ -55,36 +57,43 @@ class QAItem:
 
 @dataclass(frozen=True)
 class AnswerDistribution:
-    probs: np.ndarray  # (5,) nonnegative, sums to 1
-    logits: np.ndarray  # (5,)
+    probs: np.ndarray  # (..., 5) nonnegative, each row sums to 1
+    logits: np.ndarray  # (..., 5)
 
 
 def score_answers(
     clip: np.ndarray, question: np.ndarray, answers: np.ndarray
 ) -> AnswerDistribution:
-    """Softmax over logits (clip + question) . answer_h for the five answers."""
+    """Softmax over logits (clip + question) . answer_h for the five answers:
+    (d,) vectors with (5, d) answers, or the same with leading batch axes."""
     clip = np.asarray(clip, dtype=np.float64)
     question = np.asarray(question, dtype=np.float64)
     answers = np.asarray(answers, dtype=np.float64)
-    if answers.shape != (NUM_CHOICES, clip.shape[0]) or question.shape != clip.shape:
+    if (clip.ndim < 1 or question.shape != clip.shape
+            or answers.shape != clip.shape[:-1] + (NUM_CHOICES, clip.shape[-1])):
         raise ValueError(
             f"shape mismatch: clip {clip.shape}, question {question.shape}, answers {answers.shape}"
         )
-    logits = answers @ (clip + question)
+    logits = np.matmul(answers, (clip + question)[..., None])[..., 0]
     if not np.isfinite(logits).all():
         raise ValueError("answer logits are not finite")
-    shifted = np.exp(logits - logits.max())
-    probs = shifted / shifted.sum()
+    shifted = np.exp(logits - logits.max(axis=-1, keepdims=True))
+    probs = shifted / shifted.sum(axis=-1, keepdims=True)
     return AnswerDistribution(probs, logits)
 
 
-def cross_entropy(dist: AnswerDistribution, correct: int) -> float:
-    """Negative log probability of the correct choice, evaluated in log space."""
-    if not 0 <= correct < NUM_CHOICES:
-        raise ValueError(f"correct index {correct} out of range")
+def cross_entropy(dist: AnswerDistribution, correct):
+    """Negative log probability of the correct choice, evaluated in log
+    space: a float for (5,) logits and one index, an array of B losses for
+    (B, 5) logits and B indices."""
+    correct = np.asarray(correct)
     z = dist.logits
-    m = z.max()
-    return float(m + np.log(np.exp(z - m).sum()) - z[correct])
+    if correct.shape != z.shape[:-1] or correct.min() < 0 or correct.max() >= NUM_CHOICES:
+        raise ValueError(f"correct index {correct} out of range")
+    m = z.max(axis=-1)
+    picked = z[correct] if z.ndim == 1 else z[np.arange(len(z)), correct]
+    loss = m + np.log(np.exp(z - m[..., None]).sum(axis=-1)) - picked
+    return float(loss) if loss.ndim == 0 else loss
 
 
 def predict(dist: AnswerDistribution) -> int:

@@ -25,12 +25,12 @@ from .training import (
     ModelParams,
     TrainConfig,
     _located,
+    _run,
     evaluate,
     example_memory,
     gradcheck,
     init_params,
     prepare_example,
-    run_forward,
     train,
 )
 from .word_memory import StaticWordMemory, load_word2vec_text
@@ -106,13 +106,13 @@ def _load_subtitles(subtitle_dir: str, movie_id: str) -> tuple[str, ...]:
     raise ValueError(f"no subtitle file for movie {movie_id!r} in {subtitle_dir}")
 
 
-def _load_model(args, mem: StaticWordMemory) -> ModelParams:
+def _load_model(args, mem: StaticWordMemory, config: ModelConfig) -> ModelParams:
     weights = data_io.load_params(_require(args.params, "params file"))
     if weights.shape[0] != mem.dim:
         raise ValueError(
             f"params dimension {weights.shape[0]} does not match embedding dimension {mem.dim}"
         )
-    return ModelParams(weights, _model_config(args))
+    return ModelParams(weights, config)
 
 
 def _write_text(path: str, text: str) -> None:
@@ -122,14 +122,15 @@ def _write_text(path: str, text: str) -> None:
 # --- commands ---------------------------------------------------------------
 
 def cmd_train(args) -> int:
+    config = _model_config(args)
+    trainer = TrainConfig(learning_rate=args.lr, batch_size=args.batch_size,
+                          max_epochs=args.max_epochs, patience=args.patience,
+                          dev_fraction=args.dev_fraction, seed=args.seed)
     mem, examples = _load_inputs(args)
     if not examples:
         raise ValueError("empty dataset")
     channels = examples[0].features.channels
-    params0 = init_params(mem.dim, channels, _model_config(args), seed=args.seed)
-    trainer = TrainConfig(learning_rate=args.lr, batch_size=args.batch_size,
-                          max_epochs=args.max_epochs, patience=args.patience,
-                          dev_fraction=args.dev_fraction, seed=args.seed)
+    params0 = init_params(mem.dim, channels, config, seed=args.seed)
     params, report = train(examples, mem, trainer, params0)
 
     out = args.out or "."
@@ -146,13 +147,14 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    config = _model_config(args)
     mem, examples = _load_inputs(args)
     if not examples:
         raise ValueError("empty dataset")
     for example in examples:
         if example.item.correct_index is None:
             raise ValueError(f"item {example.item.qid!r} has no correct_index")
-    params = _load_model(args, mem)
+    params = _load_model(args, mem, config)
     acc, records = evaluate(params, mem, examples)
     doc = {"accuracy": acc, "n": len(examples), "per_question": records}
     if args.out:
@@ -164,14 +166,15 @@ def cmd_eval(args) -> int:
 
 
 def cmd_answer(args) -> int:
+    config = _model_config(args)
     mem, (example,) = _load_inputs(args, first=True)
-    params = _load_model(args, mem)
-    prep = prepare_example(mem, example, params.config)
-    with _located(f"question {example.item.qid}"):
-        state = run_forward(params.weights, prep, params.config, mem)
-    choice = predict(state.dist)
+    params = _load_model(args, mem, config)
+    prep = prepare_example(mem, example, config)
+    dist = _run(params.weights, [prep], config, mem,
+                names=[f"question {example.item.qid}"]).dist
+    choice = predict(dist)
     print(f"qid {example.item.qid}: predicted answer {choice}")
-    for h, (text, p) in enumerate(zip(example.item.answers, state.dist.probs)):
+    for h, (text, p) in enumerate(zip(example.item.answers, dist.probs[0])):
         marker = "*" if h == choice else " "
         print(f" {marker} [{h}] p={p:.4f} {text}")
     if example.item.correct_index is not None:
@@ -181,22 +184,25 @@ def cmd_answer(args) -> int:
 
 
 def cmd_rank_subtitles(args) -> int:
+    config = _model_config(args)
     mem, (example,) = _load_inputs(args, first=True)
     if args.video_only:
         raise ValueError("rank-subtitles requires subtitles")
-    params = _load_model(args, mem)
-    config = params.config
+    params = _load_model(args, mem, config)
     prep = prepare_example(mem, example, config)
     i = args.frame_index
     if not 0 <= i < len(prep.regions):
         raise ValueError(f"frame index {i} out of range (clip has {len(prep.regions)} frames)")
     with _located(f"question {example.item.qid}"):
-        # a one-frame clip's frame sum is that frame's vector
-        frame, _ = encode_frames_cached(prep.regions[i : i + 1], params.weights, mem,
-                                        config.swm_hops)
+        # the frame's vector is the attended sum of its one group of regions
+        (frame,), _ = encode_frames_cached(prep.regions[i : i + 1], params.weights, mem,
+                                           config.swm_hops)
         memory = prep.subtitle_mat
         if args.memory_state == "final":
-            frame_sum, _ = encode_frames_cached(prep.regions, params.weights, mem, config.swm_hops)
+            # the clip's frame sum is the attended sum of all its regions as one group
+            t, r, c = prep.regions.shape
+            (frame_sum,), _ = encode_frames_cached(prep.regions.reshape(1, t * r, c),
+                                                   params.weights, mem, config.swm_hops)
             _, cache = encode_clip_cached(frame_sum, memory, prep.question, config.um_hops,
                                           config.qg, config.um_carry_frames)
             memory = cache.scales[-1][:, None] * memory
@@ -208,15 +214,15 @@ def cmd_rank_subtitles(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
+    config = _model_config(args)
     mem, examples = _load_inputs(args, first=True)
     if not examples:
         raise ValueError("empty dataset")
     example = examples[0]
     if args.params:
-        params = _load_model(args, mem)
+        params = _load_model(args, mem, config)
     else:
-        params = init_params(mem.dim, example.features.channels, _model_config(args),
-                             seed=args.seed)
+        params = init_params(mem.dim, example.features.channels, config, seed=args.seed)
     sub = example_memory(mem, example, params.config)
     with _located(f"question {example.item.qid}"):
         err = gradcheck(params, mem, example.item, example.features, sub, step=args.step)
@@ -263,6 +269,17 @@ def _add_model_flags(p: argparse.ArgumentParser) -> None:
                    help="'best' selects two subtitle passes plus question guidance")
 
 
+def _count(text: str) -> int:
+    """An argparse type: an integer of at least one."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError("must be >= 1")
+    return value
+
+
 def _add_data_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--embeddings", required=True, help="word2vec text file")
     p.add_argument("--qa", required=True, help="QA JSONL file")
@@ -270,7 +287,7 @@ def _add_data_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--subtitles", default=None,
                    help="directory of <movie_id>.srt or .txt files")
     p.add_argument("--video-only", action="store_true", help="ignore subtitles entirely")
-    p.add_argument("--frames", type=int, default=32,
+    p.add_argument("--frames", type=_count, default=32,
                    help="frames sampled per question across its clips")
 
 

@@ -1,24 +1,30 @@
 """Frame-level encoding: regional CNN features are projected into the word
 space and re-expressed as cosine-weighted sums over the static word memory,
-optionally for several hops. A frame's representation is the sum of its
-attended regions.
+optionally for several hops.
+
+The encoder works on (B, K, C) groups of K regions each and returns the
+(B, d) attended sum of every group. A clip of T frames of R regions is one
+group of K = T·R regions, a view of its (T, R, C) regions; the same view
+read as T groups of R regions gives its T frame vectors, so a frame's
+representation is the sum of its attended regions.
 
 One hop normalizes its input and multiplies by the (d, d) Gram matrix G of
 the unit word rows. After the normalization that multiply is linear, so for
-the last hop the sum over the clip's frames t and regions r moves inside it:
+the last hop the sum over a group's regions r moves inside it:
 
-    Σ_t Σ_r x̂_tr G = (Σ_t Σ_r x̂_tr) G
+    Σ_r x̂_r G = (Σ_r x̂_r) G
 
-The subtitle layer reads the frames only through their sum, so the frame
-encoder returns that one (d,) vector: it sums the last hop's normalized
-regions over the whole clip and runs the last Gram multiply once per clip.
-A one-frame clip gives that frame's vector, and the clip's frame sum is the
-sum of its frames' vectors. Hops before the last still run per region.
+The subtitle layer reads a clip's frames only through their sum, so the
+frame encoder sums the last hop's normalized regions over each group and
+runs the last Gram multiply once per group. Hops before the last still run
+per region. The projection and the weight gradient are each one GEMM over
+all B·K rows of the chunk.
 
 `encode_frames_cached` is the single entry point: it projects the regions
-and runs the hop chain, and `encode_frames_backward` is its adjoint. Each
-forward helper has its reverse-mode adjoint right beside it; the training
-module chains the two entry points.
+and runs the hop chain, and `encode_frames_backward` is its adjoint, which
+sums the weight gradient over the chunk. Each forward helper has its
+reverse-mode adjoint right beside it; the training module chains the two
+entry points.
 """
 
 from __future__ import annotations
@@ -85,11 +91,11 @@ class ClipFeatures:
 
 
 def _normalize_rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Unit-normalize along the last axis; returns (norms, normalized).
+    """Unit-normalize `x` along the last axis in place; returns (norms, x).
     Zero rows stay zero."""
     norms = np.linalg.norm(x, axis=-1, keepdims=True)
     safe = np.where(norms == 0.0, 1.0, norms)
-    return norms, x / safe
+    return norms, np.divide(x, safe, out=x)
 
 
 def _attend(xhat: np.ndarray, mem: StaticWordMemory) -> np.ndarray:
@@ -110,7 +116,11 @@ def hop_chain(x0: np.ndarray, mem: StaticWordMemory, hops: int) -> tuple[np.ndar
     including, the last pass's Gram multiply: the result is the last hop's
     normalized input xhat, so `hop_chain(x0, mem, hops)[0] @ mem.gram` is
     the attended output. Records the per-hop normalization state needed
-    for the backward pass."""
+    for the backward pass.
+
+    `x0` is normalized in place and becomes the first hop's cached input:
+    pass an array that nothing else reads, such as a fresh projection.
+    Every later hop normalizes its own fresh attention output in place."""
     if hops < 1:
         raise ValueError(f"hops must be >= 1, got {hops}")
     norms, xhat = _normalize_rows(x0)
@@ -127,8 +137,11 @@ def _normalize_backward(dxhat: np.ndarray, cache: HopCache) -> np.ndarray:
     rows; rows that were exactly zero in the forward pass get zero gradient."""
     inner = np.sum(cache.xhat * dxhat, axis=-1, keepdims=True)
     zero = cache.norms == 0.0
-    dx = (dxhat - cache.xhat * inner) / np.where(zero, 1.0, cache.norms)
-    return np.where(zero, 0.0, dx)
+    dx = cache.xhat * inner
+    np.subtract(dxhat, dx, out=dx)
+    dx /= np.where(zero, 1.0, cache.norms)
+    np.copyto(dx, 0.0, where=zero)
+    return dx
 
 
 def hop_chain_backward(
@@ -146,7 +159,7 @@ def hop_chain_backward(
 class FrameCache:
     """Everything the backward pass needs from frame encoding."""
 
-    regions: np.ndarray  # (T, R, C) raw regional features
+    regions: np.ndarray  # (B, K, C) raw regional features
     hop_caches: list[HopCache]
 
 
@@ -156,13 +169,16 @@ def encode_frames_cached(
     mem: StaticWordMemory,
     hops: int,
 ) -> tuple[np.ndarray, FrameCache]:
-    """Project (T,R,C) regions with the (d, C) weights, the model's single
-    learnable tensor (no bias), run the hop chain per region and return the
-    clip's (d,) frame sum: the last hop's normalized regions are summed over
-    all frames and attended once."""
+    """Project (B, K, C) groups of regions with the (d, C) weights, the
+    model's single learnable tensor (no bias), run the hop chain per region
+    and return the (B, d) attended group sums: each group's last-hop
+    normalized regions are summed and attended once. The projection is one
+    GEMM over all B·K rows, normalized in place."""
     weights = np.asarray(weights, dtype=np.float64)
     if weights.ndim != 2:
         raise ValueError(f"projection weights must be 2-D (d,C), got {weights.shape}")
+    if regions.ndim != 3:
+        raise ValueError(f"regions must be 3-D (B,K,C), got {regions.shape}")
     if weights.shape[1] != regions.shape[-1]:
         raise ValueError(
             f"projection expects {weights.shape[1]} channels, features have {regions.shape[-1]}"
@@ -171,25 +187,26 @@ def encode_frames_cached(
         raise ValueError(
             f"projection dimension {weights.shape[0]} does not match word dimension {mem.dim}"
         )
-    t, r, c = regions.shape
-    projected = (regions.reshape(t * r, c) @ weights.T).reshape(t, r, -1)  # one GEMM, not T
+    b, k, c = regions.shape
+    projected = (regions.reshape(b * k, c) @ weights.T).reshape(b, k, -1)
     xhat_last, hop_caches = hop_chain(projected, mem, hops)
-    frame_sum = _attend(xhat_last.sum(axis=(0, 1)), mem)
-    return frame_sum, FrameCache(regions, hop_caches)
+    sums = _attend(xhat_last.sum(axis=1), mem)
+    return sums, FrameCache(regions, hop_caches)
 
 
 def encode_frames_backward(
-    dsum: np.ndarray, cache: FrameCache, mem: StaticWordMemory
+    dsums: np.ndarray, cache: FrameCache, mem: StaticWordMemory
 ) -> np.ndarray:
-    """Gradient of the frame sum with respect to the projection weights.
+    """Gradient of Σ_b dsums[b] · sums[b] with respect to the projection
+    weights: the (d, C) weight gradient summed over the chunk.
 
-    Every region of the clip receives the same frame-sum gradient, so the
-    last hop's Gram multiply, its own adjoint, runs once: dsum G is
-    broadcast over all T*R regions into that hop's normalization Jacobian.
-    The weight gradient is one (T*R, d)^T @ (T*R, C) matrix product."""
-    t, r, c = cache.regions.shape
-    dsum = np.asarray(dsum, dtype=np.float64)
-    if dsum.shape != (mem.dim,):
-        raise ValueError(f"frame gradient must have shape {(mem.dim,)}, got {dsum.shape}")
-    dprojected = hop_chain_backward(_attend(dsum, mem), cache.hop_caches, mem)
-    return dprojected.reshape(t * r, -1).T @ cache.regions.reshape(t * r, c)
+    Every region of group b receives that group's sum gradient, so the last
+    hop's Gram multiply, its own adjoint, runs once per group: dsums[b] G is
+    broadcast over the group's K regions into that hop's normalization
+    Jacobian. The weight gradient is one (B·K, d)^T @ (B·K, C) product."""
+    b, k, c = cache.regions.shape
+    dsums = np.asarray(dsums, dtype=np.float64)
+    if dsums.shape != (b, mem.dim):
+        raise ValueError(f"frame gradient must have shape {(b, mem.dim)}, got {dsums.shape}")
+    dprojected = hop_chain_backward(_attend(dsums, mem)[:, None, :], cache.hop_caches, mem)
+    return dprojected.reshape(b * k, -1).T @ cache.regions.reshape(b * k, c)

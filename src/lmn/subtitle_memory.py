@@ -13,8 +13,10 @@ with M, O(N·d) per pass, and the memory is never copied.
 `encode_clip_cached` is the single entry point: it takes the clip's (d,)
 frame sum from the frame encoder, runs every attention, update and guidance
 pass and returns the clip vector and the cache of (N,) vectors that
-`encode_clip_backward` walks in reverse to the frame-sum gradient. Neither
-function mutates its inputs.
+`encode_clip_backward` walks in reverse to the frame-sum gradient. Both
+carry any leading batch axes through the recurrence: (B, d) frame sums over
+(B, N, d) memories give (B, d) clip vectors, with (B, N) scales in the
+cache. Neither function mutates its inputs.
 """
 
 from __future__ import annotations
@@ -81,35 +83,47 @@ def build_memory(
 # memory row leaves every other number bitwise as it was: each row's inner
 # product is taken on its own, and rows are added in order, so a zero row
 # adds an exact zero. A BLAS matrix-vector product may regroup both when the
-# row count changes. The adjoint needs no such property and uses BLAS.
+# row count changes. The adjoint needs no such property and uses BLAS, one
+# matrix-vector product per batch entry.
 
 def _row_dots(memory: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """(N,) inner product of each memory row with x."""
-    return np.einsum("nd,d->n", memory, x)
+    """(..., N) inner product of each memory row with x."""
+    return np.einsum("...nd,...d->...n", memory, x)
 
 
 def _weighted_row_sum(weights: np.ndarray, memory: np.ndarray) -> np.ndarray:
-    """(d,) sum of the memory rows scaled by weights, added in row order."""
-    return np.einsum("n,nd->d", weights, memory)
+    """(..., d) sum of the memory rows scaled by weights, added in row order."""
+    return np.einsum("...n,...nd->...d", weights, memory)
 
 
 def _softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = np.exp(logits - logits.max())
-    return shifted / shifted.sum()
+    shifted = np.exp(logits - logits.max(axis=-1, keepdims=True))
+    return shifted / shifted.sum(axis=-1, keepdims=True)
+
+
+def _memory_dot(memory: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """(..., N) BLAS product M x of the memory with x."""
+    return np.matmul(memory, x[..., None])[..., 0]
+
+
+def _dot_memory(weights: np.ndarray, memory: np.ndarray) -> np.ndarray:
+    """(..., d) BLAS product wᵀ M of the row weights with the memory."""
+    return np.matmul(weights[..., None, :], memory)[..., 0, :]
 
 
 @dataclass
 class ClipCache:
-    """The (N,) vectors `encode_clip_backward` walks, one entry per pass.
-    Pass k attends over the memory version `scales[k][:, None] * memory`."""
+    """The (N,) vectors `encode_clip_backward` walks, one entry per pass,
+    with the batch axes of the frame sums in front. Pass k attends over the
+    memory version `scales[k][..., None] * memory`."""
 
-    memory: np.ndarray  # (N, d) built memory M, never copied
+    memory: np.ndarray  # (..., N, d) built memory M, never copied
     carry_frames: bool
-    scales: list[np.ndarray] = field(default_factory=list)  # (N,) row scale c of each pass
-    scores: list[np.ndarray] = field(default_factory=list)  # (N,) M s for each pass's frame sum s
-    pre: list[np.ndarray] = field(default_factory=list)  # (N,) update-gate pre-activations
-    guide: np.ndarray | None = None  # (N,) question-guide softmax weights
-    question_scores: np.ndarray | None = None  # (N,) M q
+    scales: list[np.ndarray] = field(default_factory=list)  # (..., N) row scale c of each pass
+    scores: list[np.ndarray] = field(default_factory=list)  # (..., N) M s, s the pass's frame sum
+    pre: list[np.ndarray] = field(default_factory=list)  # (..., N) update-gate pre-activations
+    guide: np.ndarray | None = None  # (..., N) question-guide softmax weights
+    question_scores: np.ndarray | None = None  # (..., N) M q
 
 
 def encode_clip_cached(
@@ -120,9 +134,10 @@ def encode_clip_cached(
     qg: bool,
     carry_frames: bool = False,
 ) -> tuple[np.ndarray, ClipCache]:
-    """Run the full subtitle pipeline on the (d,) frame sum; returns the
-    clip vector and the cache for the backward pass. The memory the last
-    pass attends over is `cache.scales[-1][:, None] * memory0`.
+    """Run the full subtitle pipeline on the (d,) frame sum over the (N, d)
+    memory, or on (B, d) sums over (B, N, d) memories; returns the clip
+    vector and the cache for the backward pass. The memory the last pass
+    attends over is `cache.scales[-1][..., None] * memory0`.
 
     A pass over the memory version diag(c) M with frame sum s gives the clip
     vector v = Mᵀ(c² · M s). Between passes the update gate rescales rows,
@@ -139,7 +154,7 @@ def encode_clip_cached(
         raise ValueError("question guidance requires a question vector")
 
     cache = ClipCache(memory0, carry_frames)
-    scale = np.ones(memory0.shape[0])
+    scale = np.ones(memory0.shape[:-1])
     for k in range(um_hops + qg):
         if k == um_hops:
             cache.question_scores = _row_dots(memory0, question)
@@ -159,7 +174,8 @@ def encode_clip_cached(
 
 
 def encode_clip_backward(dvector: np.ndarray, cache: ClipCache) -> np.ndarray:
-    """Gradient of the pipeline output with respect to the (d,) frame sum.
+    """Gradient of the pipeline output with respect to the frame sum, with
+    the frame sum's shape.
 
     The passes are walked in reverse; gradients reach the frame sum through
     each pass's scores and through the update gates, whose pre-activations depend on
@@ -171,12 +187,12 @@ def encode_clip_backward(dvector: np.ndarray, cache: ClipCache) -> np.ndarray:
     # vector and the current pass's row scale
     dsum = np.zeros_like(dvector)
     dclip = dvector
-    dscale = np.zeros(memory.shape[0])
+    dscale = np.zeros(memory.shape[:-1])
     last = len(cache.scales) - 1
     for k in range(last, -1, -1):
         scale, scores = cache.scales[k], cache.scores[k]
-        dweights = memory @ dclip
-        dframe_sum = (scale * scale * dweights) @ memory
+        dweights = _memory_dot(memory, dclip)
+        dframe_sum = _dot_memory(scale * scale * dweights, memory)
         if k == 0:
             break
         dscale = dscale + 2.0 * scale * scores * dweights
@@ -189,11 +205,12 @@ def encode_clip_backward(dvector: np.ndarray, cache: ClipCache) -> np.ndarray:
         if k == last and cache.guide is not None:
             weights = cache.guide
             dguide = dscale * prev
-            dlogits = weights * (dguide - weights @ dguide)
+            inner = np.matmul(weights[..., None, :], dguide[..., None])[..., 0]  # (..., 1)
+            dlogits = weights * (dguide - inner)
             dscale = weights * dscale + dlogits * cache.question_scores
         else:
             pre = cache.pre[k - 1]
-            dclip = dclip + (dscale * prev * prev * (pre > 0.0)) @ memory
+            dclip = dclip + _dot_memory(dscale * prev * prev * (pre > 0.0), memory)
             dscale = 2.0 * np.maximum(pre, 0.0) * dscale
     return dsum + dframe_sum
 

@@ -10,7 +10,7 @@ import numpy as np
 from lmn.answering import QAItem
 from lmn.frame_encoder import ClipFeatures
 from lmn.subtitle_memory import SubtitleMemory, build_memory
-from lmn.training import ModelConfig, Prepared, prepare, run_forward
+from lmn.training import Chunk, ModelConfig, Prepared, prepare, run_forward
 from lmn.word_memory import StaticWordMemory
 
 _SPATIAL = [(1, 1), (1, 2), (1, 3), (2, 2), (1, 5), (2, 3)]
@@ -96,7 +96,7 @@ def make_instance(
 
 
 def _well_conditioned(weights, prep, config, mem) -> bool:
-    state = run_forward(weights, prep, config, mem)
+    state = run_forward(weights, Chunk.of([prep]), config, mem)
     for hop in state.frame_cache.hop_caches:
         if np.min(np.abs(hop.norms)) < 1e-3:
             return False

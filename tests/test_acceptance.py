@@ -192,22 +192,26 @@ def test_criterion_5_algebraic_invariants():
             np.testing.assert_allclose(out, base, atol=1e-12)
 
         # permutation invariances: regions within a frame, frames within a
-        # clip, and subtitle rows
+        # clip, and subtitle rows; a clip's frame sum is its (T, R, C)
+        # regions encoded as one group of T*R
+        def clip_sum(regions):
+            (total,), _ = encode_frames_cached(regions.reshape(1, -1, 5), w45, mem, 2)
+            return total
+
         tensor = rng.normal(size=(3, 5, 2, 2))
         flat = tensor.reshape(3, 5, 4)
         rperm = rng.permutation(4)
         w45 = rng.normal(size=(4, 5))
         regions = ClipFeatures(tensor).regions()
-        base_sum, _ = encode_frames_cached(regions, w45, mem, 2)
-        perm_sum, _ = encode_frames_cached(
-            ClipFeatures(flat[:, :, rperm].reshape(3, 5, 2, 2)).regions(), w45, mem, 2)
+        base_sum = clip_sum(regions)
+        perm_sum = clip_sum(ClipFeatures(flat[:, :, rperm].reshape(3, 5, 2, 2)).regions())
         np.testing.assert_allclose(perm_sum, base_sum, atol=1e-12)
 
         smatrix = rng.normal(size=(5, 4))
         sub2 = SubtitleMemory(smatrix, tuple(f"s{i}" for i in range(5)))
         rep_base, _ = encode_clip_cached(base_sum, sub2.matrix, None, um_hops=2, qg=False)
         fperm = rng.permutation(3)
-        fperm_sum, _ = encode_frames_cached(regions[fperm], w45, mem, 2)
+        fperm_sum = clip_sum(regions[fperm])
         np.testing.assert_allclose(fperm_sum, base_sum, atol=1e-12)
         sperm = rng.permutation(5)
         sub_perm = SubtitleMemory(smatrix[sperm], tuple(f"s{i}" for i in sperm))

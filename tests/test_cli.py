@@ -432,3 +432,41 @@ class TestParsing:
     def test_zero_um_hops_still_fails(self, synth_dir, capsys):
         assert main(["gradcheck", *data_args(synth_dir), "--um-hops", "0"]) == 1
         assert capsys.readouterr().err == "error: hop counts must be >= 1\n"
+
+    @pytest.mark.parametrize("command,flags,message", [
+        ("train", ("--batch-size", "0"), "batch_size must be >= 1"),
+        ("train", ("--lr", "0"), "learning_rate must be positive"),
+        ("train", ("--um-hops", "0"), "hop counts must be >= 1"),
+        ("eval", ("--params", "p.lmnp", "--swm-hops", "0"), "hop counts must be >= 1"),
+        ("answer", ("--params", "p.lmnp", "--qid", "q", "--um-hops", "0"),
+         "hop counts must be >= 1"),
+        ("rank-subtitles", ("--params", "p.lmnp", "--qid", "q", "--um-hops", "0"),
+         "hop counts must be >= 1"),
+        ("gradcheck", ("--swm-hops", "0"), "hop counts must be >= 1"),
+    ], ids=["train-batch-size", "train-lr", "train", "eval", "answer", "rank-subtitles",
+            "gradcheck"])
+    def test_flags_are_checked_before_any_input_is_read(self, command, flags, message, capsys,
+                                                        tmp_path, monkeypatch):
+        # every input path is missing, so reading any of them would fail first
+        monkeypatch.chdir(tmp_path)
+        code = main([command, *data_args(tmp_path / "missing"), *flags])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("command,extra", [
+        ("train", ()),
+        ("eval", ("--params", "p.lmnp")),
+        ("answer", ("--params", "p.lmnp", "--qid", "q")),
+        ("rank-subtitles", ("--params", "p.lmnp", "--qid", "q")),
+        ("gradcheck", ()),
+    ])
+    @pytest.mark.parametrize("frames,message", [
+        ("0", "must be >= 1"),
+        ("-3", "must be >= 1"),
+        ("two", "invalid int value: 'two'"),
+    ], ids=["zero", "negative", "text"])
+    def test_frames_below_one_is_usage_error(self, synth_dir, command, extra, frames, message,
+                                             capsys):
+        code = main([command, *data_args(synth_dir), *extra, "--frames", frames])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: argument --frames: {message}\n"

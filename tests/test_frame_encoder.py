@@ -30,7 +30,8 @@ def random_mem(rng, v_size, d):
 def encode_region(region, weights, mem):
     """One word-memory hop on one projected region: the frame encoding of a
     single frame holding that single region."""
-    rep, _ = encode_frames_cached(np.asarray(region, dtype=float)[None, None, :], weights, mem, 1)
+    region = np.asarray(region, dtype=float)
+    (rep,), _ = encode_frames_cached(region[None, None, :], weights, mem, 1)
     return rep
 
 
@@ -200,10 +201,17 @@ class TestWordAttend:
         np.testing.assert_array_equal(attend_once(np.zeros(2), basis_mem), np.zeros(2))
 
 
+def clip_sum(regions, weights, mem, hops):
+    """The clip's frame sum: its (T, R, C) regions as one group of T*R."""
+    t, r, c = regions.shape
+    (total,), _ = encode_frames_cached(regions.reshape(1, t * r, c), weights, mem, hops)
+    return total
+
+
 class TestEncodeFrames:
     def test_single_region_basis(self, basis_mem):
         clip = ClipFeatures(np.array([0.0, 1.0]).reshape(1, 2, 1, 1))
-        out, _ = encode_frames_cached(clip.regions(), np.eye(2), basis_mem, 1)
+        (out,), _ = encode_frames_cached(clip.regions(), np.eye(2), basis_mem, 1)
         np.testing.assert_allclose(out, [0.0, 1.0])
 
     def test_two_hops_is_attend_twice(self):
@@ -213,10 +221,12 @@ class TestEncodeFrames:
         weights = rng.normal(size=(3, 4))
         two_hop, _ = encode_frames_cached(clip.regions(), weights, mem, 2)
         manual = np.zeros_like(two_hop)
-        for frame in clip.regions():
+        for t, frame in enumerate(clip.regions()):
             for region in frame:
-                manual += attend_once(attend_once(weights @ region, mem), mem)
+                manual[t] += attend_once(attend_once(weights @ region, mem), mem)
         np.testing.assert_allclose(two_hop, manual, atol=1e-12)
+        np.testing.assert_allclose(clip_sum(clip.regions(), weights, mem, 2), manual.sum(axis=0),
+                                   atol=1e-12)
 
     def test_matches_full_loop_oracle(self):
         rng = np.random.default_rng(43)
@@ -224,7 +234,7 @@ class TestEncodeFrames:
         clip = ClipFeatures(rng.normal(size=(2, 3, 1, 2)))
         weights = rng.normal(size=(2, 3))
         regions = clip.regions()
-        got, _ = encode_frames_cached(regions, weights, mem, 1)
+        got = clip_sum(regions, weights, mem, 1)
         rows = [unit_normalize(r) for r in mem.matrix]
         expected = np.zeros((2, 2))
         for i, frame in enumerate(regions):
@@ -235,15 +245,14 @@ class TestEncodeFrames:
                     attended += float(xh @ w) * w
                 expected[i] += attended
         np.testing.assert_allclose(got, expected.sum(axis=0), atol=1e-12)
-        # a one-frame clip is that frame's vector, and the clip's frame sum
-        # is the sum of those vectors
+        # the (T, R, C) regions as T groups give the frame vectors, and the
+        # clip's frame sum is the sum of those vectors
         reference = reference_forward(mem.matrix, weights, regions, None,
                                       np.zeros(2), np.zeros((5, 2)))["frames"]
-        single = [encode_frames_cached(regions[t : t + 1], weights, mem, 1)[0] for t in range(2)]
-        for t in range(2):
-            np.testing.assert_allclose(single[t], expected[t], atol=1e-12)
-            np.testing.assert_allclose(single[t], reference[t], atol=1e-12)
-        np.testing.assert_allclose(got, np.sum(single, axis=0), atol=1e-12)
+        per_frame, _ = encode_frames_cached(regions, weights, mem, 1)
+        np.testing.assert_allclose(per_frame, expected, atol=1e-12)
+        np.testing.assert_allclose(per_frame, reference, atol=1e-12)
+        np.testing.assert_allclose(got, per_frame.sum(axis=0), atol=1e-12)
 
     def test_region_permutation_invariance(self):
         rng = np.random.default_rng(47)
@@ -264,8 +273,9 @@ class TestEncodeFrames:
         rng = np.random.default_rng(53)
         mem = random_mem(rng, 6, 4)
         x0 = rng.normal(size=(3, 2, 4))
-        direct, caches = hop_chain(x0, mem, 3)
-        step1, _ = hop_chain(x0, mem, 1)
+        # hop_chain normalizes its input in place, so each call gets a copy
+        direct, caches = hop_chain(x0.copy(), mem, 3)
+        step1, _ = hop_chain(x0.copy(), mem, 1)
         step2, _ = hop_chain(step1 @ mem.gram, mem, 2)
         np.testing.assert_array_equal(direct, step2)
         rows = [unit_normalize(r) for r in mem.matrix]
@@ -286,11 +296,11 @@ class TestEncodeFrames:
             encode_frames_cached(clip.regions(), np.eye(2), basis_mem, 1)
 
 
-def per_region_weight_grad(dsum, regions, weights, mem, hops):
+def per_region_weight_grad(dsums, regions, weights, mem, hops):
     """The frame-encoder weight gradient computed region by region: every
-    region gets the frame-sum gradient, every hop, the last one included,
-    multiplies each region row by the Gram matrix, and the weight gradient
-    is an einsum over frames and regions."""
+    region of group b gets the group-sum gradient dsums[b], every hop, the
+    last one included, multiplies each region row by the Gram matrix, and
+    the weight gradient is an einsum over groups and regions."""
     x = regions @ weights.T
     caches = []
     for _ in range(hops):
@@ -298,7 +308,7 @@ def per_region_weight_grad(dsum, regions, weights, mem, hops):
         xhat = x / np.where(norms == 0.0, 1.0, norms)
         caches.append((norms, xhat))
         x = xhat @ mem.gram
-    dx = np.broadcast_to(dsum, x.shape)
+    dx = np.broadcast_to(dsums[:, None, :], x.shape)
     for norms, xhat in reversed(caches):
         dxhat = dx @ mem.gram
         inner = np.sum(xhat * dxhat, axis=-1, keepdims=True)
@@ -310,27 +320,28 @@ def per_region_weight_grad(dsum, regions, weights, mem, hops):
 class TestEncodeFramesBackward:
     @pytest.fixture
     def setup(self):
-        # 3 frames of 7x7 regions with 64 channels; region 5 of frame 0 and
-        # all of frame 2 are zero, so their norms are zero at every hop
+        # 3 groups (frames) of 7x7 regions with 64 channels, each with its
+        # own sum gradient; region 5 of frame 0 and all of frame 2 are zero,
+        # so their norms are zero at every hop
         rng = np.random.default_rng(59)
         mem = random_mem(rng, 9, 4)
         regions = rng.normal(size=(3, 49, 64))
         regions[0, 5] = 0.0
         regions[2] = 0.0
         weights = rng.normal(size=(4, 64))
-        dsum = rng.normal(size=4)
-        return mem, regions, weights, dsum
+        dsums = rng.normal(size=(3, 4))
+        return mem, regions, weights, dsums
 
     @pytest.mark.parametrize("hops", [1, 2, 3])
     def test_matches_finite_differences_with_zero_regions(self, setup, hops):
-        mem, regions, weights, dsum = setup
-        np.testing.assert_array_equal(encode_frames_cached(regions[2:], weights, mem, hops)[0], 0.0)
+        mem, regions, weights, dsums = setup
+        np.testing.assert_array_equal(encode_frames_cached(regions, weights, mem, hops)[0][2], 0.0)
         _, cache = encode_frames_cached(regions, weights, mem, hops)
-        grad = encode_frames_backward(dsum, cache, mem)
+        grad = encode_frames_backward(dsums, cache, mem)
         assert np.isfinite(grad).all()
 
         def objective(w):
-            return float(np.sum(dsum * encode_frames_cached(regions, w, mem, hops)[0]))
+            return float(np.sum(dsums * encode_frames_cached(regions, w, mem, hops)[0]))
 
         eps = 1e-6
         numeric = np.zeros_like(weights)
@@ -342,15 +353,21 @@ class TestEncodeFramesBackward:
 
     @pytest.mark.parametrize("hops", [1, 2, 3])
     def test_matches_per_region_oracle(self, setup, hops):
-        mem, regions, weights, dsum = setup
+        mem, regions, weights, dsums = setup
         _, cache = encode_frames_cached(regions, weights, mem, hops)
-        grad = encode_frames_backward(dsum, cache, mem)
-        expected = per_region_weight_grad(dsum, regions, weights, mem, hops)
+        grad = encode_frames_backward(dsums, cache, mem)
+        expected = per_region_weight_grad(dsums, regions, weights, mem, hops)
         assert np.max(np.abs(grad - expected)) <= 1e-12 * np.max(np.abs(expected))
+        # the clip as one group with the (d,) sum gradient of all its regions
+        _, clip_cache = encode_frames_cached(regions.reshape(1, -1, 64), weights, mem, hops)
+        clip_grad = encode_frames_backward(dsums[:1], clip_cache, mem)
+        expected = per_region_weight_grad(np.repeat(dsums[:1], 3, axis=0), regions, weights, mem,
+                                          hops)
+        assert np.max(np.abs(clip_grad - expected)) <= 1e-12 * np.max(np.abs(expected))
 
-    # (1, d) would broadcast across the regions; (T, d) is a per-frame
-    # gradient, which the (d,) frame sum does not take
-    @pytest.mark.parametrize("shape", [(1, 4), (3, 1), (3, 4, 1), (3, 4)])
+    # three groups take a (3, d) gradient: (1, d) would broadcast across the
+    # groups, and (d,) is one clip's gradient without its batch axis
+    @pytest.mark.parametrize("shape", [(1, 4), (3, 1), (3, 4, 1), (4,)])
     def test_rejects_wrong_gradient_shape(self, setup, shape):
         mem, regions, weights, _ = setup
         _, cache = encode_frames_cached(regions, weights, mem, 1)

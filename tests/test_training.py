@@ -12,6 +12,7 @@ from lmn.data_io import Example, SyntheticSpec, generate_synthetic
 from lmn.frame_encoder import ClipFeatures
 from lmn.subtitle_memory import build_memory
 from lmn.training import (
+    Chunk,
     ModelConfig,
     ModelParams,
     TrainConfig,
@@ -105,13 +106,12 @@ class TestForward:
 
     def test_average_clip_divides_by_frame_count(self):
         inst = make_instance(seed=303)
-        from lmn.training import run_forward
-
         cfg_on = ModelConfig(average_clip=True)
         cfg_off = ModelConfig(average_clip=False)
         t = inst.features.frames
-        on = run_forward(inst.weights, inst.prep, cfg_on, inst.mem)
-        off = run_forward(inst.weights, inst.prep, cfg_off, inst.mem)
+        chunk = Chunk.of([inst.prep])
+        on = run_forward(inst.weights, chunk, cfg_on, inst.mem)
+        off = run_forward(inst.weights, chunk, cfg_off, inst.mem)
         np.testing.assert_allclose(on.clip_vector, off.clip_vector / t, atol=1e-15)
 
 
@@ -382,13 +382,18 @@ class TestSubtitleMemoryCache:
         _, records = evaluate(params, mem, dataset)
         expected = []
         for ex, prep in zip(dataset, per_item_prepared(mem, dataset, self.CONFIG)):
-            dist = run_forward(params.weights, prep, self.CONFIG, mem).dist
+            dist = run_forward(params.weights, Chunk.of([prep]), self.CONFIG, mem).dist
             choice = predict(dist)
             expected.append({"qid": ex.item.qid, "predicted": choice,
-                             "prob": float(dist.probs[choice]),
+                             "prob": float(dist.probs[0, choice]),
                              "correct_index": ex.item.correct_index,
                              "correct": choice == ex.item.correct_index})
+        # the nine subtitled items share one stacked chunk, whose frame-sum
+        # GEMM may round differently from one item's matrix-vector product
+        probs = [record.pop("prob") for record in records]
+        expected_probs = [record.pop("prob") for record in expected]
         assert json.dumps(records) == json.dumps(expected)
+        np.testing.assert_allclose(probs, expected_probs, rtol=0, atol=1e-12)
 
     def test_train_matches_per_item_loop(self, small_synthetic, monkeypatch):
         dataset = shared_movies(small_synthetic)
