@@ -27,7 +27,6 @@ from .training import (
     ModelConfig,
     ModelParams,
     TrainConfig,
-    backward,
     evaluate,
     forward,
     gradcheck,
@@ -57,7 +56,6 @@ __all__ = [
     "SubtitleMemory",
     "SyntheticSpec",
     "TrainConfig",
-    "backward",
     "build_memory",
     "embed_sentence",
     "encode_clip_cached",

@@ -77,9 +77,13 @@ def score_answers(
     logits = np.matmul(answers, (clip + question)[..., None])[..., 0]
     if not np.isfinite(logits).all():
         raise ValueError("answer logits are not finite")
+    return AnswerDistribution(softmax(logits), logits)
+
+
+def softmax(logits: np.ndarray) -> np.ndarray:
+    """Max-shifted softmax over the last axis."""
     shifted = np.exp(logits - logits.max(axis=-1, keepdims=True))
-    probs = shifted / shifted.sum(axis=-1, keepdims=True)
-    return AnswerDistribution(probs, logits)
+    return shifted / shifted.sum(axis=-1, keepdims=True)
 
 
 def cross_entropy(dist: AnswerDistribution, correct):

@@ -19,18 +19,22 @@ from . import data_io
 from .answering import predict
 from .data_io import Example, SyntheticSpec
 from .frame_encoder import encode_frames_cached
-from .subtitle_memory import SubtitleMemory, encode_clip_cached, rank_subtitles
+from .subtitle_memory import SubtitleMemory, rank_subtitles
 from .training import (
+    Chunk,
     ModelConfig,
     ModelParams,
     TrainConfig,
+    _check_step,
     _located,
+    _require_labels,
     _run,
     evaluate,
     example_memory,
     gradcheck,
     init_params,
     prepare_example,
+    run_forward,
     train,
 )
 from .word_memory import StaticWordMemory, load_word2vec_text
@@ -74,6 +78,8 @@ def _load_inputs(args, first: bool = False) -> tuple[StaticWordMemory, list[Exam
             if not items:
                 raise ValueError(f"unknown qid {args.qid!r}")
         items = items[:1]
+    if not items:
+        raise ValueError("empty dataset")
     feature_dir = _require(args.features, "feature directory")
     subtitle_dir = None
     if not args.video_only:
@@ -127,8 +133,6 @@ def cmd_train(args) -> int:
                           max_epochs=args.max_epochs, patience=args.patience,
                           dev_fraction=args.dev_fraction, seed=args.seed)
     mem, examples = _load_inputs(args)
-    if not examples:
-        raise ValueError("empty dataset")
     channels = examples[0].features.channels
     params0 = init_params(mem.dim, channels, config, seed=args.seed)
     params, report = train(examples, mem, trainer, params0)
@@ -149,11 +153,7 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     config = _model_config(args)
     mem, examples = _load_inputs(args)
-    if not examples:
-        raise ValueError("empty dataset")
-    for example in examples:
-        if example.item.correct_index is None:
-            raise ValueError(f"item {example.item.qid!r} has no correct_index")
+    _require_labels(example.item for example in examples)
     params = _load_model(args, mem, config)
     acc, records = evaluate(params, mem, examples)
     doc = {"accuracy": acc, "n": len(examples), "per_question": records}
@@ -185,27 +185,23 @@ def cmd_answer(args) -> int:
 
 def cmd_rank_subtitles(args) -> int:
     config = _model_config(args)
-    mem, (example,) = _load_inputs(args, first=True)
     if args.video_only:
         raise ValueError("rank-subtitles requires subtitles")
+    i = args.frame_index
+    if not 0 <= i < args.frames:  # subsampling gives every question --frames frames
+        raise ValueError(f"frame index {i} out of range (clip has {args.frames} frames)")
+    mem, (example,) = _load_inputs(args, first=True)
     params = _load_model(args, mem, config)
     prep = prepare_example(mem, example, config)
-    i = args.frame_index
-    if not 0 <= i < len(prep.regions):
-        raise ValueError(f"frame index {i} out of range (clip has {len(prep.regions)} frames)")
     with _located(f"question {example.item.qid}"):
         # the frame's vector is the attended sum of its one group of regions
         (frame,), _ = encode_frames_cached(prep.regions[i : i + 1], params.weights, mem,
                                            config.swm_hops)
         memory = prep.subtitle_mat
         if args.memory_state == "final":
-            # the clip's frame sum is the attended sum of all its regions as one group
-            t, r, c = prep.regions.shape
-            (frame_sum,), _ = encode_frames_cached(prep.regions.reshape(1, t * r, c),
-                                                   params.weights, mem, config.swm_hops)
-            _, cache = encode_clip_cached(frame_sum, memory, prep.question, config.um_hops,
-                                          config.qg, config.um_carry_frames)
-            memory = cache.scales[-1][:, None] * memory
+            # the memory the model's last subtitle pass attends over
+            state = run_forward(params.weights, Chunk.of([prep]), config, mem)
+            memory = state.clip_cache.scales[-1][0][:, None] * memory
         sub = SubtitleMemory(memory, example.subtitles)
         ranked = rank_subtitles(frame, sub)
     for rank, (idx, sim) in enumerate(ranked, 1):
@@ -215,9 +211,8 @@ def cmd_rank_subtitles(args) -> int:
 
 def cmd_gradcheck(args) -> int:
     config = _model_config(args)
+    _check_step("step", args.step)
     mem, examples = _load_inputs(args, first=True)
-    if not examples:
-        raise ValueError("empty dataset")
     example = examples[0]
     if args.params:
         params = _load_model(args, mem, config)

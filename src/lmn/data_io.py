@@ -20,8 +20,8 @@ import numpy as np
 
 from .answering import NUM_CHOICES, QAItem
 from .frame_encoder import ClipFeatures
-from .word_memory import (StaticWordMemory, atomic_write_bytes, embed_sentence, read_lines,
-                          save_word2vec_text, unit_normalize)
+from .word_memory import (StaticWordMemory, atomic_write_bytes, embed_sentence, normalize_rows,
+                          read_lines, save_word2vec_text, unit_normalize)
 
 __all__ = [
     "DataFormatError",
@@ -78,10 +78,8 @@ def _parse_timestamp_line(line: str) -> tuple[int, int] | None:
     m = _TIMESTAMP_RE.match(line)
     if m is None:
         return None
-    h1, m1, s1, ms1, h2, m2, s2, ms2 = (int(g) for g in m.groups())
-    start = ((h1 * 60 + m1) * 60 + s1) * 1000 + ms1
-    end = ((h2 * 60 + m2) * 60 + s2) * 1000 + ms2
-    return start, end
+    g = [int(x) for x in m.groups()]
+    return tuple(((h * 60 + mi) * 60 + sec) * 1000 + ms for h, mi, sec, ms in (g[:4], g[4:]))
 
 
 def parse_srt(path) -> SubtitleFile:
@@ -106,21 +104,17 @@ def parse_srt(path) -> SubtitleFile:
 
     entries = []
     for block_no, block in enumerate(blocks, 1):
+        head = 1
         span = _parse_timestamp_line(block[0])
-        if span is not None:
-            text_lines = block[1:]
-        else:
-            # first line is the (ignored) index; the timestamp must follow
-            if len(block) < 2:
-                raise DataFormatError(
-                    f"{path}: block {block_no}: malformed timestamp line: {block[0]!r}"
-                )
+        if span is None and len(block) > 1:
+            # the first line is the (ignored) index; the timestamp must follow
+            head = 2
             span = _parse_timestamp_line(block[1])
-            if span is None:
-                raise DataFormatError(
-                    f"{path}: block {block_no}: malformed timestamp line: {block[1]!r}"
-                )
-            text_lines = block[2:]
+        if span is None:
+            raise DataFormatError(
+                f"{path}: block {block_no}: malformed timestamp line: {block[head - 1]!r}"
+            )
+        text_lines = block[head:]
         start, end = span
         if start > end:
             raise DataFormatError(f"{path}: block {block_no}: start time after end time")
@@ -360,6 +354,8 @@ class SyntheticSpec:
                 raise ValueError(f"SyntheticSpec.{name} must be positive")
         if self.noise_sigma < 0:
             raise ValueError("SyntheticSpec.noise_sigma must be >= 0")
+        if not math.isfinite(self.noise_sigma):
+            raise ValueError(f"SyntheticSpec.noise_sigma must be finite, got {self.noise_sigma}")
         # every item draws five disjoint answer pairs plus a question pair
         if self.vocab_size < 2 * NUM_CHOICES + 2:
             raise ValueError("SyntheticSpec.vocab_size too small for disjoint word sets")
@@ -476,7 +472,7 @@ def generate_synthetic(spec: SyntheticSpec) -> SyntheticDataset:
     rng = np.random.default_rng(spec.seed)
     words = _random_words(rng, spec.vocab_size)
     vectors = rng.normal(size=(spec.vocab_size, spec.dim))
-    vectors /= np.linalg.norm(vectors, axis=1, keepdims=True)
+    normalize_rows(vectors, out=vectors)
     mem = StaticWordMemory(words, vectors)
     hidden = _hidden_map(rng, spec.channels, spec.dim)
 

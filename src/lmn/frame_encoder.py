@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .word_memory import StaticWordMemory
+from .word_memory import StaticWordMemory, normalize_rows
 
 __all__ = [
     "ClipFeatures",
@@ -90,14 +90,6 @@ class ClipFeatures:
         return self.tensor.transpose(0, 2, 3, 1).reshape(t, h * w, c)
 
 
-def _normalize_rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Unit-normalize `x` along the last axis in place; returns (norms, x).
-    Zero rows stay zero."""
-    norms = np.linalg.norm(x, axis=-1, keepdims=True)
-    safe = np.where(norms == 0.0, 1.0, norms)
-    return norms, np.divide(x, safe, out=x)
-
-
 def _attend(xhat: np.ndarray, mem: StaticWordMemory) -> np.ndarray:
     """Cosine-weighted sum over unit word rows for pre-normalized inputs:
     (xhat U^T) U = xhat G with G = U^T U the cached (d, d) Gram matrix.
@@ -123,16 +115,17 @@ def hop_chain(x0: np.ndarray, mem: StaticWordMemory, hops: int) -> tuple[np.ndar
     Every later hop normalizes its own fresh attention output in place."""
     if hops < 1:
         raise ValueError(f"hops must be >= 1, got {hops}")
-    norms, xhat = _normalize_rows(x0)
+    norms, xhat = normalize_rows(x0, out=x0)
     caches = [HopCache(norms, xhat)]
     for _ in range(hops - 1):
-        norms, xhat = _normalize_rows(_attend(xhat, mem))
+        attended = _attend(xhat, mem)
+        norms, xhat = normalize_rows(attended, out=attended)
         caches.append(HopCache(norms, xhat))
     return xhat, caches
 
 
 def _normalize_backward(dxhat: np.ndarray, cache: HopCache) -> np.ndarray:
-    """Adjoint of `_normalize_rows` for one hop: the exact Jacobian
+    """Adjoint of `normalize_rows` for one hop: the exact Jacobian
     (I - xhat xhat^T)/|x| per row. `dxhat` may broadcast against the cached
     rows; rows that were exactly zero in the forward pass get zero gradient."""
     inner = np.sum(cache.xhat * dxhat, axis=-1, keepdims=True)

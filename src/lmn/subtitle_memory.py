@@ -25,6 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .answering import softmax
 from .word_memory import StaticWordMemory, embed_sentence
 
 __all__ = [
@@ -96,11 +97,6 @@ def _weighted_row_sum(weights: np.ndarray, memory: np.ndarray) -> np.ndarray:
     return np.einsum("...n,...nd->...d", weights, memory)
 
 
-def _softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = np.exp(logits - logits.max(axis=-1, keepdims=True))
-    return shifted / shifted.sum(axis=-1, keepdims=True)
-
-
 def _memory_dot(memory: np.ndarray, x: np.ndarray) -> np.ndarray:
     """(..., N) BLAS product M x of the memory with x."""
     return np.matmul(memory, x[..., None])[..., 0]
@@ -158,7 +154,7 @@ def encode_clip_cached(
     for k in range(um_hops + qg):
         if k == um_hops:
             cache.question_scores = _row_dots(memory0, question)
-            cache.guide = _softmax(scale * cache.question_scores)
+            cache.guide = softmax(scale * cache.question_scores)
             scale = cache.guide * scale
         elif k > 0:
             pre = scale * _row_dots(memory0, vector)

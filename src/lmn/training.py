@@ -112,8 +112,7 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
+        _check_step("learning_rate", self.learning_rate)
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
         if self.max_epochs < 0:
@@ -296,7 +295,6 @@ def _chunks(items: Iterable[Prepared]) -> Iterator[list[Prepared]]:
 class ForwardState:
     frame_cache: FrameCache
     clip_cache: ClipCache | None
-    clip_vector: np.ndarray  # (B, d)
     dist: AnswerDistribution  # (B, 5)
     losses: np.ndarray | None  # (B,)
 
@@ -317,7 +315,7 @@ def run_forward(
         clips = clips / chunk.frames
     dist = score_answers(clips, chunk.questions, chunk.answers)
     losses = None if chunk.labels is None else cross_entropy(dist, chunk.labels)
-    return ForwardState(frame_cache, clip_cache, clips, dist, losses)
+    return ForwardState(frame_cache, clip_cache, dist, losses)
 
 
 def run_backward(
@@ -391,9 +389,14 @@ def _labeled(
 ) -> Prepared:
     """The prepared item of `forward`, `backward` and `gradcheck`; all three
     need a label."""
-    if item.correct_index is None:
-        raise ValueError(f"item {item.qid!r} has no correct_index")
+    _require_labels([item])
     return prepare(mem, item, features, sub, params.config)
+
+
+def _require_labels(items: Iterable[QAItem]) -> None:
+    for item in items:
+        if item.correct_index is None:
+            raise ValueError(f"item {item.qid!r} has no correct_index")
 
 
 def forward(
@@ -426,9 +429,16 @@ def sgd_step(weights: np.ndarray, gradient: np.ndarray, learning_rate: float) ->
     gradient = np.asarray(gradient, dtype=np.float64)
     if weights.shape != gradient.shape:
         raise ValueError(f"shape mismatch: weights {weights.shape}, gradient {gradient.shape}")
-    if learning_rate <= 0:
-        raise ValueError("learning_rate must be positive")
+    _check_step("learning_rate", learning_rate)
     return weights - learning_rate * gradient
+
+
+def _check_step(name: str, value: float) -> None:
+    """Reject a learning rate or finite-difference step that is not positive and finite."""
+    if value <= 0:
+        raise ValueError(f"{name} must be positive")
+    if not np.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value}")
 
 
 # --- finite-difference check --------------------------------------------------
@@ -446,8 +456,7 @@ def gradcheck(
     """Max relative error between the analytic gradient and central finite
     differences over the weight entries (all of them, or a seeded subset of
     at least 50 for large weight matrices)."""
-    if step <= 0:
-        raise ValueError("step must be positive")
+    _check_step("step", step)
     prep = _labeled(params, mem, item, features, sub)
     config = params.config
     analytic = _run(params.weights, [prep], config, mem, gradient=True).gradient
@@ -540,9 +549,7 @@ def train(
     """
     if not dataset:
         raise ValueError("empty dataset")
-    for example in dataset:
-        if example.item.correct_index is None:
-            raise ValueError(f"item {example.item.qid!r} has no correct_index")
+    _require_labels(example.item for example in dataset)
 
     model_config = params0.config
     prepared = list(_prepared(mem, dataset, model_config))

@@ -59,6 +59,14 @@ def unit_normalize(x: np.ndarray) -> np.ndarray:
     return x / norm
 
 
+def normalize_rows(x: np.ndarray, out: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Scale each row of `x` (its last axis) to unit length, into `out` when
+    given (`x` itself scales in place); zero rows stay zero. Returns the
+    (..., 1) row norms and the scaled rows."""
+    norms = np.linalg.norm(x, axis=-1, keepdims=True)
+    return norms, np.divide(x, np.where(norms == 0.0, 1.0, norms), out=out)
+
+
 class StaticWordMemory:
     """Immutable vocabulary plus its embedding matrix (one row per word).
 
@@ -67,18 +75,9 @@ class StaticWordMemory:
     """
 
     def __init__(self, vocab: list[str] | tuple[str, ...], matrix: np.ndarray):
+        vocab = tuple(vocab)
         # a copy: no array the caller holds can write under the cached Gram matrix
-        self._take(tuple(vocab), np.array(matrix, dtype=np.float64, order="C"))
-
-    @classmethod
-    def _adopt(cls, vocab: list[str], matrix: np.ndarray) -> StaticWordMemory:
-        """A memory that takes `matrix`, a fresh float64 C-order array that
-        no caller holds, without copying it."""
-        mem = cls.__new__(cls)
-        mem._take(tuple(vocab), matrix)
-        return mem
-
-    def _take(self, vocab: tuple[str, ...], matrix: np.ndarray) -> None:
+        matrix = np.array(matrix, dtype=np.float64, order="C")
         if matrix.ndim != 2:
             raise ValueError(f"embedding matrix must be 2-D, got shape {matrix.shape}")
         if len(vocab) != matrix.shape[0]:
@@ -87,14 +86,27 @@ class StaticWordMemory:
             )
         if matrix.shape[1] < 1:
             raise ValueError("embedding dimension must be >= 1")
-        if len(set(vocab)) != len(vocab):
+        index = {word: k for k, word in enumerate(vocab)}
+        if len(index) != len(vocab):
             raise ValueError("vocabulary contains duplicate words")
         if not np.isfinite(matrix).all():
             raise ValueError("embedding matrix contains non-finite entries")
+        self._hold(index, matrix)
+
+    @classmethod
+    def _adopt(cls, index: dict[str, int], matrix: np.ndarray) -> StaticWordMemory:
+        """A memory that takes `index`, each word mapped to its row in row
+        order, and `matrix`, a fresh finite (|V|, d >= 1) float64 C-order
+        array that no caller holds, without copying or checking them again."""
+        mem = cls.__new__(cls)
+        mem._hold(index, matrix)
+        return mem
+
+    def _hold(self, index: dict[str, int], matrix: np.ndarray) -> None:
         matrix.setflags(write=False)
-        self.vocab = vocab
+        self.vocab = tuple(index)
         self.matrix = matrix
-        self._index = {word: k for k, word in enumerate(vocab)}
+        self._index = index
         self._gram: np.ndarray | None = None
 
     @property
@@ -111,8 +123,7 @@ class StaticWordMemory:
     @property
     def unit_rows(self) -> np.ndarray:
         """Rows scaled to unit length (zero rows stay zero); not cached."""
-        norms = np.linalg.norm(self.matrix, axis=1, keepdims=True)
-        return self.matrix / np.where(norms == 0.0, 1.0, norms)
+        return normalize_rows(self.matrix)[1]
 
     @property
     def gram(self) -> np.ndarray:
@@ -244,8 +255,7 @@ def load_word2vec_text(path) -> StaticWordMemory:
     """
     declared_count = None
     dim = None
-    vocab: list[str] = []
-    seen: set[str] = set()
+    index: dict[str, int] = {}  # each word's row, in row order
     matrix = np.empty((0, 0))
     for lineno0, line in enumerate(read_lines(path, EmbeddingFormatError), 1):
         line = line.rstrip(" ")
@@ -268,33 +278,32 @@ def load_word2vec_text(path) -> StaticWordMemory:
             raise EmbeddingFormatError(
                 f"{path}: line {lineno0}: inconsistent dimension (expected {dim} values, got {len(coords)})"
             )
-        if word in seen:
+        if word in index:
             raise EmbeddingFormatError(f"{path}: line {lineno0}: duplicate word {word!r}")
-        seen.add(word)
         try:
             values = np.fromiter(map(float, coords), dtype=np.float64, count=dim)
         except ValueError as exc:
             raise EmbeddingFormatError(f"{path}: line {lineno0}: invalid coordinate: {exc}") from None
         if not np.isfinite(values).all():
             raise EmbeddingFormatError(f"{path}: line {lineno0}: non-finite coordinate")
-        if not vocab:
+        if not index:
             fits = (declared_count is not None
                     and 1 <= declared_count <= os.path.getsize(path) // (2 * dim))
             matrix = np.empty((declared_count if fits else 1, dim))
-        elif len(vocab) == len(matrix):
+        elif len(index) == len(matrix):
             matrix = np.concatenate([matrix, np.empty_like(matrix)])
-        matrix[len(vocab)] = values
-        vocab.append(word)
+        matrix[len(index)] = values
+        index[word] = len(index)
 
-    if not vocab:
+    if not index:
         raise EmbeddingFormatError(f"{path}: no embedding rows found")
-    if declared_count is not None and declared_count != len(vocab):
+    if declared_count is not None and declared_count != len(index):
         raise EmbeddingFormatError(
-            f"{path}: header declares {declared_count} words but file has {len(vocab)}"
+            f"{path}: header declares {declared_count} words but file has {len(index)}"
         )
-    if len(vocab) < len(matrix):  # a grown matrix keeps no spare rows
-        matrix = matrix[: len(vocab)].copy()
-    return StaticWordMemory._adopt(vocab, matrix)
+    if len(index) < len(matrix):  # a grown matrix keeps no spare rows
+        matrix = matrix[: len(index)].copy()
+    return StaticWordMemory._adopt(index, matrix)
 
 
 def save_word2vec_text(mem: StaticWordMemory, path) -> None:

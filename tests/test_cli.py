@@ -7,11 +7,15 @@ import pytest
 
 from lmn.cli import main
 from lmn.data_io import (
+    SubtitleEntry,
+    SubtitleFile,
     load_features,
     load_params,
     load_plaintext_subtitles,
     load_qa_jsonl,
+    parse_srt,
     save_params,
+    srt_dumps,
     subsample_frames,
 )
 from lmn.subtitle_memory import build_memory
@@ -229,6 +233,37 @@ class TestEval:
         assert doc["accuracy"] == pytest.approx(expected)
         assert all(r["predicted"] == 0 for r in doc["per_question"])
 
+    def test_subrip_subtitles_match_plaintext(self, synth_dir, trained_dir, tmp_path):
+        # the same sentences as timed .srt files give a byte-identical eval.json
+        srt_dir = tmp_path / "srt"
+        srt_dir.mkdir()
+        for txt in (synth_dir / "subtitles").glob("*.txt"):
+            texts = load_plaintext_subtitles(txt).texts()
+            entries = [SubtitleEntry(2000 * n, 2000 * n + 1500, text)
+                       for n, text in enumerate(texts)]
+            srt = srt_dir / f"{txt.stem}.srt"
+            srt.write_text(srt_dumps(SubtitleFile(tuple(entries))), encoding="utf-8")
+            assert parse_srt(srt).texts() == texts
+        docs = []
+        for subtitles in (synth_dir / "subtitles", srt_dir):
+            out = tmp_path / subtitles.name / "eval"
+            assert main(["eval", *data_args(synth_dir), "--subtitles", str(subtitles),
+                         "--params", str(trained_dir / "params.lmnp"), "--out", str(out)]) == 0
+            docs.append((out / "eval.json").read_bytes())
+        assert docs[0] == docs[1]
+
+    def test_missing_subtitle_file_names_the_movie(self, synth_dir, trained_dir, tmp_path,
+                                                   capsys):
+        subtitles = tmp_path / "subtitles"
+        shutil.copytree(synth_dir / "subtitles", subtitles)
+        movie = load_qa_jsonl(synth_dir / "train.jsonl")[0].movie_id
+        (subtitles / f"{movie}.txt").unlink()
+        code = main(["eval", *data_args(synth_dir), "--subtitles", str(subtitles),
+                     "--params", str(trained_dir / "params.lmnp")])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: no subtitle file for movie {movie!r} in {subtitles}\n")
+
 
 class TestAnswer:
     def test_prints_choice(self, synth_dir, trained_dir, capsys):
@@ -443,8 +478,21 @@ class TestParsing:
         ("rank-subtitles", ("--params", "p.lmnp", "--qid", "q", "--um-hops", "0"),
          "hop counts must be >= 1"),
         ("gradcheck", ("--swm-hops", "0"), "hop counts must be >= 1"),
+        ("train", ("--lr", "nan"), "learning_rate must be finite, got nan"),
+        ("train", ("--lr", "inf"), "learning_rate must be finite, got inf"),
+        ("gradcheck", ("--step", "0"), "step must be positive"),
+        ("gradcheck", ("--step", "nan"), "step must be finite, got nan"),
+        ("gradcheck", ("--step", "inf"), "step must be finite, got inf"),
+        ("rank-subtitles", ("--params", "p.lmnp", "--qid", "q", "--video-only"),
+         "rank-subtitles requires subtitles"),
+        ("rank-subtitles", ("--params", "p.lmnp", "--qid", "q", "--frame-index", "2"),
+         "frame index 2 out of range (clip has 2 frames)"),
+        ("rank-subtitles", ("--params", "p.lmnp", "--qid", "q", "--frame-index", "-1"),
+         "frame index -1 out of range (clip has 2 frames)"),
     ], ids=["train-batch-size", "train-lr", "train", "eval", "answer", "rank-subtitles",
-            "gradcheck"])
+            "gradcheck", "train-lr-nan", "train-lr-inf", "gradcheck-step-zero",
+            "gradcheck-step-nan", "gradcheck-step-inf", "rank-subtitles-video-only",
+            "rank-subtitles-frame-index-past-end", "rank-subtitles-frame-index-negative"])
     def test_flags_are_checked_before_any_input_is_read(self, command, flags, message, capsys,
                                                         tmp_path, monkeypatch):
         # every input path is missing, so reading any of them would fail first

@@ -494,3 +494,8 @@ class TestGenerateSynthetic:
             SyntheticSpec(n_train=0)
         with pytest.raises(ValueError, match="vocab_size"):
             SyntheticSpec(vocab_size=8)
+        with pytest.raises(ValueError, match="noise_sigma must be >= 0"):
+            SyntheticSpec(noise_sigma=-0.1)
+        for value in (math.nan, math.inf):
+            with pytest.raises(ValueError, match=f"noise_sigma must be finite, got {value}"):
+                SyntheticSpec(noise_sigma=value)

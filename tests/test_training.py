@@ -32,6 +32,16 @@ from reference import reference_forward
 
 LN5 = 1.6094379124341003
 
+# step sizes and learning rates that are not positive and finite, with the
+# message each gets
+BAD_STEPS = [
+    (0.0, "must be positive"),
+    (-1e-3, "must be positive"),
+    (-math.inf, "must be positive"),
+    (math.nan, "must be finite, got nan"),
+    (math.inf, "must be finite, got inf"),
+]
+
 
 def as_params(inst):
     return ModelParams(inst.weights, inst.config)
@@ -112,7 +122,10 @@ class TestForward:
         chunk = Chunk.of([inst.prep])
         on = run_forward(inst.weights, chunk, cfg_on, inst.mem)
         off = run_forward(inst.weights, chunk, cfg_off, inst.mem)
-        np.testing.assert_allclose(on.clip_vector, off.clip_vector / t, atol=1e-15)
+        # logits are answers . (clip + question), so their clip part scales by 1/T
+        shift = inst.prep.answer_mat @ inst.prep.question
+        np.testing.assert_allclose(on.dist.logits[0] - shift, (off.dist.logits[0] - shift) / t,
+                                   rtol=1e-12, atol=1e-14)
 
 
 class TestBackward:
@@ -209,8 +222,10 @@ class TestGradcheckHarness:
 
     def test_rejects_bad_step(self):
         inst = make_instance(seed=102)
-        with pytest.raises(ValueError, match="step"):
-            gradcheck(as_params(inst), inst.mem, inst.item, inst.features, inst.sub, step=0.0)
+        for step, message in BAD_STEPS:
+            with pytest.raises(ValueError, match=f"^step {message}$"):
+                gradcheck(as_params(inst), inst.mem, inst.item, inst.features, inst.sub,
+                          step=step)
 
 
 class TestSgdStep:
@@ -233,6 +248,13 @@ class TestSgdStep:
     def test_shape_mismatch(self):
         with pytest.raises(ValueError, match="shape"):
             sgd_step(np.zeros((2, 2)), np.zeros((2, 3)), 0.1)
+
+    def test_rejects_bad_rate(self):
+        for rate, message in BAD_STEPS:
+            with pytest.raises(ValueError, match=f"^learning_rate {message}$"):
+                sgd_step(np.zeros((2, 2)), np.zeros((2, 2)), rate)
+            with pytest.raises(ValueError, match=f"^learning_rate {message}$"):
+                TrainConfig(learning_rate=rate)
 
 
 @pytest.fixture(scope="module")

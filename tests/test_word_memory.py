@@ -255,6 +255,17 @@ class TestHoldOnce:
         assert not any(isinstance(v, np.ndarray) and v.shape == mem.matrix.shape
                        for name, v in vars(mem).items() if name != "matrix")
 
+    def test_gram_peak_is_one_table(self, emb_path):
+        # the unit rows behind the Gram product are the only |V|-row temporary
+        mem = load_word2vec_text(emb_path)
+        tracemalloc.start()
+        try:
+            mem.gram
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * mem.matrix.nbytes
+
     def test_load_peak_is_bounded_by_the_text(self, emb_path):
         tracemalloc.start()
         try:
