@@ -21,7 +21,7 @@ import numpy as np
 from .answering import NUM_CHOICES, QAItem
 from .frame_encoder import ClipFeatures
 from .word_memory import (StaticWordMemory, atomic_write_bytes, embed_sentence, normalize_rows,
-                          read_lines, save_word2vec_text, unit_normalize)
+                          read_lines, save_word2vec_text)
 
 __all__ = [
     "DataFormatError",
@@ -356,6 +356,9 @@ class SyntheticSpec:
             raise ValueError("SyntheticSpec.noise_sigma must be >= 0")
         if not math.isfinite(self.noise_sigma):
             raise ValueError(f"SyntheticSpec.noise_sigma must be finite, got {self.noise_sigma}")
+        if self.channels < self.dim:
+            raise ValueError(f"SyntheticSpec.channels ({self.channels}) must be >= dim "
+                             f"({self.dim}): the hidden (C, d) map needs full rank d")
         # every item draws five disjoint answer pairs plus a question pair
         if self.vocab_size < 2 * NUM_CHOICES + 2:
             raise ValueError("SyntheticSpec.vocab_size too small for disjoint word sets")
@@ -421,13 +424,13 @@ def _make_item(
     ]
     question = f"{mem.vocab[picked[-2]]} {mem.vocab[picked[-1]]}"
     answers = tuple(f"{a} {b}" for a, b in answer_words)
-    target = embed_sentence(mem, answers[correct], normalize=True).vector
+    target = embed_sentence(mem, [answers[correct]])[0]
 
     regions_total = spec.frames * spec.height * spec.width
     planted = set(rng.choice(regions_total, size=regions_total // 2, replace=False).tolist())
     region_vecs = np.empty((regions_total, spec.channels))
     for r in range(regions_total):
-        direction = target if r in planted else unit_normalize(rng.normal(size=spec.dim))
+        direction = target if r in planted else normalize_rows(rng.normal(size=spec.dim))[1]
         region_vecs[r] = hidden @ direction + spec.noise_sigma * rng.normal(size=spec.channels)
     tensor = (
         region_vecs.reshape(spec.frames, spec.height, spec.width, spec.channels)

@@ -128,7 +128,7 @@ def _normalize_backward(dxhat: np.ndarray, cache: HopCache) -> np.ndarray:
     """Adjoint of `normalize_rows` for one hop: the exact Jacobian
     (I - xhat xhat^T)/|x| per row. `dxhat` may broadcast against the cached
     rows; rows that were exactly zero in the forward pass get zero gradient."""
-    inner = np.sum(cache.xhat * dxhat, axis=-1, keepdims=True)
+    inner = np.vecdot(cache.xhat, dxhat)[..., None]
     zero = cache.norms == 0.0
     dx = cache.xhat * inner
     np.subtract(dxhat, dx, out=dx)

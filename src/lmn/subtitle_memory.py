@@ -74,8 +74,7 @@ def build_memory(
     sentences = tuple(sentences)
     if not sentences:
         raise ValueError("cannot build a subtitle memory from an empty sentence list")
-    rows = np.stack([embed_sentence(mem, s, normalize=normalize).vector for s in sentences])
-    return SubtitleMemory(rows, sentences, movie_id)
+    return SubtitleMemory(embed_sentence(mem, sentences, normalize=normalize), sentences, movie_id)
 
 
 # --- the scale recurrence -------------------------------------------------

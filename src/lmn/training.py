@@ -176,14 +176,11 @@ def prepare(
     sub: SubtitleMemory | None,
     config: ModelConfig,
 ) -> Prepared:
-    question = embed_sentence(mem, item.question, normalize=config.normalize_sentences).vector
-    answer_mat = np.stack(
-        [embed_sentence(mem, a, normalize=config.normalize_sentences).vector for a in item.answers]
-    )
+    text = embed_sentence(mem, (item.question, *item.answers), normalize=config.normalize_sentences)
     return Prepared(
         regions=features.regions(),
-        question=question,
-        answer_mat=answer_mat,
+        question=text[0],
+        answer_mat=text[1:],
         subtitle_mat=None if sub is None else sub.matrix,
         label=item.correct_index,
     )

@@ -1,6 +1,7 @@
 """Static word memory: a frozen word-embedding matrix that doubles as the
 lookup table for sentence embeddings and as the attention memory for frame
-encoding.
+encoding. `embed_sentence` turns a sequence of sentences into their (n, d)
+mean bag-of-words rows with one gather; `normalize_rows` is the one normalizer.
 
 All arithmetic is 64-bit; embedding files may store fewer digits and are
 promoted on load. The module also holds the I/O core every reader and
@@ -8,10 +9,11 @@ writer shares: `read_lines`, the one line rule, and `atomic_write_bytes`.
 
 Every text reader streams: `read_lines` yields one decoded line at a time,
 and `load_word2vec_text` parses each line as it arrives into one float64
-matrix, so a load holds the matrix plus one line, never the file's text. A reader that checks line by line (word2vec text, QA JSONL)
-therefore reports the first fault in line order, an undecodable byte
-included; the SubRip reader gathers its blocks before it checks them, so an
-undecodable byte there wins over any block error.
+matrix, so a load holds the matrix plus one line, never the file's text.
+A reader that checks line by line (word2vec text, QA JSONL) therefore
+reports the first fault in line order, an undecodable byte included; the
+SubRip reader gathers its blocks before it checks them, so an undecodable
+byte there wins over any block error.
 """
 
 from __future__ import annotations
@@ -22,16 +24,13 @@ import os
 import re
 import tempfile
 from collections.abc import Iterator
-from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
     "StaticWordMemory",
-    "SentenceEmbedding",
     "EmbeddingFormatError",
     "tokenize",
-    "unit_normalize",
     "embed_sentence",
     "load_word2vec_text",
     "save_word2vec_text",
@@ -50,20 +49,12 @@ def tokenize(text: str) -> list[str]:
     return _TOKEN_RE.findall(text.lower())
 
 
-def unit_normalize(x: np.ndarray) -> np.ndarray:
-    """Scale a vector to unit length; the zero vector maps to itself."""
-    x = np.asarray(x, dtype=np.float64)
-    norm = np.linalg.norm(x)
-    if norm == 0.0:
-        return np.zeros_like(x)
-    return x / norm
-
-
 def normalize_rows(x: np.ndarray, out: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Scale each row of `x` (its last axis) to unit length, into `out` when
     given (`x` itself scales in place); zero rows stay zero. Returns the
-    (..., 1) row norms and the scaled rows."""
-    norms = np.linalg.norm(x, axis=-1, keepdims=True)
+    (..., 1) row norms and the scaled rows. Each norm is the square root of
+    one row inner product, so no (..., d) array of squares is made."""
+    norms = np.sqrt(np.vecdot(x, x))[..., None]
     return norms, np.divide(x, np.where(norms == 0.0, 1.0, norms), out=out)
 
 
@@ -139,35 +130,28 @@ class StaticWordMemory:
         return f"StaticWordMemory(|V|={self.size}, d={self.dim})"
 
 
-@dataclass(frozen=True)
-class SentenceEmbedding:
-    """Mean-pooled sentence vector plus the number of in-vocabulary tokens."""
-
-    vector: np.ndarray
-    token_count: int
-
-
-def embed_sentence(
-    mem: StaticWordMemory, text: str, normalize: bool = True
-) -> SentenceEmbedding:
-    """Mean of the in-vocabulary token embeddings.
-
-    Out-of-vocabulary tokens are skipped; a sentence with no known token
-    embeds to the zero vector. Rows are summed in sorted vocabulary-index
-    order so any reordering of the tokens yields a bit-identical vector.
-    """
-    indices = sorted(
-        k for k in (mem.lookup(tok) for tok in tokenize(text)) if k is not None
-    )
-    if not indices:
-        return SentenceEmbedding(np.zeros(mem.dim), 0)
-    total = np.zeros(mem.dim)
-    for k in indices:
-        total += mem.matrix[k]
-    vec = total / len(indices)
+def embed_sentence(mem: StaticWordMemory, sentences, normalize: bool = True) -> np.ndarray:
+    """(n, d) means of the in-vocabulary token embeddings of the n
+    `sentences`, unit length when `normalize`; a sentence with no known
+    token gives a zero row. A sentence's rows are added one at a time in
+    sorted vocabulary-index order (an unbuffered `np.add.at`), so reordering
+    its tokens gives a bit-identical row. A bare `str` raises TypeError
+    rather than being embedded letter by letter."""
+    if isinstance(sentences, str):
+        raise TypeError("embed_sentence takes a sequence of sentences, not a str")
+    lookup = mem._index.get
+    rows, counts = [], []
+    for text in sentences:
+        found = sorted([k for k in map(lookup, tokenize(text)) if k is not None])
+        rows += found
+        counts.append(len(found))
+    counts = np.array(counts, dtype=np.intp)
+    out = np.zeros((len(counts), mem.dim))
+    np.add.at(out, np.repeat(np.arange(len(counts)), counts), mem.matrix[rows])
+    out /= np.maximum(counts, 1)[:, None]
     if normalize:
-        vec = unit_normalize(vec)
-    return SentenceEmbedding(vec, len(indices))
+        normalize_rows(out, out=out)
+    return out
 
 
 def read_lines(path, error: type[ValueError], bom: bool = False) -> Iterator[str]:
@@ -308,7 +292,11 @@ def load_word2vec_text(path) -> StaticWordMemory:
 
 def save_word2vec_text(mem: StaticWordMemory, path) -> None:
     """Inverse of load_word2vec_text, with a "<count> <dim>" header;
-    coordinates use shortest round-trip form. Written atomically."""
+    coordinates use shortest round-trip form. Written atomically, after a
+    check that no word holds a space or a line break, which the reader splits at."""
+    for word in mem.vocab:
+        if " " in word or "\n" in word or "\r" in word:
+            raise ValueError(f"cannot write word {word!r}: the text format splits at spaces and line breaks")
     lines = [f"{mem.size} {mem.dim}\n"]
     for word, row in zip(mem.vocab, mem.matrix):
         lines.append(word + " " + " ".join(repr(float(v)) for v in row) + "\n")

@@ -83,6 +83,13 @@ class TestSynth:
         for rel in ("embeddings.txt", "train.jsonl", "eval.jsonl"):
             assert (again / rel).read_bytes() == (synth_dir / rel).read_bytes()
 
+    def test_fewer_channels_than_dims_is_a_spec_error(self, tmp_path, capsys):
+        out = tmp_path / "synth"
+        assert main(["synth", "--out", str(out), "--dim", "16", "--channels", "8"]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: SyntheticSpec.channels (8)"), err
+        assert not out.exists()
+
 
 class TestTrain:
     def test_report_schema(self, trained_dir):
@@ -363,7 +370,7 @@ class TestRankSubtitles:
         mem = load_word2vec_text(synth_dir / "embeddings.txt")
         clips = [load_features(synth_dir / "features" / f"{cid}.lmnf") for cid in item.clip_ids]
         regions = subsample_frames(clips, 2).regions()
-        question = embed_sentence(mem, item.question).vector
+        question = embed_sentence(mem, [item.question])[0]
         frames = reference_forward(mem.matrix, load_params(params), regions, None,
                                    question, np.zeros((5, mem.dim)))["frames"]
         sentences = load_plaintext_subtitles(

@@ -448,7 +448,7 @@ class TestGenerateSynthetic:
         spec = SyntheticSpec(n_train=1, n_eval=1, noise_sigma=0.0, seed=3)
         data = generate_synthetic(spec)
         item = data.train_items[0]
-        target = embed_sentence(data.word_memory, item.answers[item.correct_index]).vector
+        target = embed_sentence(data.word_memory, [item.answers[item.correct_index]])[0]
         planted_vec = (data.hidden_map @ target).astype(np.float32).astype(np.float64)
         regions = data.features[item.clip_ids[0]].regions().reshape(-1, spec.channels)
         matches = sum(bool(np.array_equal(r, planted_vec)) for r in regions)
@@ -496,6 +496,8 @@ class TestGenerateSynthetic:
             SyntheticSpec(vocab_size=8)
         with pytest.raises(ValueError, match="noise_sigma must be >= 0"):
             SyntheticSpec(noise_sigma=-0.1)
+        with pytest.raises(ValueError, match=r"channels \(8\) must be >= dim \(16\)"):
+            SyntheticSpec(dim=16, channels=8)
         for value in (math.nan, math.inf):
             with pytest.raises(ValueError, match=f"noise_sigma must be finite, got {value}"):
                 SyntheticSpec(noise_sigma=value)

@@ -10,7 +10,7 @@ from lmn.frame_encoder import (
     encode_frames_cached,
     hop_chain,
 )
-from lmn.word_memory import StaticWordMemory, unit_normalize
+from lmn.word_memory import StaticWordMemory, normalize_rows
 from reference import reference_forward
 
 
@@ -169,8 +169,8 @@ class TestWordAttend:
         rng = np.random.default_rng(5)
         mem = random_mem(rng, v_size, d)
         region = rng.normal(size=d)
-        xh = unit_normalize(region)
-        rows = [unit_normalize(r) for r in mem.matrix]
+        xh = normalize_rows(region)[1]
+        rows = [normalize_rows(r)[1] for r in mem.matrix]
         expected = np.zeros(d)
         for w in rows:
             expected += float(xh @ w) * w
@@ -235,11 +235,11 @@ class TestEncodeFrames:
         weights = rng.normal(size=(2, 3))
         regions = clip.regions()
         got = clip_sum(regions, weights, mem, 1)
-        rows = [unit_normalize(r) for r in mem.matrix]
+        rows = [normalize_rows(r)[1] for r in mem.matrix]
         expected = np.zeros((2, 2))
         for i, frame in enumerate(regions):
             for region in frame:
-                xh = unit_normalize(weights @ region)
+                xh = normalize_rows(weights @ region)[1]
                 attended = np.zeros(2)
                 for w in rows:
                     attended += float(xh @ w) * w
@@ -278,8 +278,8 @@ class TestEncodeFrames:
         step1, _ = hop_chain(x0.copy(), mem, 1)
         step2, _ = hop_chain(step1 @ mem.gram, mem, 2)
         np.testing.assert_array_equal(direct, step2)
-        rows = [unit_normalize(r) for r in mem.matrix]
-        one_hop = [[sum(float(unit_normalize(x) @ w) * w for w in rows) for x in frame]
+        rows = [normalize_rows(r)[1] for r in mem.matrix]
+        one_hop = [[sum(float(normalize_rows(x)[1] @ w) * w for w in rows) for x in frame]
                    for frame in x0]
         np.testing.assert_allclose(step1 @ mem.gram, one_hop, atol=1e-12)
         assert len(caches) == 3

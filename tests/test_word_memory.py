@@ -5,14 +5,15 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from lmn.data_io import SyntheticSpec, generate_synthetic
 from lmn.word_memory import (
     EmbeddingFormatError,
     StaticWordMemory,
     embed_sentence,
     load_word2vec_text,
+    normalize_rows,
     save_word2vec_text,
     tokenize,
-    unit_normalize,
 )
 
 
@@ -37,23 +38,23 @@ class TestTokenize:
 
 class TestUnitNormalize:
     def test_three_four_five(self):
-        np.testing.assert_allclose(unit_normalize(np.array([3.0, 4.0])), [0.6, 0.8])
+        np.testing.assert_allclose(normalize_rows(np.array([3.0, 4.0]))[1], [0.6, 0.8])
 
     def test_zero_vector_convention(self):
-        np.testing.assert_array_equal(unit_normalize(np.zeros(2)), np.zeros(2))
+        np.testing.assert_array_equal(normalize_rows(np.zeros(2))[1], np.zeros(2))
 
     def test_symmetric(self):
         np.testing.assert_allclose(
-            unit_normalize(np.ones(3)), np.full(3, 1.0 / math.sqrt(3.0)), atol=1e-15
+            normalize_rows(np.ones(3))[1], np.full(3, 1.0 / math.sqrt(3.0)), atol=1e-15
         )
 
     def test_unit_norm_and_idempotence(self):
         rng = np.random.default_rng(11)
         for _ in range(50):
             x = rng.normal(size=rng.integers(1, 8)) * 10.0 ** rng.integers(-3, 4)
-            u = unit_normalize(x)
+            u = normalize_rows(x)[1]
             assert abs(np.linalg.norm(u) - 1.0) <= 1e-12
-            np.testing.assert_allclose(unit_normalize(u), u, atol=1e-12)
+            np.testing.assert_allclose(normalize_rows(u)[1], u, atol=1e-12)
 
 
 class TestEmbedWord:
@@ -78,41 +79,106 @@ class TestEmbedWord:
 
 class TestEmbedSentence:
     def test_symmetric_pair_normalized(self, tiny_mem):
-        emb = embed_sentence(tiny_mem, "a b", normalize=True)
-        np.testing.assert_allclose(emb.vector, [1.0 / math.sqrt(2)] * 2, atol=1e-15)
-        assert emb.token_count == 2
+        emb = embed_sentence(tiny_mem, ["a b"], normalize=True)
+        np.testing.assert_allclose(emb[0], [1.0 / math.sqrt(2)] * 2, atol=1e-15)
 
     def test_all_oov_is_zero(self, tiny_mem):
-        emb = embed_sentence(tiny_mem, "c c", normalize=True)
-        np.testing.assert_array_equal(emb.vector, np.zeros(2))
-        assert emb.token_count == 0
+        emb = embed_sentence(tiny_mem, ["c c"], normalize=True)
+        np.testing.assert_array_equal(emb[0], np.zeros(2))
 
     def test_mean_matches_loop_oracle(self):
         mem = StaticWordMemory(["a", "b", "c"], np.array([[2.0, 0.0], [0.0, 4.0], [1.0, 1.0]]))
-        emb = embed_sentence(mem, "a b c", normalize=False)
+        emb = embed_sentence(mem, ["a b c"], normalize=False)
         # frozen from the straight-loop mean of the three rows
-        np.testing.assert_allclose(emb.vector, [1.0, 1.6666666666666667], rtol=0, atol=1e-15)
+        np.testing.assert_allclose(emb[0], [1.0, 1.6666666666666667], rtol=0, atol=1e-15)
         expected = [
             sum(mem.matrix[k][a] for k in range(3)) / 3.0 for a in range(2)
         ]
-        np.testing.assert_allclose(emb.vector, expected, atol=1e-15)
+        np.testing.assert_allclose(emb[0], expected, atol=1e-15)
 
     def test_token_order_does_not_matter(self):
         rng = np.random.default_rng(3)
         words = ["alpha", "beta", "gamma", "delta"]
         mem = StaticWordMemory(words, rng.normal(size=(4, 5)))
         tokens = ["beta", "alpha", "beta", "delta", "gamma", "alpha"]
-        base = embed_sentence(mem, " ".join(tokens), normalize=False).vector
+        base = embed_sentence(mem, [" ".join(tokens)], normalize=False)[0]
         for _ in range(10):
             rng.shuffle(tokens)
-            other = embed_sentence(mem, " ".join(tokens), normalize=False).vector
+            other = embed_sentence(mem, [" ".join(tokens)], normalize=False)[0]
             np.testing.assert_array_equal(other, base)
 
     def test_oov_tokens_skipped(self, tiny_mem):
-        with_oov = embed_sentence(tiny_mem, "a xyzzy b", normalize=False)
-        without = embed_sentence(tiny_mem, "a b", normalize=False)
-        np.testing.assert_array_equal(with_oov.vector, without.vector)
-        assert with_oov.token_count == 2
+        with_oov = embed_sentence(tiny_mem, ["a xyzzy b"], normalize=False)
+        without = embed_sentence(tiny_mem, ["a b"], normalize=False)
+        np.testing.assert_array_equal(with_oov[0], without[0])
+
+
+def _unit_normalize(x):
+    # the 1-D normalizer the batched embedder replaced, kept as its oracle
+    norm = np.linalg.norm(x)
+    return np.zeros_like(x) if norm == 0.0 else x / norm
+
+
+def _loop_embed(mem, text, normalize):
+    # the per-sentence loop the batched embedder replaced, kept as its oracle
+    indices = sorted(k for k in (mem.lookup(tok) for tok in tokenize(text)) if k is not None)
+    if not indices:
+        return np.zeros(mem.dim)
+    total = np.zeros(mem.dim)
+    for k in indices:
+        total += mem.matrix[k]
+    vec = total / len(indices)
+    return _unit_normalize(vec) if normalize else vec
+
+
+class TestBatchedEmbedding:
+    """One `embed_sentence` call embeds a sequence of sentences into rows
+    bitwise equal to the per-sentence loop's vectors."""
+
+    @pytest.fixture(scope="class")
+    def synth(self):
+        data = generate_synthetic(SyntheticSpec(seed=1))
+        sentences = [text for item in data.train_items + data.eval_items
+                     for text in (item.question, *item.answers)]
+        sentences += [text for subs in data.subtitles.values() for text in subs]
+        w = data.word_memory.vocab
+        sentences += ["", "xyzzy plugh", f"{w[3]} {w[3]} {w[3]}",
+                      f"{w[9]} {w[1]} xyzzy {w[4]} {w[1]} {w[30]}"]
+        return data.word_memory, sentences
+
+    @pytest.mark.parametrize("normalize", [True, False])
+    def test_rows_equal_the_loop_oracle(self, synth, normalize):
+        mem, sentences = synth
+        got = embed_sentence(mem, sentences, normalize=normalize)
+        expected = np.stack([_loop_embed(mem, text, normalize) for text in sentences])
+        assert got.shape == (len(sentences), mem.dim)
+        assert got.tobytes() == expected.tobytes()
+
+    def test_bare_string_is_refused(self, tiny_mem):
+        with pytest.raises(TypeError, match="sequence of sentences"):
+            embed_sentence(tiny_mem, "a b")
+
+
+class TestNormalizeRows:
+    @pytest.mark.parametrize("d", [1, 16, 300])
+    def test_norms_equal_the_per_row_norm(self, d):
+        rng = np.random.default_rng(d)
+        x = rng.normal(size=(500, d)) * 10.0 ** rng.integers(-3, 4, size=(500, 1))
+        x[7] = 0.0
+        norms, rows = normalize_rows(x)
+        assert norms.shape == (500, 1)
+        assert norms[:, 0].tobytes() == np.array([np.linalg.norm(r) for r in x]).tobytes()
+        assert rows.tobytes() == np.stack([_unit_normalize(r) for r in x]).tobytes()
+
+    def test_in_place_makes_no_array_of_squares(self):
+        x = np.random.default_rng(2).normal(size=(2000, 300))
+        tracemalloc.start()
+        try:
+            normalize_rows(x, out=x)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.1 * x.nbytes
 
 
 class TestWord2VecText:
@@ -191,6 +257,17 @@ class TestWord2VecText:
         assert mem.size == count
         np.testing.assert_array_equal(mem.matrix[mem.lookup("w12345")], [12345.0, 0.0, 1.0, -2.5])
         assert mem.lookup("missing") is None
+
+    @pytest.mark.parametrize("word", ["a b", "x\ny", "x\ry"], ids=["space", "lf", "cr"])
+    def test_unwritable_word_is_refused_before_writing(self, tmp_path, word):
+        # the reader would split such a word, so the written file could not load
+        path = tmp_path / "emb.txt"
+        path.write_text("kept\n")
+        mem = StaticWordMemory([word, "c"], np.eye(2))
+        with pytest.raises(ValueError, match=re.escape(repr(word))):
+            save_word2vec_text(mem, path)
+        assert path.read_text() == "kept\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["emb.txt"]
 
     def test_round_trip_is_exact(self, tmp_path):
         rng = np.random.default_rng(7)
