@@ -194,9 +194,10 @@ def cmd_rank_subtitles(args) -> int:
     params = _load_model(args, mem, config)
     prep = prepare_example(mem, example, config)
     with _located(f"question {example.item.qid}"):
-        # the frame's vector is the attended sum of its one group of regions
-        (frame,), _ = encode_frames_cached(prep.regions[i : i + 1], params.weights, mem,
-                                           config.swm_hops)
+        # the frame's vector is the attended sum of its one group of regions,
+        # promoted to float64 as a chunk's regions are
+        frame_regions = prep.regions[i : i + 1].astype(np.float64)
+        (frame,), _ = encode_frames_cached(frame_regions, params.weights, mem, config.swm_hops)
         memory = prep.subtitle_mat
         if args.memory_state == "final":
             # the memory the model's last subtitle pass attends over

@@ -3,8 +3,11 @@ the LMNF feature-tensor and LMNP parameter containers, the QA JSONL schema,
 frame subsampling across clips, and a planted-signal synthetic generator used
 by the verification harness.
 
-Feature payloads are stored as 32-bit little-endian floats, promoted to 64-bit
-once and held in region order; parameters are stored at full 64-bit width.
+Feature payloads are stored as 32-bit little-endian floats and held at that
+width in region order, 4 bytes per value; the chunk engine promotes each
+chunk's regions to 64-bit once, when it stacks them, and frees that copy with
+the chunk (6.4 MB per MovieQA-shape item per forward/backward step).
+Parameters are stored at full 64-bit width.
 """
 
 from __future__ import annotations
@@ -203,9 +206,11 @@ def save_features(clip: ClipFeatures, path) -> None:
 
 
 def load_features(path) -> ClipFeatures:
+    """The file's clip, held as float32: one copy reorders the checked
+    payload into the clip's region-order buffer. Nothing is promoted here;
+    `training.Chunk.of` makes each chunk's float64 copy of its regions."""
     payload = _read_container(path, _FEATURE_MAGIC, 4, "<f4").transpose(0, 2, 3, 1)
-    # one copy promotes the checked payload into the clip's region-order buffer
-    return ClipFeatures._adopt(payload.astype(np.float64, order="C"))
+    return ClipFeatures._adopt(payload.astype(np.float32, order="C"))
 
 
 def save_params(weights: np.ndarray, path) -> None:
@@ -436,8 +441,8 @@ def _make_item(
         region_vecs.reshape(spec.frames, spec.height, spec.width, spec.channels)
         .transpose(0, 3, 1, 2)
     )
-    # round-trip through the on-disk width so in-memory and loaded data agree
-    features = ClipFeatures(tensor.astype(np.float32).astype(np.float64))
+    # held at the on-disk width so in-memory and loaded clips agree in value and dtype
+    features = ClipFeatures(tensor.astype(np.float32))
 
     item_words = {mem.vocab[k] for k in picked}
     remaining = [w for w in mem.vocab if w not in item_words]

@@ -44,14 +44,18 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ClipFeatures:
-    """Frame-wise CNN feature maps, held as one read-only float64 buffer in
-    region order (T, H, W, C) that the clip owns; `tensor` is its
-    (T, C, H, W) view."""
+    """Frame-wise CNN feature maps, held as one read-only buffer in region
+    order (T, H, W, C) that the clip owns; `tensor` is its (T, C, H, W)
+    view. A float32 array is held at that width, the LMNF file's, and any
+    other input as float64: every float32 value is exact in float64, and
+    the chunk engine promotes a chunk's regions to float64 when it stacks
+    them (`training.Chunk.of`), so both widths compute the same bits."""
 
     tensor: np.ndarray
 
     def __post_init__(self):
-        t = np.asarray(self.tensor, dtype=np.float64)
+        width = np.float32 if getattr(self.tensor, "dtype", None) == np.float32 else np.float64
+        t = np.asarray(self.tensor, dtype=width)
         if t.ndim != 4:  # a scalar reports shape (1,)
             raise ValueError(f"feature tensor must be 4-D (T,C,H,W), got {t.shape or (1,)}")
         if min(t.shape) < 1:
@@ -64,9 +68,9 @@ class ClipFeatures:
 
     @classmethod
     def _adopt(cls, buffer: np.ndarray) -> ClipFeatures:
-        """A clip that takes `buffer`, a fresh (T, H, W, C) float64 C-order
-        array that no caller holds and whose values the caller has checked
-        finite, without copying or checking it again."""
+        """A clip that takes `buffer`, a fresh (T, H, W, C) float32 or
+        float64 C-order array that no caller holds and whose values the
+        caller has checked finite, without copying or checking it again."""
         clip = cls.__new__(cls)
         clip._hold(buffer)
         return clip
@@ -152,7 +156,7 @@ def hop_chain_backward(
 class FrameCache:
     """Everything the backward pass needs from frame encoding."""
 
-    regions: np.ndarray  # (B, K, C) raw regional features
+    regions: np.ndarray  # (B, K, C) raw regions; a chunk's float64 copy, reused by the backward
     hop_caches: list[HopCache]
 
 
@@ -166,7 +170,9 @@ def encode_frames_cached(
     model's single learnable tensor (no bias), run the hop chain per region
     and return the (B, d) attended group sums: each group's last-hop
     normalized regions are summed and attended once. The projection is one
-    GEMM over all B·K rows, normalized in place."""
+    GEMM over all B·K rows, normalized in place. `regions` should be
+    float64, as a chunk's are: the cache keeps them for the backward's
+    weight-gradient GEMM."""
     weights = np.asarray(weights, dtype=np.float64)
     if weights.ndim != 2:
         raise ValueError(f"projection weights must be 2-D (d,C), got {weights.shape}")

@@ -8,10 +8,12 @@ gradient.
 Every pass runs through one chunk engine: consecutive same-shape items are
 stacked along a leading batch axis, while their stacked copies stay within
 CHUNK_BYTES, and each chunk goes through one forward and one backward. An
-item over the budget runs alone on views of its own arrays. Shapes never
-mix within a chunk, so nothing is padded or masked. `train`'s minibatches,
-its dev pass, `evaluate`, and `forward`, `backward` and `gradcheck` on their
-one-item chunks all take this path.
+item over the budget runs alone. The stack promotes the regions, held at
+their stored width, to float64 once per chunk; every other array of a
+one-item chunk is a view of the item's. Shapes never mix within a chunk, so
+nothing is padded or masked. `train`'s minibatches, its dev pass,
+`evaluate`, and `forward`, `backward` and `gradcheck` on their one-item
+chunks all take this path.
 
 Training is plain minibatch SGD with early stopping on dev accuracy, fully
 reproducible from the seed: a minibatch's gradient is one GEMM sum per
@@ -162,7 +164,7 @@ def _digest(weights: np.ndarray) -> str:
 class Prepared:
     """Frozen per-item inputs: everything but the projection weights."""
 
-    regions: np.ndarray  # (T, R, C), a view of the clip's feature buffer
+    regions: np.ndarray  # (T, R, C), a view of the clip's feature buffer at its width
     question: np.ndarray  # (d,)
     answer_mat: np.ndarray  # (5, d)
     subtitle_mat: np.ndarray | None  # (N, d); None selects video-only mode
@@ -218,25 +220,30 @@ def prepare_example(mem: StaticWordMemory, example: Example, config: ModelConfig
 # --- the chunk engine ---------------------------------------------------------
 
 # A chunk stacks consecutive same-shape items along a leading batch axis
-# while their stacked copies stay within this many bytes. At the desk shape
-# an item is 8.3 KB, so a minibatch of 8 (66 KB) is one chunk and an eval
-# chunk holds up to 31 items; a MovieQA-shape item (6.4 MB of regions) is
-# over it and runs alone on views of its own arrays. Measured on one pinned
-# thread of a 2-vCPU x86 host: one forward over 1000 desk-shape items took
-# 80.8, 16.2, 13.3, 13.7, 15.7 and 19.0 ms at budgets of 16 KiB, 64 KiB,
-# 256 KiB, 1 MiB, 4 MiB and 16 MiB, and twelve desk-train bench passes in
-# one process peaked at 53.0 MB RSS at 256 KiB and 56.4 MB at 1 MiB, against
-# 52.0 MB running one item at a time.
+# while their stacked copies, regions counted at float64 width, stay within
+# this many bytes. At the desk shape an item is 8.3 KB, so a minibatch of 8
+# (66 KB) is one chunk and an eval chunk holds up to 31 items; a
+# MovieQA-shape item (6.4 MB of float64 regions) is over it and runs alone.
+# Measured on one pinned thread of a 2-vCPU x86 host: one forward over 1000
+# desk-shape items took 80.8, 16.2, 13.3, 13.7, 15.7 and 19.0 ms at budgets
+# of 16 KiB, 64 KiB, 256 KiB, 1 MiB, 4 MiB and 16 MiB, and twelve desk-train
+# bench passes in one process peaked at 53.0 MB RSS at 256 KiB and 56.4 MB
+# at 1 MiB, against 52.0 MB running one item at a time.
 CHUNK_BYTES = 1 << 18
 
 
 @dataclass
 class Chunk:
     """Same-shape prepared items stacked along a leading batch axis: equal
-    (T, R, C) regions and equal subtitle counts N, or all video-only. A chunk
-    of one holds views of its item's arrays, so nothing is copied."""
+    (T, R, C) regions and equal subtitle counts N, or all video-only.
 
-    regions: np.ndarray  # (B, T*R, C): one region group per item
+    Items hold their regions at the stored width (float32 from LMNF
+    files); the stack is taken at float64, so a chunk of float32 items,
+    even a chunk of one, makes one exact float64 copy of its regions, which
+    the frame cache keeps for the backward. Every other array of a chunk of
+    one, and the regions of a float64 item, are views of the item's."""
+
+    regions: np.ndarray  # (B, T*R, C) float64: one region group per item
     frames: int  # T
     questions: np.ndarray  # (B, d)
     answers: np.ndarray  # (B, 5, d)
@@ -245,13 +252,15 @@ class Chunk:
 
     @classmethod
     def of(cls, items: list[Prepared]) -> Chunk:
-        def stacked(arrays):
-            return arrays[0][None] if len(arrays) == 1 else np.array(arrays)
+        def stacked(arrays, dtype=None):
+            if len(arrays) == 1:
+                return np.asarray(arrays[0], dtype=dtype)[None]
+            return np.array(arrays, dtype=dtype)
 
         t, r, c = items[0].regions.shape
         labels = [p.label for p in items]
         return cls(
-            regions=stacked([p.regions for p in items]).reshape(len(items), t * r, c),
+            regions=stacked([p.regions for p in items], np.float64).reshape(len(items), t * r, c),
             frames=t,
             questions=stacked([p.question for p in items]),
             answers=stacked([p.answer_mat for p in items]),
@@ -266,7 +275,8 @@ def _shape(prep: Prepared) -> tuple:
 
 
 def _nbytes(prep: Prepared) -> int:
-    size = prep.regions.nbytes + prep.question.nbytes + prep.answer_mat.nbytes
+    """The item's share of a stacked chunk, its regions at float64 width."""
+    size = prep.regions.size * 8 + prep.question.nbytes + prep.answer_mat.nbytes
     return size if prep.subtitle_mat is None else size + prep.subtitle_mat.nbytes
 
 
@@ -490,10 +500,10 @@ def evaluate(
     """Accuracy plus a per-question record of prediction and its probability.
 
     Questions run in chunks of consecutive same-shape items, each through
-    one stacked forward; a question over the chunk budget runs alone on
-    views of its own frames. A question that overflows or scores non-finite
-    logits raises one ValueError that starts `question <qid>: `, naming the
-    first such question."""
+    one stacked forward; a question over the chunk budget runs alone on one
+    float64 copy of its frames. A question that overflows or scores
+    non-finite logits raises one ValueError that starts `question <qid>: `,
+    naming the first such question."""
     if not dataset:
         raise ValueError("empty dataset")
     out = _run(params.weights, _prepared(mem, dataset, params.config), params.config, mem,

@@ -1,7 +1,8 @@
 """Static word memory: a frozen word-embedding matrix that doubles as the
 lookup table for sentence embeddings and as the attention memory for frame
 encoding. `embed_sentence` turns a sequence of sentences into their (n, d)
-mean bag-of-words rows with one gather; `normalize_rows` is the one normalizer.
+mean bag-of-words rows with one gather per token position; `normalize_rows`
+is the one normalizer.
 
 All arithmetic is 64-bit; embedding files may store fewer digits and are
 promoted on load. The module also holds the I/O core every reader and
@@ -134,20 +135,39 @@ def embed_sentence(mem: StaticWordMemory, sentences, normalize: bool = True) -> 
     """(n, d) means of the in-vocabulary token embeddings of the n
     `sentences`, unit length when `normalize`; a sentence with no known
     token gives a zero row. A sentence's rows are added one at a time in
-    sorted vocabulary-index order (an unbuffered `np.add.at`), so reordering
-    its tokens gives a bit-identical row. A bare `str` raises TypeError
-    rather than being embedded letter by letter."""
+    sorted vocabulary-index order, starting from +0.0, so reordering its
+    tokens gives a bit-identical row. A bare `str` raises TypeError rather
+    than being embedded letter by letter.
+
+    The sum runs by token position: with the sentences ranked by token
+    count (descending, stable), the ones that have a j-th token lead the
+    ranking, so position j adds one gather of their j-th rows into the
+    leading rows of the accumulator; once the longest sentence is alone,
+    its remaining rows are added by one `np.add.accumulate`. No gather is
+    larger than (n, d) rows or one sentence's tokens."""
     if isinstance(sentences, str):
         raise TypeError("embed_sentence takes a sequence of sentences, not a str")
     lookup = mem._index.get
-    rows, counts = [], []
-    for text in sentences:
-        found = sorted([k for k in map(lookup, tokenize(text)) if k is not None])
-        rows += found
-        counts.append(len(found))
-    counts = np.array(counts, dtype=np.intp)
-    out = np.zeros((len(counts), mem.dim))
-    np.add.at(out, np.repeat(np.arange(len(counts)), counts), mem.matrix[rows])
+    found = [sorted([k for k in map(lookup, tokenize(text)) if k is not None])
+             for text in sentences]
+    counts = [len(rows) for rows in found]
+    order = sorted(range(len(found)), key=[-c for c in counts].__getitem__)  # a stable sort
+    ranked = [found[i] for i in order]
+    acc = np.zeros((len(found), mem.dim))
+    m = len(ranked)  # how many ranked sentences have a j-th token
+    for j in range(len(ranked[0]) if ranked else 0):
+        while len(ranked[m - 1]) <= j:
+            m -= 1
+        if m == 1:
+            # the longest sentence's own tail: one gather and one sequential
+            # accumulate add its rows in the same order, one at a time
+            tail = mem.matrix.take(ranked[0][j:], axis=0)
+            tail[0] += acc[0]
+            acc[0] = np.add.accumulate(tail)[-1]
+            break
+        acc[:m] += mem.matrix.take([rows[j] for rows in ranked[:m]], axis=0)
+    out = np.empty_like(acc)
+    out[order] = acc
     out /= np.maximum(counts, 1)[:, None]
     if normalize:
         normalize_rows(out, out=out)

@@ -7,7 +7,9 @@ ties to central differences of the forward that criterion 1 ties to the
 reference.
 """
 
+import dataclasses
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,6 +26,8 @@ from lmn.training import (
     _prepared,
     _run,
     evaluate,
+    run_backward,
+    run_forward,
 )
 from lmn.word_memory import StaticWordMemory
 from reference import reference_forward
@@ -46,6 +50,11 @@ def example(rng, qid, frames, channels, subtitles, hw=(2, 2)):
     features = ClipFeatures(rng.normal(size=(frames, channels, *hw)))
     sentences = None if subtitles is None else tuple(sentence(rng) for _ in range(subtitles))
     return Example(item, features, sentences)
+
+
+def narrowed(ex):
+    """The example with its clip held at the LMNF file's float32 width."""
+    return dataclasses.replace(ex, features=ClipFeatures(ex.features.tensor.astype(np.float32)))
 
 
 def one_item_gradients(weights, items, config, mem):
@@ -101,6 +110,45 @@ class TestChunkRule:
             + items[0].subtitle_mat.nbytes
         monkeypatch.setattr("lmn.training.CHUNK_BYTES", 3 * size)
         assert [len(run) for run in _chunks(items)] == [3, 3, 1]
+
+
+class TestPromote:
+    """Items hold float32 regions, as loaded clips do; a chunk promotes them
+    to float64 once, and the backward reuses that copy."""
+
+    @pytest.mark.parametrize("count", [1, 3])
+    def test_chunk_promotes_once_and_the_backward_reuses_it(self, count):
+        rng = np.random.default_rng(4)
+        mem = word_memory(rng, 4)
+        dataset = [narrowed(example(rng, f"q{k}", 2, 512, 3, hw=(7, 7))) for k in range(count)]
+        config = ModelConfig()
+        items = list(_prepared(mem, dataset, config))
+        assert all(prep.regions.dtype == np.float32 for prep in items)
+        chunk = Chunk.of(items)
+        assert chunk.regions.dtype == np.float64 and chunk.regions.shape == (count, 2 * 49, 512)
+        np.testing.assert_array_equal(chunk.regions, [prep.regions.reshape(-1, 512) for prep in items])
+        assert not any(np.shares_memory(chunk.regions, prep.regions) for prep in items)
+        state = run_forward(0.1 * rng.normal(size=(4, 512)), chunk, config, mem)
+        assert np.shares_memory(state.frame_cache.regions, chunk.regions)
+        # a second promote would be a fresh float64 copy of the regions
+        tracemalloc.start()
+        try:
+            run_backward(state, chunk, config, mem)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.25 * chunk.regions.nbytes
+
+    def test_float32_items_are_cut_as_their_float64_copies(self, monkeypatch):
+        rng = np.random.default_rng(5)
+        mem = word_memory(rng, 4)
+        wide = [example(rng, f"q{k}", 2, 6, 3) for k in range(7)]
+        items = list(_prepared(mem, wide, ModelConfig()))
+        size = items[0].regions.nbytes + items[0].question.nbytes + items[0].answer_mat.nbytes \
+            + items[0].subtitle_mat.nbytes
+        monkeypatch.setattr("lmn.training.CHUNK_BYTES", 3 * size)
+        for dataset in (wide, [narrowed(ex) for ex in wide]):
+            assert [len(run) for run in _chunks(_prepared(mem, dataset, ModelConfig()))] == [3, 3, 1]
 
 
 # every ModelConfig switch crossed; video-only ignores the subtitle switches

@@ -193,6 +193,30 @@ class TestFeatureFiles(ContainerChecks):
         loaded = load_features(path)
         assert loaded.tensor.shape == (32, 512, 7, 7)
 
+    def test_loaded_clip_is_held_at_its_stored_width(self, tmp_path):
+        t, c, h, w = 3, 5, 2, 4
+        path = tmp_path / "c.lmnf"
+        save_features(ClipFeatures(np.random.default_rng(7).normal(size=(t, c, h, w))), path)
+        clip = load_features(path)
+        buffer = clip.tensor.base  # the clip's own region-order buffer
+        assert buffer.dtype == np.float32 and buffer.shape == (t, h, w, c)
+        assert buffer.flags.owndata and buffer.flags.c_contiguous
+        assert buffer.nbytes == 4 * t * c * h * w
+        assert not clip.tensor.flags.writeable and not clip.regions().flags.writeable
+        assert subsample_frames([clip, clip], 4).tensor.dtype == np.float32
+
+    def test_loaded_clips_hold_half_their_float64_bytes(self, tmp_path):
+        path = tmp_path / "big.lmnf"
+        save_features(ClipFeatures(np.ones((32, 512, 7, 7), dtype=np.float32)), path)
+        k = 3
+        tracemalloc.start()
+        try:
+            clips = [load_features(path) for _ in range(k)]
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert held < 0.55 * k * clips[0].tensor.size * 8
+
 
 class TestParamsFiles(ContainerChecks):
     MAGIC, NDIM, VALUE = b"LMNP", 2, "d"

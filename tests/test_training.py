@@ -264,6 +264,22 @@ def small_synthetic():
     return generate_synthetic(spec)
 
 
+class TestStoredWidth:
+    def test_float32_and_float64_clips_give_identical_runs(self, small_synthetic):
+        narrow = small_synthetic
+        assert all(clip.tensor.dtype == np.float32 for clip in narrow.features.values())
+        wide = dataclasses.replace(narrow, features={
+            cid: ClipFeatures(clip.tensor.astype(np.float64)) for cid, clip in narrow.features.items()
+        })
+        runs = []
+        for data in (narrow, wide):
+            params, report = train(data.examples("train"), data.word_memory,
+                                   TrainConfig(max_epochs=3, seed=2), init_params(6, 8, seed=2))
+            accuracy, records = evaluate(params, data.word_memory, data.examples("eval"))
+            runs.append((report.to_json(), report.params_digest, accuracy, records))
+        assert runs[0] == runs[1]
+
+
 class TestTrain:
     def test_zero_epochs_returns_initial(self, small_synthetic):
         data = small_synthetic

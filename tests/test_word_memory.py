@@ -154,6 +154,16 @@ class TestBatchedEmbedding:
         assert got.shape == (len(sentences), mem.dim)
         assert got.tobytes() == expected.tobytes()
 
+    @pytest.mark.parametrize("normalize", [True, False])
+    def test_one_call_per_movie_equals_the_loop_oracle(self, normalize):
+        # each movie's longest sentence outlasts the others, so the sum of
+        # its own tail runs after the shared positions
+        data = generate_synthetic(SyntheticSpec(n_train=20, n_eval=5, seed=2))
+        for subs in data.subtitles.values():
+            got = embed_sentence(data.word_memory, subs, normalize=normalize)
+            expected = np.stack([_loop_embed(data.word_memory, text, normalize) for text in subs])
+            assert got.tobytes() == expected.tobytes()
+
     def test_bare_string_is_refused(self, tiny_mem):
         with pytest.raises(TypeError, match="sequence of sentences"):
             embed_sentence(tiny_mem, "a b")
