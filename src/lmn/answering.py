@@ -100,6 +100,8 @@ def cross_entropy(dist: AnswerDistribution, correct):
     return float(loss) if loss.ndim == 0 else loss
 
 
-def predict(dist: AnswerDistribution) -> int:
-    """Index of the maximal logit; ties go to the lowest index."""
-    return int(np.argmax(dist.logits))
+def predict(dist: AnswerDistribution) -> int | np.ndarray:
+    """Index of the maximal logit in each row; ties go to the lowest index:
+    an int for (5,) logits, an array of B indices for (B, 5) logits."""
+    choice = np.argmax(dist.logits, axis=-1)
+    return int(choice) if choice.ndim == 0 else choice

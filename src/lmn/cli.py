@@ -12,6 +12,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import fields
 
 import numpy as np
 
@@ -46,16 +47,12 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(2)
 
 
-def _model_config(args) -> ModelConfig:
-    best = args.preset == "best"  # strongest reported: two subtitle passes plus guidance
-    return ModelConfig(
-        swm_hops=args.swm_hops,
-        um_hops=2 if best else (1 if args.um_hops is None else args.um_hops),
-        qg=best or args.qg,
-        normalize_sentences=args.normalize_sentences,
-        average_clip=args.average_clip,
-        um_carry_frames=args.um_carry_frames,
-    )
+def _settings(cls, args):
+    """`cls` built from the setting flags that were given. Each such flag
+    stores to its field's name, and one left out stores nothing, so the
+    field keeps its dataclass default."""
+    given = vars(args)
+    return cls(**{f.name: given[f.name] for f in fields(cls) if f.name in given})
 
 
 def _require(path: str | None, role: str) -> str:
@@ -128,19 +125,16 @@ def _write_text(path: str, text: str) -> None:
 # --- commands ---------------------------------------------------------------
 
 def cmd_train(args) -> int:
-    config = _model_config(args)
-    trainer = TrainConfig(learning_rate=args.lr, batch_size=args.batch_size,
-                          max_epochs=args.max_epochs, patience=args.patience,
-                          dev_fraction=args.dev_fraction, seed=args.seed)
+    config = _settings(ModelConfig, args)
+    trainer = _settings(TrainConfig, args)
     mem, examples = _load_inputs(args)
     channels = examples[0].features.channels
-    params0 = init_params(mem.dim, channels, config, seed=args.seed)
+    params0 = init_params(mem.dim, channels, config, seed=trainer.seed)
     params, report = train(examples, mem, trainer, params0)
 
-    out = args.out or "."
-    os.makedirs(out, exist_ok=True)
-    params_path = os.path.join(out, "params.lmnp")
-    report_path = os.path.join(out, "report.json")
+    os.makedirs(args.out, exist_ok=True)
+    params_path = os.path.join(args.out, "params.lmnp")
+    report_path = os.path.join(args.out, "report.json")
     data_io.save_params(params.weights, params_path)
     _write_text(report_path, report.to_json() + "\n")
     print(f"trained {len(report.epochs)} epochs; best epoch {report.best_epoch} "
@@ -151,7 +145,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    config = _model_config(args)
+    config = _settings(ModelConfig, args)
     mem, examples = _load_inputs(args)
     _require_labels(example.item for example in examples)
     params = _load_model(args, mem, config)
@@ -166,13 +160,13 @@ def cmd_eval(args) -> int:
 
 
 def cmd_answer(args) -> int:
-    config = _model_config(args)
+    config = _settings(ModelConfig, args)
     mem, (example,) = _load_inputs(args, first=True)
     params = _load_model(args, mem, config)
     prep = prepare_example(mem, example, config)
     dist = _run(params.weights, [prep], config, mem,
                 names=[f"question {example.item.qid}"]).dist
-    choice = predict(dist)
+    (choice,) = predict(dist).tolist()
     print(f"qid {example.item.qid}: predicted answer {choice}")
     for h, (text, p) in enumerate(zip(example.item.answers, dist.probs[0])):
         marker = "*" if h == choice else " "
@@ -184,7 +178,7 @@ def cmd_answer(args) -> int:
 
 
 def cmd_rank_subtitles(args) -> int:
-    config = _model_config(args)
+    config = _settings(ModelConfig, args)
     if args.video_only:
         raise ValueError("rank-subtitles requires subtitles")
     i = args.frame_index
@@ -211,7 +205,7 @@ def cmd_rank_subtitles(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
-    config = _model_config(args)
+    config = _settings(ModelConfig, args)
     _check_step("step", args.step)
     mem, examples = _load_inputs(args, first=True)
     example = examples[0]
@@ -227,20 +221,7 @@ def cmd_gradcheck(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    spec = SyntheticSpec(
-        vocab_size=args.vocab_size,
-        dim=args.dim,
-        channels=args.channels,
-        frames=args.frames,
-        height=args.height,
-        width=args.width,
-        n_subtitles=args.n_subtitles,
-        n_train=args.n_train,
-        n_eval=args.n_eval,
-        noise_sigma=args.noise,
-        seed=args.seed,
-    )
-    data = data_io.generate_synthetic(spec)
+    data = data_io.generate_synthetic(_settings(SyntheticSpec, args))
     os.makedirs(args.out, exist_ok=True)
     paths = data_io.write_synthetic(data, args.out)
     print(f"wrote {len(data.train_items)} train / {len(data.eval_items)} eval items")
@@ -251,18 +232,22 @@ def cmd_synth(args) -> int:
 
 # --- argument wiring ----------------------------------------------------------
 
+def _setting_flags(p: argparse.ArgumentParser, title: str):
+    """A group for the flags of one settings dataclass (see `_settings`)."""
+    return p.add_argument_group(title, argument_default=argparse.SUPPRESS)
+
+
 def _add_model_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--swm-hops", type=int, default=1, help="word-memory attention passes")
-    p.add_argument("--um-hops", type=int, default=None, help="subtitle-memory passes (default 1)")
-    p.add_argument("--qg", action="store_true", help="enable question-guided reweighting")
-    p.add_argument("--no-normalize-sentences", dest="normalize_sentences",
+    g = _setting_flags(p, "model settings (ModelConfig)")
+    g.add_argument("--swm-hops", type=int, help="word-memory attention passes")
+    g.add_argument("--um-hops", type=int, help="subtitle-memory passes")
+    g.add_argument("--qg", action="store_true", help="enable question-guided reweighting")
+    g.add_argument("--no-normalize-sentences", dest="normalize_sentences",
                    action="store_false", help="skip unit-normalizing sentence embeddings")
-    p.add_argument("--average-clip", action="store_true",
+    g.add_argument("--average-clip", action="store_true",
                    help="divide the clip vector by the frame count before scoring")
-    p.add_argument("--um-carry-frames", action="store_true",
+    g.add_argument("--um-carry-frames", action="store_true",
                    help="later subtitle passes attend with the previous pass's frames")
-    p.add_argument("--preset", choices=["best"], default=None,
-                   help="'best' selects two subtitle passes plus question guidance")
 
 
 def _count(text: str) -> int:
@@ -288,12 +273,13 @@ def _add_data_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _add_train_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--lr", type=float, default=0.01)
-    p.add_argument("--batch-size", type=int, default=8)
-    p.add_argument("--max-epochs", type=int, default=200)
-    p.add_argument("--patience", type=int, default=10)
-    p.add_argument("--dev-fraction", type=float, default=0.1)
-    p.add_argument("--seed", type=int, default=0)
+    g = _setting_flags(p, "training settings (TrainConfig)")
+    g.add_argument("--lr", dest="learning_rate", metavar="LR", type=float)
+    g.add_argument("--batch-size", type=int)
+    g.add_argument("--max-epochs", type=int)
+    g.add_argument("--patience", type=int)
+    g.add_argument("--dev-fraction", type=float)
+    g.add_argument("--seed", type=int, help="seeds the init, the dev split and the shuffles")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -342,17 +328,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("synth", help="generate a planted-signal synthetic dataset")
     p.add_argument("--out", required=True)
-    p.add_argument("--vocab-size", type=int, default=50)
-    p.add_argument("--dim", type=int, default=16)
-    p.add_argument("--channels", type=int, default=24)
-    p.add_argument("--frames", type=int, default=4)
-    p.add_argument("--height", type=int, default=3)
-    p.add_argument("--width", type=int, default=3)
-    p.add_argument("--n-subtitles", type=int, default=5)
-    p.add_argument("--n-train", type=int, default=500)
-    p.add_argument("--n-eval", type=int, default=200)
-    p.add_argument("--noise", type=float, default=0.05)
-    p.add_argument("--seed", type=int, default=1)
+    g = _setting_flags(p, "generator settings (SyntheticSpec)")
+    for name in ("vocab-size", "dim", "channels", "frames", "height", "width",
+                 "n-subtitles", "n-train", "n-eval"):
+        g.add_argument(f"--{name}", type=int)
+    g.add_argument("--noise", dest="noise_sigma", metavar="NOISE", type=float)
+    g.add_argument("--seed", type=int)
     p.set_defaults(func=cmd_synth)
 
     return parser
@@ -362,8 +343,6 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        if getattr(args, "preset", None) == "best" and args.um_hops is not None:
-            parser.error("argument --um-hops: not allowed with argument --preset best")
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

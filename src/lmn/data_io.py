@@ -17,7 +17,8 @@ import math
 import os
 import re
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -333,6 +334,19 @@ class Example:
     subtitles: tuple[str, ...] | None  # None selects video-only mode
 
 
+_KINDS = {bool: (bool, "a bool"), int: (Integral, "an integer"), float: (Real, "a real number")}
+
+
+def check_field_types(settings) -> None:
+    """Reject a field of a settings dataclass whose value is not of its
+    default's type, bool, int or float; a bool is no number."""
+    for f in fields(settings):
+        value = getattr(settings, f.name)
+        kind, noun = _KINDS[type(f.default)]
+        if isinstance(value, bool) != (kind is bool) or not isinstance(value, kind):
+            raise ValueError(f"{type(settings).__name__}.{f.name} must be {noun}, got {value!r}")
+
+
 # --- synthetic planted-signal data ------------------------------------------
 
 @dataclass(frozen=True)
@@ -353,6 +367,7 @@ class SyntheticSpec:
     seed: int = 1
 
     def __post_init__(self):
+        check_field_types(self)
         for name in ("vocab_size", "dim", "channels", "frames", "height", "width",
                      "n_subtitles", "n_train", "n_eval"):
             if getattr(self, name) < 1:

@@ -30,8 +30,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .answering import AnswerDistribution, QAItem, cross_entropy, score_answers
-from .data_io import Example
+from .answering import AnswerDistribution, QAItem, cross_entropy, predict, score_answers
+from .data_io import Example, check_field_types
 from .frame_encoder import (
     ClipFeatures,
     FrameCache,
@@ -76,6 +76,7 @@ class ModelConfig:
     um_carry_frames: bool = False
 
     def __post_init__(self):
+        check_field_types(self)
         if self.swm_hops < 1 or self.um_hops < 1:
             raise ValueError("hop counts must be >= 1")
 
@@ -114,6 +115,7 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
+        check_field_types(self)
         _check_step("learning_rate", self.learning_rate)
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
@@ -510,8 +512,7 @@ def evaluate(
                names=[f"question {example.item.qid}" for example in dataset])
     records = []
     hits = 0
-    for example, choice, probs in zip(dataset, np.argmax(out.dist.logits, axis=-1), out.dist.probs):
-        choice = int(choice)
+    for example, choice, probs in zip(dataset, predict(out.dist).tolist(), out.dist.probs):
         record = {
             "qid": example.item.qid,
             "predicted": choice,
@@ -582,7 +583,7 @@ def train(
     dev_labels = np.array([prep.label for prep in dev_items])
 
     def dev_accuracy(weights):
-        choices = np.argmax(_run(weights, dev_items, model_config, mem).dist.logits, axis=-1)
+        choices = predict(_run(weights, dev_items, model_config, mem).dist)
         return int(np.count_nonzero(choices == dev_labels)) / len(dev_idx)
 
     weights = np.array(params0.weights)

@@ -16,8 +16,8 @@ LN5 = 1.6094379124341003
 
 def dist_from_logits(logits):
     logits = np.asarray(logits, dtype=float)
-    shifted = np.exp(logits - logits.max())
-    return AnswerDistribution(shifted / shifted.sum(), logits)
+    shifted = np.exp(logits - logits.max(axis=-1, keepdims=True))
+    return AnswerDistribution(shifted / shifted.sum(axis=-1, keepdims=True), logits)
 
 
 class TestScoreAnswers:
@@ -117,6 +117,19 @@ class TestPredict:
                 if logits[h] > best_z:
                     best, best_z = h, logits[h]
             assert predict(dist_from_logits(logits)) == best
+
+    def test_batched_rows_equal_per_row(self):
+        assert predict(dist_from_logits([[0, 3, 1, 1, 1], [4, 0, 0, 0, 0],
+                                         [0, 1, 0, 2, 0]])).tolist() == [1, 0, 3]
+        rng = np.random.default_rng(23)
+        logits = rng.normal(size=(7, 5))
+        logits[3] = 2.0  # all tied: index 0
+        logits[5, [1, 4]] = logits[5].max() + 1.0  # 1 and 4 tied: index 1
+        choices = predict(dist_from_logits(logits))
+        assert choices.shape == (7,)
+        assert choices.tolist() == [predict(dist_from_logits(row)) for row in logits]
+        assert choices[3] == 0 and choices[5] == 1
+        assert type(predict(dist_from_logits(logits[0]))) is int
 
     def test_monotone_transform_invariance(self):
         rng = np.random.default_rng(19)

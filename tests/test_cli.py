@@ -1,3 +1,5 @@
+import argparse
+import dataclasses
 import json
 import math
 import shutil
@@ -5,10 +7,11 @@ import shutil
 import numpy as np
 import pytest
 
-from lmn.cli import main
+from lmn.cli import _settings, build_parser, main
 from lmn.data_io import (
     SubtitleEntry,
     SubtitleFile,
+    SyntheticSpec,
     load_features,
     load_params,
     load_plaintext_subtitles,
@@ -19,7 +22,7 @@ from lmn.data_io import (
     subsample_frames,
 )
 from lmn.subtitle_memory import build_memory
-from lmn.training import init_params
+from lmn.training import ModelConfig, TrainConfig, init_params
 from lmn.word_memory import embed_sentence, load_word2vec_text
 from reference import reference_forward
 from test_subtitle_memory import loop_encode
@@ -445,31 +448,48 @@ class TestParsing:
         assert capsys.readouterr().err.startswith("error:")
 
     def test_preset_best(self, synth_dir, tmp_path):
+        # the paper's strongest configuration: two subtitle passes plus guidance
         out = tmp_path / "best"
         assert main([
             "train", *data_args(synth_dir),
-            "--preset", "best", "--lr", "1e-5",
+            "--um-hops", "2", "--qg", "--lr", "1e-5",
             "--max-epochs", "2", "--seed", "3", "--out", str(out),
         ]) == 0
 
-    @pytest.mark.parametrize("command,extra", [
-        ("train", ()),
-        ("eval", ("--params", "p.lmnp")),
-        ("answer", ("--params", "p.lmnp", "--qid", "q")),
-        ("rank-subtitles", ("--params", "p.lmnp", "--qid", "q")),
-        ("gradcheck", ()),
+    @pytest.mark.parametrize("command,classes,required", [
+        ("train", (ModelConfig, TrainConfig), ()),
+        ("eval", (ModelConfig,), ("--params", "p")),
+        ("answer", (ModelConfig,), ("--params", "p", "--qid", "q")),
+        ("rank-subtitles", (ModelConfig,), ("--params", "p", "--qid", "q")),
+        ("gradcheck", (ModelConfig,), ()),
+        ("synth", (SyntheticSpec,), ("--out", "o")),
     ])
-    def test_preset_best_rejects_explicit_um_hops(self, synth_dir, command, extra, capsys,
-                                                  tmp_path, monkeypatch):
-        monkeypatch.chdir(tmp_path)  # train's default --out is "."
-        code = main([command, *data_args(synth_dir), *extra, "--preset", "best", "--um-hops", "3"])
-        err = capsys.readouterr().err
-        assert code == 2
-        assert err.count("\n") == 1 and err.startswith("error:")
-        assert "--um-hops" in err and "--preset" in err
+    def test_each_setting_field_has_one_flag(self, command, classes, required):
+        parser = build_parser()
+        (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        actions = commands.choices[command]._actions
+        if command != "synth":
+            required = ("--embeddings", "e", "--qa", "q", "--features", "f", *required)
+        # setting flags are the ones that set nothing unless given
+        setting_dests = sorted(a.dest for a in actions if a.default is argparse.SUPPRESS
+                               and a.option_strings != ["-h", "--help"])
+        assert setting_dests == sorted(f.name for cls in classes for f in dataclasses.fields(cls))
 
-    def test_preset_best_allows_qg(self, synth_dir):
-        assert main(["gradcheck", *data_args(synth_dir), "--preset", "best", "--qg"]) == 0
+        args = parser.parse_args([command, *required])
+        assert [_settings(cls, args) for cls in classes] == [cls() for cls in classes]
+        for cls in classes:
+            for f in dataclasses.fields(cls):
+                (flag,) = [a for a in actions if a.dest == f.name]
+                if flag.nargs == 0:  # a switch: giving it flips the default
+                    value, given = not f.default, [flag.option_strings[0]]
+                else:
+                    value = f.default + 1 if type(f.default) is int else f.default / 2
+                    given = [flag.option_strings[0], str(value)]
+                args = parser.parse_args([command, *required, *given])
+                assert [_settings(other, args) for other in classes] == [
+                    dataclasses.replace(other(), **{f.name: value}) if other is cls else other()
+                    for other in classes
+                ], flag.option_strings
 
     def test_zero_um_hops_still_fails(self, synth_dir, capsys):
         assert main(["gradcheck", *data_args(synth_dir), "--um-hops", "0"]) == 1

@@ -257,6 +257,32 @@ class TestSgdStep:
                 TrainConfig(learning_rate=rate)
 
 
+class TestSettingTypes:
+    @pytest.mark.parametrize("cls,name,value,kind", [
+        (ModelConfig, "swm_hops", 1.5, "an integer"),
+        (ModelConfig, "um_hops", True, "an integer"),
+        (ModelConfig, "qg", 2, "a bool"),
+        (ModelConfig, "normalize_sentences", 1, "a bool"),
+        (ModelConfig, "um_carry_frames", np.True_, "a bool"),
+        (TrainConfig, "batch_size", 2.5, "an integer"),
+        (TrainConfig, "seed", "3", "an integer"),
+        (TrainConfig, "max_epochs", np.float64(3.0), "an integer"),
+        (TrainConfig, "learning_rate", True, "a real number"),
+        (TrainConfig, "dev_fraction", "0.1", "a real number"),
+        (SyntheticSpec, "dim", 16.0, "an integer"),
+        (SyntheticSpec, "n_train", False, "an integer"),
+        (SyntheticSpec, "noise_sigma", None, "a real number"),
+    ])
+    def test_rejects_wrong_type(self, cls, name, value, kind):
+        with pytest.raises(ValueError, match=f"^{cls.__name__}.{name} must be {kind}, got "):
+            cls(**{name: value})
+
+    def test_accepts_numpy_integers_and_integer_rates(self):
+        assert ModelConfig(swm_hops=np.int64(2)) == ModelConfig(swm_hops=2)
+        assert TrainConfig(learning_rate=1, dev_fraction=np.float32(0.5)).learning_rate == 1
+        assert SyntheticSpec(n_train=np.int32(3), noise_sigma=0).n_train == 3
+
+
 @pytest.fixture(scope="module")
 def small_synthetic():
     spec = SyntheticSpec(vocab_size=20, dim=6, channels=8, frames=2, height=2, width=2,
@@ -421,7 +447,7 @@ class TestSubtitleMemoryCache:
         expected = []
         for ex, prep in zip(dataset, per_item_prepared(mem, dataset, self.CONFIG)):
             dist = run_forward(params.weights, Chunk.of([prep]), self.CONFIG, mem).dist
-            choice = predict(dist)
+            (choice,) = predict(dist).tolist()
             expected.append({"qid": ex.item.qid, "predicted": choice,
                              "prob": float(dist.probs[0, choice]),
                              "correct_index": ex.item.correct_index,
