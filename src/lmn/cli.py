@@ -63,12 +63,33 @@ def _require(path: str | None, role: str) -> str:
     return path
 
 
-def _load_inputs(args, first: bool = False) -> tuple[StaticWordMemory, list[Example]]:
-    """The embeddings and the QA file's examples. With `first`, only the
-    question `args.qid` names, or the file's first question when it names
-    none, so no other question's clips are decoded."""
-    mem = load_word2vec_text(_require(args.embeddings, "embedding file"))
-    items = data_io.load_qa_jsonl(_require(args.qa, "QA file"))
+def _load_inputs(
+    args, config: ModelConfig, first: bool = False
+) -> tuple[StaticWordMemory, ModelParams | None, list[Example]]:
+    """The embeddings, the `--params` model under `config` (None when no
+    params file is given) and the QA file's examples. Every path is checked
+    before any file is parsed, and the params are read right after the
+    embeddings, before any clip is decoded. With `first`, only the question
+    `args.qid` names, or the file's first question when it names none, so
+    no other question's clips are decoded."""
+    embeddings = _require(args.embeddings, "embedding file")
+    qa = _require(args.qa, "QA file")
+    feature_dir = _require(args.features, "feature directory")
+    subtitle_dir = None if args.video_only else _require(args.subtitles, "subtitle directory")
+    params_path = getattr(args, "params", None)  # train has none; gradcheck's is optional
+    if params_path is not None:
+        _require(params_path, "params file")
+
+    mem = load_word2vec_text(embeddings)
+    params = None
+    if params_path is not None:
+        weights = data_io.load_params(params_path)
+        if weights.shape[0] != mem.dim:
+            raise ValueError(
+                f"params dimension {weights.shape[0]} does not match embedding dimension {mem.dim}"
+            )
+        params = ModelParams(weights, config)
+    items = data_io.load_qa_jsonl(qa)
     if first:
         if args.qid is not None:
             items = [item for item in items if item.qid == args.qid]
@@ -77,10 +98,6 @@ def _load_inputs(args, first: bool = False) -> tuple[StaticWordMemory, list[Exam
         items = items[:1]
     if not items:
         raise ValueError("empty dataset")
-    feature_dir = _require(args.features, "feature directory")
-    subtitle_dir = None
-    if not args.video_only:
-        subtitle_dir = _require(args.subtitles, "subtitle directory")
 
     subtitle_cache: dict[str, tuple[str, ...]] = {}
     examples = []
@@ -96,7 +113,7 @@ def _load_inputs(args, first: bool = False) -> tuple[StaticWordMemory, list[Exam
                 subtitle_cache[item.movie_id] = _load_subtitles(subtitle_dir, item.movie_id)
             sentences = subtitle_cache[item.movie_id]
         examples.append(Example(item, features, sentences))
-    return mem, examples
+    return mem, params, examples
 
 
 def _load_subtitles(subtitle_dir: str, movie_id: str) -> tuple[str, ...]:
@@ -109,15 +126,6 @@ def _load_subtitles(subtitle_dir: str, movie_id: str) -> tuple[str, ...]:
     raise ValueError(f"no subtitle file for movie {movie_id!r} in {subtitle_dir}")
 
 
-def _load_model(args, mem: StaticWordMemory, config: ModelConfig) -> ModelParams:
-    weights = data_io.load_params(_require(args.params, "params file"))
-    if weights.shape[0] != mem.dim:
-        raise ValueError(
-            f"params dimension {weights.shape[0]} does not match embedding dimension {mem.dim}"
-        )
-    return ModelParams(weights, config)
-
-
 def _write_text(path: str, text: str) -> None:
     data_io.atomic_write_bytes(path, text.encode("utf-8"))
 
@@ -127,7 +135,7 @@ def _write_text(path: str, text: str) -> None:
 def cmd_train(args) -> int:
     config = _settings(ModelConfig, args)
     trainer = _settings(TrainConfig, args)
-    mem, examples = _load_inputs(args)
+    mem, _, examples = _load_inputs(args, config)
     channels = examples[0].features.channels
     params0 = init_params(mem.dim, channels, config, seed=trainer.seed)
     params, report = train(examples, mem, trainer, params0)
@@ -146,9 +154,8 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     config = _settings(ModelConfig, args)
-    mem, examples = _load_inputs(args)
+    mem, params, examples = _load_inputs(args, config)
     _require_labels(example.item for example in examples)
-    params = _load_model(args, mem, config)
     acc, records = evaluate(params, mem, examples)
     doc = {"accuracy": acc, "n": len(examples), "per_question": records}
     if args.out:
@@ -161,8 +168,7 @@ def cmd_eval(args) -> int:
 
 def cmd_answer(args) -> int:
     config = _settings(ModelConfig, args)
-    mem, (example,) = _load_inputs(args, first=True)
-    params = _load_model(args, mem, config)
+    mem, params, (example,) = _load_inputs(args, config, first=True)
     prep = prepare_example(mem, example, config)
     dist = _run(params.weights, [prep], config, mem,
                 names=[f"question {example.item.qid}"]).dist
@@ -184,14 +190,12 @@ def cmd_rank_subtitles(args) -> int:
     i = args.frame_index
     if not 0 <= i < args.frames:  # subsampling gives every question --frames frames
         raise ValueError(f"frame index {i} out of range (clip has {args.frames} frames)")
-    mem, (example,) = _load_inputs(args, first=True)
-    params = _load_model(args, mem, config)
+    mem, params, (example,) = _load_inputs(args, config, first=True)
     prep = prepare_example(mem, example, config)
     with _located(f"question {example.item.qid}"):
-        # the frame's vector is the attended sum of its one group of regions,
-        # promoted to float64 as a chunk's regions are
-        frame_regions = prep.regions[i : i + 1].astype(np.float64)
-        (frame,), _ = encode_frames_cached(frame_regions, params.weights, mem, config.swm_hops)
+        # the frame's vector is the attended sum of its one group of regions
+        (frame,), _ = encode_frames_cached(prep.regions[i : i + 1], params.weights, mem,
+                                           config.swm_hops)
         memory = prep.subtitle_mat
         if args.memory_state == "final":
             # the memory the model's last subtitle pass attends over
@@ -207,11 +211,8 @@ def cmd_rank_subtitles(args) -> int:
 def cmd_gradcheck(args) -> int:
     config = _settings(ModelConfig, args)
     _check_step("step", args.step)
-    mem, examples = _load_inputs(args, first=True)
-    example = examples[0]
-    if args.params:
-        params = _load_model(args, mem, config)
-    else:
+    mem, params, (example,) = _load_inputs(args, config, first=True)
+    if params is None:
         params = init_params(mem.dim, example.features.channels, config, seed=args.seed)
     sub = example_memory(mem, example, params.config)
     with _located(f"question {example.item.qid}"):

@@ -17,7 +17,7 @@ import math
 import os
 import re
 import struct
-from dataclasses import dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields
 from numbers import Integral, Real
 
 import numpy as np
@@ -227,7 +227,7 @@ def load_params(path) -> np.ndarray:
 
 # --- QA dataset -------------------------------------------------------------
 
-_REQUIRED_QA_FIELDS = ("qid", "question", "answers", "movie_id", "clip_ids")
+_REQUIRED_QA_FIELDS = tuple(f.name for f in fields(QAItem) if f.default is MISSING)
 
 
 def load_qa_jsonl(path) -> list[QAItem]:
@@ -279,18 +279,16 @@ def load_qa_jsonl(path) -> list[QAItem]:
 
 
 def save_qa_jsonl(items, path) -> None:
+    """One JSON object per item holding QAItem's fields in order; an
+    optional field that is None is left out."""
     rows = []
     for item in items:
-        obj = {
-            "qid": item.qid,
-            "question": item.question,
-            "answers": list(item.answers),
-            "movie_id": item.movie_id,
-            "clip_ids": list(item.clip_ids),
-        }
-        if item.correct_index is not None:
-            obj["correct_index"] = item.correct_index
-        rows.append(json.dumps(obj, ensure_ascii=False))
+        record = {}
+        for f in fields(QAItem):
+            value = getattr(item, f.name)
+            if value is not None or f.name in _REQUIRED_QA_FIELDS:
+                record[f.name] = value
+        rows.append(json.dumps(record, ensure_ascii=False))
     atomic_write_bytes(path, ("\n".join(rows) + "\n").encode("utf-8"))
 
 

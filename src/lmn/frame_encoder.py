@@ -170,9 +170,9 @@ def encode_frames_cached(
     model's single learnable tensor (no bias), run the hop chain per region
     and return the (B, d) attended group sums: each group's last-hop
     normalized regions are summed and attended once. The projection is one
-    GEMM over all B·K rows, normalized in place. `regions` should be
-    float64, as a chunk's are: the cache keeps them for the backward's
-    weight-gradient GEMM."""
+    GEMM over all B·K rows of the regions at float64 width, normalized in
+    place; the cache keeps those regions for the backward."""
+    regions = np.asarray(regions, dtype=np.float64)
     weights = np.asarray(weights, dtype=np.float64)
     if weights.ndim != 2:
         raise ValueError(f"projection weights must be 2-D (d,C), got {weights.shape}")

@@ -26,7 +26,7 @@ import hashlib
 import json
 from collections.abc import Iterable, Iterator
 from contextlib import contextmanager, nullcontext
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -143,10 +143,7 @@ class TrainReport:
 
     def to_json(self) -> str:
         doc = {
-            "epochs": [
-                {"epoch": e.epoch, "train_loss": e.train_loss, "dev_acc": e.dev_acc}
-                for e in self.epochs
-            ],
+            "epochs": [asdict(e) for e in self.epochs],
             "best_epoch": self.best_epoch,
             "best_dev_acc": self.best_dev_acc,
         }
@@ -459,39 +456,40 @@ def gradcheck(
     features: ClipFeatures,
     sub: SubtitleMemory | None = None,
     step: float = 1e-5,
-    max_entries: int = 256,
-    seed: int = 0,
 ) -> float:
     """Max relative error between the analytic gradient and central finite
-    differences over the weight entries (all of them, or a seeded subset of
-    at least 50 for large weight matrices)."""
+    differences over up to 256 weight entries drawn with seed 0 without
+    replacement: all of a projection's entries when it has at most 256.
+
+    A loss is only known to within its rounding, |loss|·ε, so a difference
+    quotient resolves nothing below the floor |loss|·ε/step. An entry whose
+    analytic and numeric values differ but both lie within that floor is
+    skipped (an exactly flat entry, both zero, still counts); a ValueError
+    naming the floor is raised if every entry is."""
     _check_step("step", step)
     prep = _labeled(params, mem, item, features, sub)
     config = params.config
-    analytic = _run(params.weights, [prep], config, mem, gradient=True).gradient
-
-    d, c = params.weights.shape
-    total = d * c
-    subset = min(total, max(50, max_entries))
-    if total <= max_entries or subset == total:
-        entries = np.arange(total)
-    else:
-        rng = np.random.default_rng(seed)
-        entries = rng.choice(total, size=subset, replace=False)
+    out = _run(params.weights, [prep], config, mem, gradient=True)
+    analytic = out.gradient
+    floor = abs(out.losses[0]) * np.finfo(np.float64).eps / step
 
     base = np.array(params.weights)
-    worst = 0.0
-    for flat in entries:
-        a, b = divmod(int(flat), c)
+    entries = np.random.default_rng(0).choice(base.size, size=min(base.size, 256), replace=False)
+    errors = []
+    for a, b in zip(*np.unravel_index(entries, base.shape)):
         perturbed = base.copy()
         perturbed[a, b] = base[a, b] + step
         loss_plus = _run(perturbed, [prep], config, mem).losses[0]
         perturbed[a, b] = base[a, b] - step
         loss_minus = _run(perturbed, [prep], config, mem).losses[0]
         numeric = (loss_plus - loss_minus) / (2.0 * step)
-        rel = abs(analytic[a, b] - numeric) / max(1e-8, abs(analytic[a, b]) + abs(numeric))
-        worst = max(worst, rel)
-    return worst
+        scale = abs(analytic[a, b]) + abs(numeric)
+        if scale > floor or analytic[a, b] == numeric:
+            errors.append(abs(analytic[a, b] - numeric) / max(1e-8, scale))
+    if not errors:
+        raise ValueError(f"no checked gradient entry exceeds the finite-difference floor "
+                         f"|loss| * eps / step = {floor:.3e} (loss {out.losses[0]:.3e})")
+    return max(errors)
 
 
 # --- training loop ------------------------------------------------------------

@@ -198,6 +198,44 @@ class TestEval:
         assert code != 0
         assert "does not match embedding dimension" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flags,message", [
+        (("--features", "missing"), "feature directory not found: missing"),
+        (("--subtitles", "missing"), "subtitle directory not found: missing"),
+        (("--params", "missing"), "params file not found: missing"),
+    ], ids=["features", "subtitles", "params"])
+    def test_paths_are_checked_before_the_embeddings_are_parsed(
+        self, synth_dir, trained_dir, tmp_path, monkeypatch, capsys, flags, message
+    ):
+        def parse(path):
+            raise AssertionError(f"{path} parsed before every path was checked")
+
+        monkeypatch.setattr("lmn.cli.load_word2vec_text", parse)
+        monkeypatch.chdir(tmp_path)
+        code = main(["eval", *data_args(synth_dir),
+                     "--params", str(trained_dir / "params.lmnp"), *flags])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_params_are_read_before_any_clip_is_decoded(self, synth_dir, tmp_path, monkeypatch,
+                                                        capsys):
+        def decode(path):
+            raise AssertionError(f"{path} decoded before the params were read")
+
+        monkeypatch.setattr("lmn.data_io.load_features", decode)
+        bad = tmp_path / "bad.lmnp"
+        save_params(np.zeros((5, 10)), bad)
+        assert main(["eval", *data_args(synth_dir), "--params", str(bad)]) == 1
+        assert capsys.readouterr().err == (
+            "error: params dimension 5 does not match embedding dimension 8\n")
+
+    def test_subtitles_or_video_only_required(self, synth_dir, trained_dir, capsys):
+        args = data_args(synth_dir)
+        i = args.index("--subtitles")
+        del args[i : i + 2]
+        code = main(["eval", *args, "--params", str(trained_dir / "params.lmnp")])
+        assert code == 1
+        assert capsys.readouterr().err == "error: missing required subtitle directory\n"
+
     def test_empty_dataset_rejected(self, synth_dir, trained_dir, tmp_path, capsys):
         empty = tmp_path / "empty.jsonl"
         empty.write_text("")

@@ -215,10 +215,29 @@ class TestGradcheckHarness:
         example = data.examples("train")[0]
         sub = build_memory(example.subtitles, data.word_memory)
         params = init_params(spec.dim, spec.channels, seed=77)
-        # 16x24 weights exceed the cap, so a seeded 60-entry subset is checked
+        # 16x24 weights exceed the 256-entry cap, so a seeded subset is checked
         err = gradcheck(params, data.word_memory, example.item, example.features, sub,
-                        step=1e-5, max_entries=60)
+                        step=1e-5)
         assert err <= 1e-4
+
+    def test_saturated_softmax_has_no_measurable_entry(self):
+        # the projection's scale cancels in the first hop's normalization, so
+        # raw word vectors scaled by 1e12 saturate the softmax instead: the
+        # loss is the logit gap, near 1e24, and its rounding floor
+        # |loss|*eps/step outgrows every gradient entry
+        rng = np.random.default_rng(5)
+        mem = StaticWordMemory(["aa", "bb", "cc"], 1e12 * rng.normal(size=(3, 3)))
+        item = QAItem("q", "aa", ("aa", "bb", "cc", "aa bb", "bb cc"), "m", ("c",),
+                      correct_index=1)
+        features = ClipFeatures(rng.normal(size=(2, 4, 1, 2)))
+        params = init_params(3, 4, ModelConfig(normalize_sentences=False), seed=1)
+        loss, dist = forward(params, mem, item, features)
+        assert dist.probs.max() == 1.0 and loss > 1e24
+        assert np.abs(backward(params, mem, item, features)).max() < loss * np.finfo(float).eps / 1e-5
+        with pytest.raises(ValueError, match=r"^no checked gradient entry exceeds the "
+                           r"finite-difference floor \|loss\| \* eps / step = 9\.609e\+13 "
+                           r"\(loss 4\.328e\+24\)$"):
+            gradcheck(params, mem, item, features)
 
     def test_rejects_bad_step(self):
         inst = make_instance(seed=102)
