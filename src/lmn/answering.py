@@ -25,7 +25,8 @@ NUM_CHOICES = 5
 
 @dataclass(frozen=True)
 class QAItem:
-    """One multiple-choice question with its movie/clip references."""
+    """One multiple-choice question with its movie/clip references. The QA
+    record's rules are checked here alone; list fields are held as tuples."""
 
     qid: str
     question: str
@@ -35,24 +36,31 @@ class QAItem:
     correct_index: int | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "answers", tuple(self.answers))
-        object.__setattr__(self, "clip_ids", tuple(self.clip_ids))
-        if len(self.answers) != NUM_CHOICES:
-            raise ValueError(
-                f"{self.qid or 'item'}: expected {NUM_CHOICES} answers, got {len(self.answers)}"
-            )
-        if not self.clip_ids:
-            raise ValueError(f"{self.qid or 'item'}: clip_ids must be nonempty")
-        if self.correct_index is None:
+        for name in ("qid", "question", "movie_id"):
+            _require_str(name, getattr(self, name))
+        answers = self.answers
+        if not isinstance(answers, (list, tuple)) or len(answers) != NUM_CHOICES:
+            got = len(answers) if isinstance(answers, (list, tuple)) else type(answers).__name__
+            raise ValueError(f"expected {NUM_CHOICES} answers, got {got}")
+        if not isinstance(self.clip_ids, (list, tuple)) or not self.clip_ids:
+            raise ValueError("clip_ids must be a nonempty list")
+        for name in ("answers", "clip_ids"):
+            values = tuple(getattr(self, name))
+            for k, value in enumerate(values):
+                _require_str(f"{name}[{k}]", value)
+            object.__setattr__(self, name, values)
+        label = self.correct_index
+        if label is None:
             return
-        if isinstance(self.correct_index, bool) or not isinstance(self.correct_index, Integral):
-            raise ValueError(
-                f"{self.qid or 'item'}: correct_index must be an integer, got {self.correct_index!r}"
-            )
-        if not 0 <= self.correct_index < NUM_CHOICES:
-            raise ValueError(
-                f"{self.qid or 'item'}: correct_index {self.correct_index} out of range"
-            )
+        if isinstance(label, bool) or not isinstance(label, Integral):
+            raise ValueError(f"correct_index must be an integer, got {type(label).__name__}")
+        if not 0 <= label < NUM_CHOICES:
+            raise ValueError(f"correct_index {label} out of range")
+
+
+def _require_str(name: str, value) -> None:
+    if not isinstance(value, str):
+        raise ValueError(f"{name} must be a string, got {type(value).__name__}")
 
 
 @dataclass(frozen=True)

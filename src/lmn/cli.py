@@ -106,7 +106,10 @@ def _load_inputs(
             data_io.load_features(os.path.join(feature_dir, f"{cid}.lmnf"))
             for cid in item.clip_ids
         ]
-        features = data_io.subsample_frames(clips, args.frames)
+        try:
+            features = data_io.subsample_frames(clips, args.frames)
+        except ValueError as exc:
+            raise ValueError(f"question {item.qid}: {exc}") from None
         sentences = None
         if subtitle_dir is not None:
             if item.movie_id not in subtitle_cache:

@@ -227,13 +227,16 @@ def load_params(path) -> np.ndarray:
 
 # --- QA dataset -------------------------------------------------------------
 
+_QA_FIELDS = tuple(f.name for f in fields(QAItem))
 _REQUIRED_QA_FIELDS = tuple(f.name for f in fields(QAItem) if f.default is MISSING)
 
 
 def load_qa_jsonl(path) -> list[QAItem]:
-    """One JSON object per line; see save_qa_jsonl for the schema. Violations
-    are rejected with the offending 1-based line number."""
+    """One JSON object per line; see save_qa_jsonl for the schema and QAItem
+    for its rules. Violations, and a qid seen on an earlier line, are
+    rejected with the offending 1-based line number."""
     items: list[QAItem] = []
+    first_line: dict[str, int] = {}
     for lineno, line in enumerate(read_lines(path, DataFormatError), 1):
         if not line.strip():
             continue
@@ -246,35 +249,15 @@ def load_qa_jsonl(path) -> list[QAItem]:
         for name in _REQUIRED_QA_FIELDS:
             if name not in obj:
                 raise DataFormatError(f"{path}: line {lineno}: missing field {name!r}")
-        answers = obj["answers"]
-        if not isinstance(answers, list) or len(answers) != NUM_CHOICES:
-            got = len(answers) if isinstance(answers, list) else type(answers).__name__
-            raise DataFormatError(
-                f"{path}: line {lineno}: expected {NUM_CHOICES} answers, got {got}"
-            )
-        clip_ids = obj["clip_ids"]
-        if not isinstance(clip_ids, list) or not clip_ids:
-            raise DataFormatError(f"{path}: line {lineno}: clip_ids must be a nonempty list")
-        correct = obj.get("correct_index")
-        if correct is not None:
-            if isinstance(correct, bool) or not isinstance(correct, int):
-                raise DataFormatError(
-                    f"{path}: line {lineno}: correct_index must be an integer, got {type(correct).__name__}"
-                )
-            if not 0 <= correct < NUM_CHOICES:
-                raise DataFormatError(
-                    f"{path}: line {lineno}: correct_index {correct!r} out of range"
-                )
-        items.append(
-            QAItem(
-                qid=str(obj["qid"]),
-                question=str(obj["question"]),
-                answers=tuple(str(a) for a in answers),
-                movie_id=str(obj["movie_id"]),
-                clip_ids=tuple(str(c) for c in clip_ids),
-                correct_index=correct,
-            )
-        )
+        try:
+            item = QAItem(**{name: obj[name] for name in _QA_FIELDS if name in obj})
+        except ValueError as exc:
+            raise DataFormatError(f"{path}: line {lineno}: {exc}") from None
+        if item.qid in first_line:
+            raise DataFormatError(f"{path}: line {lineno}: duplicate qid {item.qid!r} "
+                                  f"(first on line {first_line[item.qid]})")
+        first_line[item.qid] = lineno
+        items.append(item)
     return items
 
 
@@ -284,10 +267,10 @@ def save_qa_jsonl(items, path) -> None:
     rows = []
     for item in items:
         record = {}
-        for f in fields(QAItem):
-            value = getattr(item, f.name)
-            if value is not None or f.name in _REQUIRED_QA_FIELDS:
-                record[f.name] = value
+        for name in _QA_FIELDS:
+            value = getattr(item, name)
+            if value is not None or name in _REQUIRED_QA_FIELDS:
+                record[name] = value
         rows.append(json.dumps(record, ensure_ascii=False))
     atomic_write_bytes(path, ("\n".join(rows) + "\n").encode("utf-8"))
 

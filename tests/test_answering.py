@@ -157,3 +157,23 @@ class TestQAItem:
     def test_test_mode_item(self):
         item = QAItem("q", "?", ("a", "b", "c", "d", "e"), "m", ("c",))
         assert item.correct_index is None
+
+    @pytest.mark.parametrize("changes, message", [
+        ({"qid": 5}, "qid must be a string, got int"),
+        ({"question": None}, "question must be a string, got NoneType"),
+        ({"movie_id": b"m"}, "movie_id must be a string, got bytes"),
+        ({"answers": [1, 2, 3, 4, 5]}, "answers[0] must be a string, got int"),
+        ({"answers": "abcde"}, "expected 5 answers, got str"),
+        ({"answers": ("a",) * 4}, "expected 5 answers, got 4"),
+        ({"clip_ids": [7]}, "clip_ids[0] must be a string, got int"),
+        ({"clip_ids": ()}, "clip_ids must be a nonempty list"),
+        ({"clip_ids": "c"}, "clip_ids must be a nonempty list"),
+        ({"correct_index": True}, "correct_index must be an integer, got bool"),
+        ({"correct_index": 7}, "correct_index 7 out of range"),
+    ])
+    def test_each_rule_has_its_message(self, changes, message):
+        record = {"qid": "q", "question": "?", "answers": ("a",) * 5, "movie_id": "m",
+                  "clip_ids": ("c",)} | changes
+        with pytest.raises(ValueError) as exc:
+            QAItem(**record)
+        assert str(exc.value) == message

@@ -17,10 +17,13 @@ from lmn.data_io import (
     load_plaintext_subtitles,
     load_qa_jsonl,
     parse_srt,
+    save_features,
     save_params,
+    save_qa_jsonl,
     srt_dumps,
     subsample_frames,
 )
+from lmn.frame_encoder import ClipFeatures
 from lmn.subtitle_memory import build_memory
 from lmn.training import ModelConfig, TrainConfig, init_params
 from lmn.word_memory import embed_sentence, load_word2vec_text
@@ -311,6 +314,24 @@ class TestEval:
         assert code == 1
         assert capsys.readouterr().err == (
             f"error: no subtitle file for movie {movie!r} in {subtitles}\n")
+
+    def test_clip_shape_mismatch_names_the_question(self, synth_dir, trained_dir, tmp_path,
+                                                    capsys):
+        features = tmp_path / "features"
+        shutil.copytree(synth_dir / "features", features)
+        item = load_qa_jsonl(synth_dir / "train.jsonl")[0]
+        clip = load_features(features / f"{item.clip_ids[0]}.lmnf")
+        t, c, h, w = clip.tensor.shape
+        save_features(ClipFeatures(np.zeros((t, c, h + 1, w + 1), np.float32)),
+                      features / "wider.lmnf")
+        qa = tmp_path / "qa.jsonl"
+        save_qa_jsonl([dataclasses.replace(item, clip_ids=item.clip_ids + ("wider",))], qa)
+        code = main(["eval", *data_args(synth_dir), "--qa", str(qa), "--features", str(features),
+                     "--params", str(trained_dir / "params.lmnp")])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: question {item.qid}: clip shape mismatch: "
+            f"{(c, h + 1, w + 1)} vs {(c, h, w)}\n")
 
 
 class TestAnswer:

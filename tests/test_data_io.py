@@ -10,6 +10,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from lmn.answering import QAItem
 from lmn.data_io import (
     DataFormatError,
     SubtitleEntry,
@@ -301,6 +302,44 @@ class TestQaJsonl:
         bad = self.GOOD.replace('["c1"]', "[]")
         with pytest.raises(DataFormatError, match="line 1: clip_ids"):
             load_qa_jsonl(write(tmp_path / "qa.jsonl", bad + "\n"))
+
+    @pytest.mark.parametrize("name, value", [
+        ("qid", 5), ("question", None), ("answers", [1, 2, 3, 4, 5]), ("clip_ids", [7]),
+        ("movie_id", {"id": "m1"}), ("answers", "abcde"), ("correct_index", 2.0),
+    ])
+    def test_bad_field_gives_the_qaitem_message_located(self, tmp_path, name, value):
+        record = json.loads(self.GOOD) | {name: value}
+        with pytest.raises(ValueError) as direct:
+            QAItem(**record)
+        path = write(tmp_path / "qa.jsonl",
+                     self.GOOD.replace('"q1"', '"q0"') + "\n" + json.dumps(record) + "\n")
+        with pytest.raises(DataFormatError) as loaded:
+            load_qa_jsonl(path)
+        assert str(loaded.value) == f"{path}: line 2: {direct.value}"
+
+    def test_repeated_qid_names_both_lines(self, tmp_path):
+        other = self.GOOD.replace('"q1"', '"q2"')
+        path = write(tmp_path / "qa.jsonl", "\n".join([self.GOOD, other, "", self.GOOD]) + "\n")
+        with pytest.raises(DataFormatError) as exc:
+            load_qa_jsonl(path)
+        assert str(exc.value) == f"{path}: line 4: duplicate qid 'q1' (first on line 1)"
+
+    def test_malformed_repeat_reports_its_own_fault(self, tmp_path):
+        bad = self.GOOD.replace('"correct_index": 2', '"correct_index": 7')
+        with pytest.raises(DataFormatError, match="line 2: correct_index 7 out of range"):
+            load_qa_jsonl(write(tmp_path / "qa.jsonl", self.GOOD + "\n" + bad + "\n"))
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda tmp: save_params(np.zeros(3), tmp / "p.lmnp"),
+     "parameters must be 2-D (d,C), got (3,)"),
+    (lambda tmp: subsample_indices(0, 4), "need total >= 1 and target >= 1, got 0, 4"),
+    (lambda tmp: subsample_indices(3, 0), "need total >= 1 and target >= 1, got 3, 0"),
+    (lambda tmp: subsample_frames([], 4), "need at least one clip"),
+], ids=["params-1d", "no-frames", "no-target", "no-clips"])
+def test_argument_checks(tmp_path, call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call(tmp_path)
 
 
 class TestUndecodableBytes:

@@ -209,6 +209,17 @@ def clip_sum(regions, weights, mem, hops):
     return total
 
 
+@pytest.mark.parametrize("regions, weights, message", [
+    (np.zeros((1, 1, 2)), np.ones(2), "projection weights must be 2-D (d,C), got (2,)"),
+    (np.zeros((1, 2)), np.eye(2), "regions must be 3-D (B,K,C), got (1, 2)"),
+    (np.zeros((1, 1, 2)), np.ones((3, 2)),
+     "projection dimension 3 does not match word dimension 2"),
+], ids=["weights-1d", "regions-2d", "word-dimension"])
+def test_encode_frames_shape_checks(basis_mem, regions, weights, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        encode_frames_cached(regions, weights, basis_mem, 1)
+
+
 class TestEncodeFrames:
     def test_single_region_basis(self, basis_mem):
         clip = ClipFeatures(np.array([0.0, 1.0]).reshape(1, 2, 1, 1))

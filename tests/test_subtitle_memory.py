@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -446,6 +447,19 @@ class TestMatrixOracle:
         assert len(cache.pre) == 1
         for pre, (_, _, expected_pre, _) in zip(cache.pre, caches[1], strict=True):
             assert pre[-1] == 0.0 and expected_pre[-1] == 0.0
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: SubtitleMemory(np.zeros(2), ("s0",)), "subtitle matrix must be (N>=1, d), got (2,)"),
+    (lambda: SubtitleMemory(np.zeros((0, 2)), ()), "subtitle matrix must be (N>=1, d), got (0, 2)"),
+    (lambda: SubtitleMemory(np.eye(2), ("s0",)), "1 sentences for 2 memory rows"),
+    (lambda: SubtitleMemory([[np.nan, 0.0]], ("s0",)), "subtitle matrix contains non-finite entries"),
+    (lambda: rank_subtitles(np.zeros(3), raw_memory(np.eye(2))),
+     "frame vector must have shape (2,), got (3,)"),
+], ids=["matrix-1d", "no-rows", "sentence-count", "non-finite", "frame-shape"])
+def test_input_checks(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
 
 
 class TestRankSubtitles:

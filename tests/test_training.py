@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -307,6 +308,24 @@ def small_synthetic():
     spec = SyntheticSpec(vocab_size=20, dim=6, channels=8, frames=2, height=2, width=2,
                          n_subtitles=3, n_train=30, n_eval=10, seed=5)
     return generate_synthetic(spec)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda data: ModelParams(np.zeros(3)), "weights must be 2-D (d,C), got (3,)"),
+    (lambda data: ModelParams(np.array([[np.inf]])), "weights contain non-finite entries"),
+    (lambda data: TrainConfig(max_epochs=-1), "max_epochs must be >= 0"),
+    (lambda data: TrainConfig(patience=0), "patience must be >= 1"),
+    (lambda data: TrainConfig(dev_fraction=0.0), "dev_fraction must be in (0, 1)"),
+    (lambda data: TrainConfig(dev_fraction=1.0), "dev_fraction must be in (0, 1)"),
+    (lambda data: evaluate(init_params(6, 8), data.word_memory, []), "empty dataset"),
+    (lambda data: train(data.examples("train")[:1], data.word_memory, TrainConfig(),
+                        init_params(6, 8)),
+     "dataset of 1 items is too small for a dev split"),
+], ids=["weights-1d", "weights-non-finite", "max-epochs", "patience", "dev-fraction-0",
+        "dev-fraction-1", "evaluate-empty", "train-one-item"])
+def test_input_checks(small_synthetic, call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call(small_synthetic)
 
 
 class TestStoredWidth:

@@ -316,6 +316,15 @@ class TestConstruction:
         assert gram.tobytes() == (rows.T @ rows).tobytes()
 
 
+@pytest.mark.parametrize("vocab, matrix, message", [
+    (["a", "b"], np.zeros(2), "embedding matrix must be 2-D, got shape (2,)"),
+    (["a"], np.zeros((1, 0)), "embedding dimension must be >= 1"),
+], ids=["matrix-1d", "zero-dimension"])
+def test_matrix_shape_checks(vocab, matrix, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        StaticWordMemory(vocab, matrix)
+
+
 class TestHoldOnce:
     """The embedding table exists once: loading builds no per-value Python
     float and the Gram product keeps no second |V|-row table alive."""
