@@ -49,6 +49,10 @@ class QAItem:
             for k, value in enumerate(values):
                 _require_str(f"{name}[{k}]", value)
             object.__setattr__(self, name, values)
+        # the CLI joins these ids into file names under --features and --subtitles
+        _require_plain_name("movie_id", self.movie_id)
+        for k, clip_id in enumerate(self.clip_ids):
+            _require_plain_name(f"clip_ids[{k}]", clip_id)
         label = self.correct_index
         if label is None:
             return
@@ -61,6 +65,11 @@ class QAItem:
 def _require_str(name: str, value) -> None:
     if not isinstance(value, str):
         raise ValueError(f"{name} must be a string, got {type(value).__name__}")
+
+
+def _require_plain_name(name: str, value: str) -> None:
+    if any(c in value for c in "/\\\0"):
+        raise ValueError(f"{name} must not contain '/', '\\' or NUL, got {value!r}")
 
 
 @dataclass(frozen=True)

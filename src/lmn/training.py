@@ -30,7 +30,14 @@ from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from .answering import AnswerDistribution, QAItem, cross_entropy, predict, score_answers
+from .answering import (
+    NUM_CHOICES,
+    AnswerDistribution,
+    QAItem,
+    cross_entropy,
+    predict,
+    score_answers,
+)
 from .data_io import Example, check_field_types
 from .frame_encoder import (
     ClipFeatures,
@@ -200,16 +207,98 @@ def example_memory(
 def _prepared(
     mem: StaticWordMemory, dataset: Iterable[Example], config: ModelConfig
 ) -> Iterator[Prepared]:
-    """The examples' prepared items in order. A subtitle memory is built
-    once per distinct (movie_id, subtitles) and shared by every question
-    about that movie; it is the same read-only matrix a per-question build
-    would give."""
-    memories: dict[tuple[str, tuple[str, ...] | None], SubtitleMemory | None] = {}
-    for example in dataset:
+    """The examples' prepared items in order, made a block at a time: the
+    examples are cut in order into blocks whose items would share one chunk
+    (`_blocks`), and each block's sentences are embedded in one call
+    (`_embed_block`). A movie's rows are embedded once and shared,
+    read-only, by every question about it. `embed_sentence` sums each row on
+    its own, so every row is the one `prepare` and `build_memory` give."""
+    memories: dict[tuple[str, tuple[str, ...]], np.ndarray] = {}
+    for block in _blocks(dataset, mem.dim):
+        text_rows = _embed_block(mem, block, memories, config.normalize_sentences)
+        for i, example in enumerate(block):
+            first = i * (1 + NUM_CHOICES)
+            yield Prepared(
+                regions=example.features.regions(),
+                question=text_rows[first],
+                answer_mat=text_rows[first + 1 : first + 1 + NUM_CHOICES],
+                subtitle_mat=None if example.subtitles is None
+                else memories[example.item.movie_id, example.subtitles],
+                label=example.item.correct_index,
+            )
+
+
+def _embed_block(
+    mem: StaticWordMemory,
+    block: list[Example],
+    memories: dict[tuple[str, tuple[str, ...]], np.ndarray],
+    normalize: bool,
+) -> np.ndarray:
+    """Embed the block in one `embed_sentence` call: six rows per example,
+    its question and answers, then the subtitles of each (movie_id,
+    subtitles) not yet in `memories`, whose rows it adds there. Returns the
+    question and answer rows, held apart from the movies' rows so that
+    neither keeps the other in memory.
+
+    Rows that are not all finite raise one ValueError that starts
+    `question <qid>: ` or `movie <movie_id>: ` and names the first such row,
+    questions and answers before subtitles."""
+    texts = [text for example in block
+             for text in (example.item.question, *example.item.answers)]
+    subtitles: list[str] = []
+    fresh: dict[tuple[str, tuple[str, ...]], slice] = {}  # each new movie's rows in `subtitles`
+    for example in block:
         key = (example.item.movie_id, example.subtitles)
-        if key not in memories:
-            memories[key] = example_memory(mem, example, config)
-        yield prepare(mem, example.item, example.features, memories[key], config)
+        if example.subtitles is None or key in memories or key in fresh:
+            continue
+        if not example.subtitles:
+            raise ValueError("cannot build a subtitle memory from an empty sentence list")
+        fresh[key] = slice(len(subtitles), len(subtitles) + len(example.subtitles))
+        subtitles += example.subtitles
+    with np.errstate(over="ignore", invalid="ignore"):
+        rows = embed_sentence(mem, texts + subtitles, normalize=normalize)
+    if not np.isfinite(rows).all():
+        _raise_non_finite(rows, block, fresh)
+    text_rows, movie_rows = rows[: len(texts)].copy(), rows[len(texts) :].copy()
+    text_rows.setflags(write=False)
+    movie_rows.setflags(write=False)
+    for key, span in fresh.items():
+        memories[key] = movie_rows[span]
+    return text_rows
+
+
+def _blocks(dataset: Iterable[Example], dim: int) -> Iterator[list[Example]]:
+    """The examples cut in order into blocks whose prepared items' stacked
+    copies, as `_nbytes` counts them, stay within CHUNK_BYTES; an example
+    over the budget is alone in its block."""
+    block: list[Example] = []
+    size = 0
+    for example in dataset:
+        n = _nbytes(example.features.tensor.size,
+                    0 if example.subtitles is None else len(example.subtitles), dim)
+        if block and size + n > CHUNK_BYTES:
+            yield block
+            block, size = [], 0
+        block.append(example)
+        size += n
+    if block:
+        yield block
+
+
+def _raise_non_finite(rows: np.ndarray, block: list[Example], fresh: dict[tuple, slice]) -> None:
+    """Name the block's first row that is not finite, and its question or
+    movie; the rows are `_embed_block`'s, six per question, then each
+    movie's."""
+    bad = int(np.argmin(np.isfinite(rows).all(axis=1)))
+    item, k = divmod(bad, 1 + NUM_CHOICES)
+    if item < len(block):
+        row = "the question" if k == 0 else f"answer {k - 1}"
+        raise ValueError(f"question {block[item].item.qid}: {row} embeds to non-finite values")
+    bad -= len(block) * (1 + NUM_CHOICES)
+    for (movie_id, _), span in fresh.items():
+        if span.start <= bad < span.stop:
+            raise ValueError(f"movie {movie_id}: subtitle {bad - span.start} "
+                             f"embeds to non-finite values")
 
 
 def prepare_example(mem: StaticWordMemory, example: Example, config: ModelConfig) -> Prepared:
@@ -220,9 +309,11 @@ def prepare_example(mem: StaticWordMemory, example: Example, config: ModelConfig
 
 # A chunk stacks consecutive same-shape items along a leading batch axis
 # while their stacked copies, regions counted at float64 width, stay within
-# this many bytes. At the desk shape an item is 8.3 KB, so a minibatch of 8
-# (66 KB) is one chunk and an eval chunk holds up to 31 items; a
-# MovieQA-shape item (6.4 MB of float64 regions) is over it and runs alone.
+# this many bytes, and `_prepared` cuts its blocks, one `embed_sentence` call
+# each, by the same count. At the desk shape an item is 8.3 KB, so a
+# minibatch of 8 (66 KB) is one chunk and an eval chunk or a preparation
+# block holds up to 31 items; a MovieQA-shape item (6.4 MB of float64
+# regions) is over it, runs alone and is prepared alone.
 # Measured on one pinned thread of a 2-vCPU x86 host: one forward over 1000
 # desk-shape items took 80.8, 16.2, 13.3, 13.7, 15.7 and 19.0 ms at budgets
 # of 16 KiB, 64 KiB, 256 KiB, 1 MiB, 4 MiB and 16 MiB, and twelve desk-train
@@ -273,10 +364,10 @@ def _shape(prep: Prepared) -> tuple:
     return prep.regions.shape, None if prep.subtitle_mat is None else prep.subtitle_mat.shape
 
 
-def _nbytes(prep: Prepared) -> int:
-    """The item's share of a stacked chunk, its regions at float64 width."""
-    size = prep.regions.size * 8 + prep.question.nbytes + prep.answer_mat.nbytes
-    return size if prep.subtitle_mat is None else size + prep.subtitle_mat.nbytes
+def _nbytes(regions: int, subtitles: int, dim: int) -> int:
+    """An item's share of a stacked chunk: its `regions` values at float64
+    width, and its question, answer and `subtitles` sentence rows."""
+    return 8 * (regions + (1 + NUM_CHOICES + subtitles) * dim)
 
 
 def _chunks(items: Iterable[Prepared]) -> Iterator[list[Prepared]]:
@@ -290,7 +381,8 @@ def _chunks(items: Iterable[Prepared]) -> Iterator[list[Prepared]]:
             yield run
             run = []
         run.append(prep)
-        if (len(run) + 1) * _nbytes(prep) > CHUNK_BYTES:
+        subtitles = 0 if prep.subtitle_mat is None else len(prep.subtitle_mat)
+        if (len(run) + 1) * _nbytes(prep.regions.size, subtitles, prep.question.size) > CHUNK_BYTES:
             yield run
             run = []
     if run:
@@ -503,7 +595,9 @@ def evaluate(
     one stacked forward; a question over the chunk budget runs alone on one
     float64 copy of its frames. A question that overflows or scores
     non-finite logits raises one ValueError that starts `question <qid>: `,
-    naming the first such question."""
+    naming the first such question. A question, answer or subtitle row that
+    embeds to non-finite values raises the ValueError of `_prepared`, which
+    names its question or movie."""
     if not dataset:
         raise ValueError("empty dataset")
     out = _run(params.weights, _prepared(mem, dataset, params.config), params.config, mem,
@@ -547,7 +641,9 @@ def train(
     every epoch for minibatching, and training stops after `patience` epochs
     without a dev-accuracy improvement. The returned parameters are the best
     dev-epoch snapshot (ties keep the earlier epoch). Each movie's
-    subtitle memory is built once and shared by its questions.
+    subtitle rows are embedded once and shared by its questions. A sentence
+    row that embeds to non-finite values stops the run before epoch 1 with
+    the ValueError of `_prepared`.
 
     A batch or dev pass that overflows, or whose loss or gradient is not
     finite, raises one ValueError that starts `epoch E batch B: ` or

@@ -177,3 +177,21 @@ class TestQAItem:
         with pytest.raises(ValueError) as exc:
             QAItem(**record)
         assert str(exc.value) == message
+
+    @pytest.mark.parametrize("changes, message", [
+        ({"movie_id": "/abs/dir/movie"}, "movie_id must not contain '/', '\\' or NUL, "
+                                         "got '/abs/dir/movie'"),
+        ({"movie_id": "a\\b"}, "movie_id must not contain '/', '\\' or NUL, got 'a\\\\b'"),
+        ({"clip_ids": ("c", "../c")}, "clip_ids[1] must not contain '/', '\\' or NUL, "
+                                      "got '../c'"),
+        ({"clip_ids": ("c\0",)}, "clip_ids[0] must not contain '/', '\\' or NUL, "
+                                 "got 'c\\x00'"),
+    ])
+    def test_ids_are_plain_names(self, changes, message):
+        # the CLI joins movie and clip ids into file names
+        record = {"qid": "q/1", "question": "?", "answers": ("a",) * 5, "movie_id": "m..",
+                  "clip_ids": ("..",)}
+        QAItem(**record)
+        with pytest.raises(ValueError) as exc:
+            QAItem(**record | changes)
+        assert str(exc.value) == message

@@ -371,6 +371,32 @@ class TestAnswer:
         assert code == 0, captured.err
         assert f"qid {items[0].qid}: predicted answer" in captured.out
 
+    def test_clip_id_outside_features_is_rejected(self, synth_dir, trained_dir, tmp_path,
+                                                   capsys, monkeypatch):
+        items = load_qa_jsonl(synth_dir / "train.jsonl")
+        outside = tmp_path / "outside"
+        shutil.copyfile(synth_dir / "features" / f"{items[0].clip_ids[0]}.lmnf",
+                        tmp_path / "outside.lmnf")
+        record = json.loads((synth_dir / "train.jsonl").read_text().splitlines()[0])
+        record["clip_ids"] = [str(outside)]
+        qa = tmp_path / "qa.jsonl"
+        qa.write_text(json.dumps(record) + "\n")
+        decoded = []
+
+        def recording(path):
+            decoded.append(path)
+            return load_features(path)
+
+        monkeypatch.setattr("lmn.data_io.load_features", recording)
+        args = data_args(synth_dir)
+        args[args.index("--qa") + 1] = str(qa)
+        code = main(["answer", *args, "--params", str(trained_dir / "params.lmnp"),
+                     "--qid", record["qid"]])
+        assert code == 1
+        assert decoded == []
+        assert capsys.readouterr().err == (f"error: {qa}: line 1: clip_ids[0] must not contain "
+                                           f"'/', '\\' or NUL, got {str(outside)!r}\n")
+
 
 class TestRankSubtitles:
     def test_lists_all_subtitles_in_rank_order(self, synth_dir, trained_dir, capsys):

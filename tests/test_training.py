@@ -437,17 +437,23 @@ def shared_movies(data):
     return dataset
 
 
-def count_builds(monkeypatch):
-    """Record the (movie_id, sentences) of every `training.build_memory` call."""
+def count_embeddings(monkeypatch):
+    """Record the sentences of every `training.embed_sentence` call."""
     calls = []
-    original = lmn.training.build_memory
+    original = lmn.training.embed_sentence
 
-    def recording(sentences, mem, normalize=True, movie_id=""):
-        calls.append((movie_id, tuple(sentences)))
-        return original(sentences, mem, normalize=normalize, movie_id=movie_id)
+    def recording(mem, sentences, normalize=True):
+        calls.append(tuple(sentences))
+        return original(mem, sentences, normalize=normalize)
 
-    monkeypatch.setattr(lmn.training, "build_memory", recording)
+    monkeypatch.setattr(lmn.training, "embed_sentence", recording)
     return calls
+
+
+def embeddings_of(calls, sentences):
+    """How many times `sentences` was embedded: its runs in the recorded calls."""
+    n = len(sentences)
+    return sum(call[i : i + n] == sentences for call in calls for i in range(len(call) - n + 1))
 
 
 def per_item_prepared(mem, dataset, config):
@@ -463,19 +469,20 @@ class TestSubtitleMemoryCache:
 
     def test_evaluate_builds_once_per_movie(self, small_synthetic, monkeypatch):
         dataset = shared_movies(small_synthetic)
-        calls = count_builds(monkeypatch)
+        calls = count_embeddings(monkeypatch)
         evaluate(init_params(6, 8, self.CONFIG, seed=2), small_synthetic.word_memory, dataset)
-        expected = {(ex.item.movie_id, ex.subtitles) for ex in dataset if ex.subtitles}
-        assert len(calls) == 3
-        assert set(calls) == expected
+        movies = {(ex.item.movie_id, ex.subtitles) for ex in dataset if ex.subtitles}
+        assert len(movies) == 3
+        assert [embeddings_of(calls, subtitles) for _, subtitles in movies] == [1, 1, 1]
 
     def test_train_builds_once_per_movie(self, small_synthetic, monkeypatch):
         dataset = shared_movies(small_synthetic)
-        calls = count_builds(monkeypatch)
+        calls = count_embeddings(monkeypatch)
         train(dataset, small_synthetic.word_memory, TrainConfig(max_epochs=1, seed=2),
               init_params(6, 8, self.CONFIG, seed=2))
-        assert len(calls) == 3
-        assert len(set(calls)) == 3
+        movies = {(ex.item.movie_id, ex.subtitles) for ex in dataset if ex.subtitles}
+        assert len(movies) == 3
+        assert [embeddings_of(calls, subtitles) for _, subtitles in movies] == [1, 1, 1]
 
     def test_evaluate_matches_per_item_loop(self, small_synthetic):
         dataset = shared_movies(small_synthetic)
@@ -516,14 +523,127 @@ class TestSubtitleMemoryCache:
                     source[k].features, source[s].subtitles)
             for k, s in ((0, 0), (1, 1), (2, 0))
         ]
-        calls = count_builds(monkeypatch)
+        calls = count_embeddings(monkeypatch)
         preps = list(lmn.training._prepared(mem, dataset, self.CONFIG))
-        assert len(calls) == 2
+        assert embeddings_of(calls, source[0].subtitles) == 1
+        assert embeddings_of(calls, source[1].subtitles) == 1
         assert not np.array_equal(preps[0].subtitle_mat, preps[1].subtitle_mat)
         assert preps[2].subtitle_mat is preps[0].subtitle_mat
         for ex, prep in zip(dataset, preps):
             np.testing.assert_array_equal(prep.subtitle_mat,
                                           build_memory(ex.subtitles, mem).matrix)
+
+
+def block_dataset(data):
+    """Thirteen examples for blocks of four subtitled items: movie A comes
+    back after a block boundary, video-only items are interleaved, movie B
+    has two sentence lists, and movie D's rows alone are over the budget."""
+    source = data.examples("train")
+    s = [ex.subtitles for ex in source]
+    long = sum(s, ())
+    plan = [("A", s[0]), None, ("B", s[1]), ("A", s[0]), None, ("C", s[2]), ("A", s[0]),
+            ("B", s[3]), ("D", long), None, ("B", s[1]), ("D", long), ("A", s[0])]
+    dataset = []
+    for ex, movie in zip(source, plan):
+        if movie is None:
+            dataset.append(Example(ex.item, ex.features, None))
+        else:
+            item = dataclasses.replace(ex.item, movie_id=movie[0])
+            dataset.append(Example(item, ex.features, movie[1]))
+    return dataset
+
+
+def subtitled_bytes(example, dim):
+    """A subtitled item's share of a chunk, as the chunk engine counts it."""
+    rows = 1 + 5 + len(example.subtitles)
+    return example.features.tensor.size * 8 + rows * dim * 8
+
+
+class TestPreparedBlocks:
+    @pytest.mark.parametrize("normalize", [True, False])
+    def test_blocks_match_per_item_preparation(self, small_synthetic, monkeypatch, normalize):
+        mem = small_synthetic.word_memory
+        config = ModelConfig(normalize_sentences=normalize)
+        dataset = block_dataset(small_synthetic)
+        budget = 4 * subtitled_bytes(dataset[0], mem.dim)
+        assert len(dataset[8].subtitles) * mem.dim * 8 > budget
+        expected = list(per_item_prepared(mem, dataset, config))
+        monkeypatch.setattr(lmn.training, "CHUNK_BYTES", budget)
+        calls = count_embeddings(monkeypatch)
+        preps = list(lmn.training._prepared(mem, dataset, config))
+        assert len(calls) >= 3
+        assert embeddings_of(calls, dataset[8].subtitles) == 1
+        for ex, prep, want in zip(dataset, preps, expected, strict=True):
+            assert prep.regions.tobytes() == want.regions.tobytes()
+            assert prep.question.tobytes() == want.question.tobytes()
+            assert prep.answer_mat.tobytes() == want.answer_mat.tobytes()
+            assert prep.label == want.label
+            if ex.subtitles is None:
+                assert prep.subtitle_mat is None and want.subtitle_mat is None
+            else:
+                assert prep.subtitle_mat.shape == want.subtitle_mat.shape
+                assert prep.subtitle_mat.tobytes() == want.subtitle_mat.tobytes()
+                assert not prep.subtitle_mat.flags.writeable
+        # a movie from an earlier block is reused, not embedded again
+        assert preps[6].subtitle_mat is preps[0].subtitle_mat
+        assert preps[10].subtitle_mat is preps[2].subtitle_mat
+        assert preps[11].subtitle_mat is preps[8].subtitle_mat
+        assert preps[7].subtitle_mat.tobytes() != preps[2].subtitle_mat.tobytes()
+
+    def test_empty_subtitles_rejected(self, small_synthetic, monkeypatch):
+        mem = small_synthetic.word_memory
+        dataset = block_dataset(small_synthetic)
+        monkeypatch.setattr(lmn.training, "CHUNK_BYTES", 4 * subtitled_bytes(dataset[0], mem.dim))
+        dataset.append(Example(dataset[0].item, dataset[0].features, ()))
+        with pytest.raises(ValueError, match="^cannot build a subtitle memory from an empty "
+                                             "sentence list$"):
+            list(lmn.training._prepared(mem, dataset, ModelConfig()))
+
+    def test_evaluate_embeds_once_per_chunk(self, monkeypatch):
+        data = generate_synthetic(SyntheticSpec(n_train=1, n_eval=1000))
+        mem = data.word_memory
+        dataset = data.examples("eval")
+        config = ModelConfig()
+        per_chunk = len(next(lmn.training._chunks(lmn.training._prepared(mem, dataset, config))))
+        assert per_chunk > 1
+        calls = count_embeddings(monkeypatch)
+        evaluate(init_params(mem.dim, 24, config), mem, dataset)
+        assert len(calls) <= math.ceil(len(dataset) / per_chunk) + 1
+
+
+def overflowing(where):
+    """Three labeled examples; the second one's `where` sentence is "big
+    big", whose word sum overflows."""
+    dataset = []
+    for k in range(3):
+        question, answers, subtitles = "w", ["w"] * 5, ["w", "w w", "w"]
+        if k == 1:
+            if where == "question":
+                question = "big big"
+            elif where == "answer":
+                answers[3] = "big big"
+            else:
+                subtitles[1] = "big big"
+        item = QAItem(f"q{k}", question, tuple(answers), f"m{k}", (f"c{k}",), correct_index=0)
+        dataset.append(Example(item, ClipFeatures(np.ones((1, 3, 1, 1))), tuple(subtitles)))
+    return dataset
+
+
+@pytest.mark.parametrize("normalize", [True, False])
+@pytest.mark.parametrize("call", ["train", "evaluate"])
+@pytest.mark.parametrize("where, message", [
+    ("subtitle", "movie m1: subtitle 1 embeds to non-finite values"),
+    ("question", "question q1: the question embeds to non-finite values"),
+    ("answer", "question q1: answer 3 embeds to non-finite values"),
+])
+def test_non_finite_embedding_is_located(where, message, call, normalize):
+    mem = StaticWordMemory(["big", "w"], np.array([[1.5e308, 0.0], [0.0, 1.0]]))
+    params = init_params(2, 3, ModelConfig(normalize_sentences=normalize))
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        if call == "train":
+            train(overflowing(where), mem, TrainConfig(max_epochs=1), params)
+        else:
+            evaluate(params, mem, overflowing(where))
 
 
 def test_params_copy_the_callers_weights():
