@@ -31,7 +31,6 @@ from .training import (
     _require_labels,
     _run,
     evaluate,
-    example_memory,
     gradcheck,
     init_params,
     prepare_example,
@@ -214,10 +213,14 @@ def cmd_rank_subtitles(args) -> int:
 def cmd_gradcheck(args) -> int:
     config = _settings(ModelConfig, args)
     _check_step("step", args.step)
+    if args.seed < 0:
+        raise ValueError("seed must be >= 0")
     mem, params, (example,) = _load_inputs(args, config, first=True)
     if params is None:
         params = init_params(mem.dim, example.features.channels, config, seed=args.seed)
-    sub = example_memory(mem, example, params.config)
+    # outside `_located`: the preparation's errors already name the question or movie
+    rows = prepare_example(mem, example, config).subtitle_mat
+    sub = None if rows is None else SubtitleMemory(rows, example.subtitles, example.item.movie_id)
     with _located(f"question {example.item.qid}"):
         err = gradcheck(params, mem, example.item, example.features, sub, step=args.step)
     print(f"gradcheck qid {example.item.qid}: max relative error {err:.3e} (step {args.step:g})")

@@ -168,8 +168,16 @@ def _header(ndim: int) -> struct.Struct:
 
 
 def _write_container(path, magic: bytes, array: np.ndarray, dtype: str) -> None:
+    """Write what `_read_container` accepts: no zero-sized dimension, and a
+    payload that is finite at the stored width."""
+    if min(array.shape) < 1:
+        raise ValueError(f"{path}: zero-sized dimension in {array.shape}")
+    with np.errstate(over="ignore"):  # a value past the stored width's range becomes inf
+        payload = np.ascontiguousarray(array, dtype=dtype)
+    if not np.isfinite(payload).all():
+        raise ValueError(f"{path}: payload contains non-finite entries")
     head = _header(array.ndim).pack(magic, _VERSION, *array.shape)
-    atomic_write_bytes(path, head + np.ascontiguousarray(array, dtype=dtype).tobytes())
+    atomic_write_bytes(path, head + payload.tobytes())
 
 
 def _read_container(path, magic: bytes, ndim: int, dtype: str) -> np.ndarray:
@@ -357,6 +365,8 @@ class SyntheticSpec:
             raise ValueError("SyntheticSpec.noise_sigma must be >= 0")
         if not math.isfinite(self.noise_sigma):
             raise ValueError(f"SyntheticSpec.noise_sigma must be finite, got {self.noise_sigma}")
+        if self.seed < 0:
+            raise ValueError("SyntheticSpec.seed must be >= 0")
         if self.channels < self.dim:
             raise ValueError(f"SyntheticSpec.channels ({self.channels}) must be >= dim "
                              f"({self.dim}): the hidden (C, d) map needs full rank d")

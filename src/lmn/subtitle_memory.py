@@ -70,11 +70,14 @@ def build_memory(
     normalize: bool = True,
     movie_id: str = "",
 ) -> SubtitleMemory:
-    """Embed each sentence with the word memory, preserving order."""
+    """Embed each sentence with the word memory, preserving order. A row
+    that overflows is left non-finite for `SubtitleMemory` to reject."""
     sentences = tuple(sentences)
     if not sentences:
         raise ValueError("cannot build a subtitle memory from an empty sentence list")
-    return SubtitleMemory(embed_sentence(mem, sentences, normalize=normalize), sentences, movie_id)
+    with np.errstate(over="ignore", invalid="ignore"):
+        rows = embed_sentence(mem, sentences, normalize=normalize)
+    return SubtitleMemory(rows, sentences, movie_id)
 
 
 # --- the scale recurrence -------------------------------------------------

@@ -48,7 +48,7 @@ from .frame_encoder import (
 from .subtitle_memory import (
     ClipCache,
     SubtitleMemory,
-    build_memory,
+    build_memory,  # unused here; the bench tracer wraps `lmn.training.build_memory` by name
     encode_clip_backward,
     encode_clip_cached,
 )
@@ -128,6 +128,8 @@ class TrainConfig:
             raise ValueError("batch_size must be >= 1")
         if self.max_epochs < 0:
             raise ValueError("max_epochs must be >= 0")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         if self.patience < 1:
             raise ValueError("patience must be >= 1")
         if not 0.0 < self.dev_fraction < 1.0:
@@ -177,33 +179,6 @@ class Prepared:
     label: int | None
 
 
-def prepare(
-    mem: StaticWordMemory,
-    item: QAItem,
-    features: ClipFeatures,
-    sub: SubtitleMemory | None,
-    config: ModelConfig,
-) -> Prepared:
-    text = embed_sentence(mem, (item.question, *item.answers), normalize=config.normalize_sentences)
-    return Prepared(
-        regions=features.regions(),
-        question=text[0],
-        answer_mat=text[1:],
-        subtitle_mat=None if sub is None else sub.matrix,
-        label=item.correct_index,
-    )
-
-
-def example_memory(
-    mem: StaticWordMemory, example: Example, config: ModelConfig
-) -> SubtitleMemory | None:
-    """The example's subtitle memory; None in video-only mode."""
-    if example.subtitles is None:
-        return None
-    return build_memory(example.subtitles, mem, normalize=config.normalize_sentences,
-                        movie_id=example.item.movie_id)
-
-
 def _prepared(
     mem: StaticWordMemory, dataset: Iterable[Example], config: ModelConfig
 ) -> Iterator[Prepared]:
@@ -212,7 +187,9 @@ def _prepared(
     (`_blocks`), and each block's sentences are embedded in one call
     (`_embed_block`). A movie's rows are embedded once and shared,
     read-only, by every question about it. `embed_sentence` sums each row on
-    its own, so every row is the one `prepare` and `build_memory` give."""
+    its own, so no row depends on its block: an item prepared alone, as
+    `forward` prepares it, has the same rows, and a movie's are the ones
+    `build_memory` gives."""
     memories: dict[tuple[str, tuple[str, ...]], np.ndarray] = {}
     for block in _blocks(dataset, mem.dim):
         text_rows = _embed_block(mem, block, memories, config.normalize_sentences)
@@ -486,9 +463,11 @@ def _labeled(
     sub: SubtitleMemory | None,
 ) -> Prepared:
     """The prepared item of `forward`, `backward` and `gradcheck`; all three
-    need a label."""
+    need a label. The question and answers are prepared by `prepare_example`
+    and raise its located errors; the subtitle rows are `sub`'s, as given."""
     _require_labels([item])
-    return prepare(mem, item, features, sub, params.config)
+    prep = prepare_example(mem, Example(item, features, None), params.config)
+    return replace(prep, subtitle_mat=None if sub is None else sub.matrix)
 
 
 def _require_labels(items: Iterable[QAItem]) -> None:

@@ -1,5 +1,5 @@
 """Seeded random small-instance generator shared by the oracle-equivalence
-and gradient-check suites."""
+and gradient-check suites, and `prepare`, the per-item preparation oracle."""
 
 from __future__ import annotations
 
@@ -10,8 +10,8 @@ import numpy as np
 from lmn.answering import QAItem
 from lmn.frame_encoder import ClipFeatures
 from lmn.subtitle_memory import SubtitleMemory, build_memory
-from lmn.training import Chunk, ModelConfig, Prepared, prepare, run_forward
-from lmn.word_memory import StaticWordMemory
+from lmn.training import Chunk, ModelConfig, Prepared, run_forward
+from lmn.word_memory import StaticWordMemory, embed_sentence
 
 _SPATIAL = [(1, 1), (1, 2), (1, 3), (2, 2), (1, 5), (2, 3)]
 
@@ -25,6 +25,25 @@ class Instance:
     sub: SubtitleMemory | None
     config: ModelConfig
     prep: Prepared
+
+
+def prepare(
+    mem: StaticWordMemory,
+    item: QAItem,
+    features: ClipFeatures,
+    sub: SubtitleMemory | None,
+    config: ModelConfig,
+) -> Prepared:
+    """One item prepared on its own: its question and answers embedded in
+    one call, and `sub`'s rows as they are."""
+    text = embed_sentence(mem, (item.question, *item.answers), normalize=config.normalize_sentences)
+    return Prepared(
+        regions=features.regions(),
+        question=text[0],
+        answer_mat=text[1:],
+        subtitle_mat=None if sub is None else sub.matrix,
+        label=item.correct_index,
+    )
 
 
 def _words(rng: np.random.Generator, count: int) -> list[str]:

@@ -96,6 +96,12 @@ class TestSynth:
         assert len(err) == 1 and err[0].startswith("error: SyntheticSpec.channels (8)"), err
         assert not out.exists()
 
+    def test_negative_seed_is_a_spec_error(self, tmp_path, capsys):
+        out = tmp_path / "synth"
+        assert main(["synth", "--out", str(out), "--seed", "-1"]) == 1
+        assert capsys.readouterr().err == "error: SyntheticSpec.seed must be >= 0\n"
+        assert not out.exists()
+
 
 class TestTrain:
     def test_report_schema(self, trained_dir):
@@ -518,6 +524,32 @@ class TestGradcheck:
         assert captured.out.startswith("gradcheck qid eval00000: max relative error")
 
 
+@pytest.mark.parametrize("command", ["eval", "answer", "rank-subtitles", "gradcheck"])
+def test_overflowing_subtitle_names_the_movie(command, synth_dir, trained_dir, tmp_path, capsys):
+    # "big big" sums past the float64 range along the new word's first axis
+    lines = (synth_dir / "embeddings.txt").read_text(encoding="utf-8").splitlines()
+    vocab, dim = map(int, lines[0].split())
+    embeddings = tmp_path / "embeddings.txt"
+    embeddings.write_text("\n".join([f"{vocab + 1} {dim}", *lines[1:],
+                                     "big 1.5e308" + " 0" * (dim - 1)]) + "\n", encoding="utf-8")
+    subtitles = tmp_path / "subtitles"
+    shutil.copytree(synth_dir / "subtitles", subtitles)
+    item = load_qa_jsonl(synth_dir / "train.jsonl")[0]
+    path = subtitles / f"{item.movie_id}.txt"
+    sentences = path.read_text(encoding="utf-8").splitlines()
+    sentences[1] = "big big"
+    path.write_text("\n".join(sentences) + "\n", encoding="utf-8")
+    argv = [command, *data_args(synth_dir), "--embeddings", str(embeddings),
+            "--subtitles", str(subtitles)]
+    if command != "gradcheck":
+        argv += ["--params", str(trained_dir / "params.lmnp")]
+    if command in ("answer", "rank-subtitles"):
+        argv += ["--qid", item.qid]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == (
+        f"error: movie {item.movie_id}: subtitle 1 embeds to non-finite values\n")
+
+
 class TestParsing:
     def test_unknown_command_is_usage_error(self, capsys):
         code = main(["frobnicate"])
@@ -595,6 +627,8 @@ class TestParsing:
         ("gradcheck", ("--step", "0"), "step must be positive"),
         ("gradcheck", ("--step", "nan"), "step must be finite, got nan"),
         ("gradcheck", ("--step", "inf"), "step must be finite, got inf"),
+        ("train", ("--seed", "-1"), "seed must be >= 0"),
+        ("gradcheck", ("--seed", "-1"), "seed must be >= 0"),
         ("rank-subtitles", ("--params", "p.lmnp", "--qid", "q", "--video-only"),
          "rank-subtitles requires subtitles"),
         ("rank-subtitles", ("--params", "p.lmnp", "--qid", "q", "--frame-index", "2"),
@@ -603,7 +637,8 @@ class TestParsing:
          "frame index -1 out of range (clip has 2 frames)"),
     ], ids=["train-batch-size", "train-lr", "train", "eval", "answer", "rank-subtitles",
             "gradcheck", "train-lr-nan", "train-lr-inf", "gradcheck-step-zero",
-            "gradcheck-step-nan", "gradcheck-step-inf", "rank-subtitles-video-only",
+            "gradcheck-step-nan", "gradcheck-step-inf", "train-seed", "gradcheck-seed",
+            "rank-subtitles-video-only",
             "rank-subtitles-frame-index-past-end", "rank-subtitles-frame-index-negative"])
     def test_flags_are_checked_before_any_input_is_read(self, command, flags, message, capsys,
                                                         tmp_path, monkeypatch):

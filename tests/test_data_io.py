@@ -194,6 +194,12 @@ class TestFeatureFiles(ContainerChecks):
         loaded = load_features(path)
         assert loaded.tensor.shape == (32, 512, 7, 7)
 
+    def test_writer_refuses_values_past_float32(self, tmp_path):
+        path = tmp_path / "c.lmnf"
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: payload contains non-finite"):
+            save_features(ClipFeatures(np.full((1, 2, 1, 1), 1e300)), path)
+        assert os.listdir(tmp_path) == []
+
     def test_loaded_clip_is_held_at_its_stored_width(self, tmp_path):
         t, c, h, w = 3, 5, 2, 4
         path = tmp_path / "c.lmnf"
@@ -232,6 +238,17 @@ class TestParamsFiles(ContainerChecks):
         np.testing.assert_array_equal(loaded, weights)
         save_params(loaded, second)
         assert first.read_bytes() == second.read_bytes()
+
+    @pytest.mark.parametrize("weights, fact", [
+        (np.zeros((0, 3)), "zero-sized dimension in (0, 3)"),
+        ([[math.nan, 1.0]], "payload contains non-finite entries"),
+        ([[1.0, -math.inf]], "payload contains non-finite entries"),
+    ], ids=["zero-sized", "nan", "inf"])
+    def test_writer_refuses_what_the_reader_rejects(self, tmp_path, weights, fact):
+        path = tmp_path / "p.lmnp"
+        with pytest.raises(ValueError, match=f"^{re.escape(f'{path}: {fact}')}$"):
+            save_params(weights, path)
+        assert os.listdir(tmp_path) == []
 
     def test_stale_tmp_directory_does_not_block_save(self, tmp_path):
         path = tmp_path / "p.lmnp"
@@ -559,6 +576,8 @@ class TestGenerateSynthetic:
             SyntheticSpec(vocab_size=8)
         with pytest.raises(ValueError, match="noise_sigma must be >= 0"):
             SyntheticSpec(noise_sigma=-0.1)
+        with pytest.raises(ValueError, match="^SyntheticSpec.seed must be >= 0$"):
+            SyntheticSpec(seed=-1)
         with pytest.raises(ValueError, match=r"channels \(8\) must be >= dim \(16\)"):
             SyntheticSpec(dim=16, channels=8)
         for value in (math.nan, math.inf):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import lmn.training
-from instances import config_sweep, make_instance
+from instances import config_sweep, make_instance, prepare
 from lmn.answering import QAItem, predict
 from lmn.data_io import Example, SyntheticSpec, generate_synthetic
 from lmn.frame_encoder import ClipFeatures
@@ -22,7 +22,6 @@ from lmn.training import (
     forward,
     gradcheck,
     init_params,
-    prepare,
     prepare_example,
     run_forward,
     sgd_step,
@@ -314,6 +313,7 @@ def small_synthetic():
     (lambda data: ModelParams(np.zeros(3)), "weights must be 2-D (d,C), got (3,)"),
     (lambda data: ModelParams(np.array([[np.inf]])), "weights contain non-finite entries"),
     (lambda data: TrainConfig(max_epochs=-1), "max_epochs must be >= 0"),
+    (lambda data: TrainConfig(seed=-1), "seed must be >= 0"),
     (lambda data: TrainConfig(patience=0), "patience must be >= 1"),
     (lambda data: TrainConfig(dev_fraction=0.0), "dev_fraction must be in (0, 1)"),
     (lambda data: TrainConfig(dev_fraction=1.0), "dev_fraction must be in (0, 1)"),
@@ -321,7 +321,7 @@ def small_synthetic():
     (lambda data: train(data.examples("train")[:1], data.word_memory, TrainConfig(),
                         init_params(6, 8)),
      "dataset of 1 items is too small for a dev split"),
-], ids=["weights-1d", "weights-non-finite", "max-epochs", "patience", "dev-fraction-0",
+], ids=["weights-1d", "weights-non-finite", "max-epochs", "seed", "patience", "dev-fraction-0",
         "dev-fraction-1", "evaluate-empty", "train-one-item"])
 def test_input_checks(small_synthetic, call, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
@@ -630,7 +630,7 @@ def overflowing(where):
 
 
 @pytest.mark.parametrize("normalize", [True, False])
-@pytest.mark.parametrize("call", ["train", "evaluate"])
+@pytest.mark.parametrize("call", ["train", "evaluate", "forward", "backward", "gradcheck"])
 @pytest.mark.parametrize("where, message", [
     ("subtitle", "movie m1: subtitle 1 embeds to non-finite values"),
     ("question", "question q1: the question embeds to non-finite values"),
@@ -639,11 +639,20 @@ def overflowing(where):
 def test_non_finite_embedding_is_located(where, message, call, normalize):
     mem = StaticWordMemory(["big", "w"], np.array([[1.5e308, 0.0], [0.0, 1.0]]))
     params = init_params(2, 3, ModelConfig(normalize_sentences=normalize))
+    one_item = {"forward": forward, "backward": backward, "gradcheck": gradcheck}
+    if call in one_item and where == "subtitle":
+        # the caller builds the item's subtitle memory, which rejects the row
+        message = "subtitle matrix contains non-finite entries"
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         if call == "train":
             train(overflowing(where), mem, TrainConfig(max_epochs=1), params)
-        else:
+        elif call == "evaluate":
             evaluate(params, mem, overflowing(where))
+        else:
+            example = overflowing(where)[1]
+            sub = build_memory(example.subtitles, mem, normalize=normalize,
+                               movie_id=example.item.movie_id)
+            one_item[call](params, mem, example.item, example.features, sub)
 
 
 def test_params_copy_the_callers_weights():
