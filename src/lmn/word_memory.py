@@ -9,12 +9,17 @@ promoted on load. The module also holds the I/O core every reader and
 writer shares: `read_lines`, the one line rule, and `atomic_write_bytes`.
 
 Every text reader streams: `read_lines` yields one decoded line at a time,
-and `load_word2vec_text` parses each line as it arrives into one float64
-matrix, so a load holds the matrix plus one line, never the file's text.
-A reader that checks line by line (word2vec text, QA JSONL) therefore
-reports the first fault in line order, an undecodable byte included; the
-SubRip reader gathers its blocks before it checks them, so an undecodable
-byte there wins over any block error.
+and `load_word2vec_text` parses the lines a block at a time into one
+float64 matrix; a block holds at most BLOCK_TEXT (256 Ki) characters,
+counting one for each line's break, and so at most 256 Ki lines. A load
+holds the matrix plus one block, never the file's text; `save_word2vec_text` writes
+a block of lines at a time. A reader that checks line by line (word2vec
+text, QA JSONL) reports the first fault in line order, an undecodable byte
+included: a word2vec block that its one numpy read cannot vouch for is
+checked again line by line, and the lines before an undecodable byte are
+checked before its error is raised. The SubRip reader gathers its blocks
+before it checks them, so an undecodable byte there wins over any block
+error.
 """
 
 from __future__ import annotations
@@ -24,7 +29,7 @@ import contextlib
 import os
 import re
 import tempfile
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 
 import numpy as np
 
@@ -210,16 +215,17 @@ _UMASK = os.umask(0o022)
 os.umask(_UMASK)
 
 
-def atomic_write_bytes(path, data: bytes) -> None:
-    """Write `data` to a unique temporary file beside `path`, flush it to
-    disk, then rename it over `path`. On any failure the temporary file is
-    removed and `path` is left as it was."""
+def atomic_write_bytes(path, data: bytes | Iterable[bytes]) -> None:
+    """Write `data`, bytes or byte pieces each written as it arrives, to a
+    unique temporary file beside `path`, flush it to disk, then rename it
+    over `path`. On any failure the temporary file is removed and `path` is
+    left as it was."""
     path = os.fspath(path)
     fd, tmp = tempfile.mkstemp(prefix=os.path.basename(path) + ".",
                                suffix=".tmp", dir=os.path.dirname(path) or ".")
     try:
         with os.fdopen(fd, "wb") as fh:
-            fh.write(data)
+            fh.writelines((data,) if isinstance(data, bytes) else data)  # drops each piece before the next
             fh.flush()
             os.fsync(fh.fileno())
         os.chmod(tmp, 0o666 & ~_UMASK)  # mkstemp creates 0600; match open()
@@ -241,6 +247,99 @@ def _parse_header(line: str) -> tuple[int, int] | None:
     return count, dim
 
 
+# The characters of embedding text parsed as one block, each line counted
+# with one for its break (a longer line is a block of its own), and the bytes
+# of lines written as one piece.
+BLOCK_TEXT = 256 * 1024
+
+# The only bytes a block's coordinate text may hold for numpy's reader to
+# parse it. Numpy's reader and float() parse a field with the same routine
+# (PyOS_string_to_double), but numpy's reader also skips characters that
+# float() rejects, such as \x1c-\x1f, as whitespace.
+_BLOCK_BYTES = b"0123456789.eE+- "
+
+
+def _text_blocks(path) -> Iterator[tuple[int, list[str]]]:
+    """The lines of `path`, trailing spaces dropped, in blocks of at most
+    BLOCK_TEXT characters, each line counted with one for its break (so a
+    blank line counts too), each block with its first line's 1-based
+    number. When
+    the reader meets an undecodable byte, the lines before it come as a
+    last block, and the reader's error is raised after it."""
+    block: list[str] = []
+    first = size = 0
+    try:
+        for lineno, line in enumerate(read_lines(path, EmbeddingFormatError), 1):
+            line = line.rstrip(" ")
+            if size + len(line) + 1 > BLOCK_TEXT and block:
+                yield first, block
+                block, size = [], 0
+            if not block:
+                first = lineno
+            block.append(line)
+            size += len(line) + 1
+    except EmbeddingFormatError:  # only the reader raises in this loop
+        if block:
+            yield first, block
+        raise
+    if block:
+        yield first, block
+
+
+def _parse_block(block: list[str], dim: int | None,
+                 index: dict[str, int]) -> tuple[list[str], np.ndarray] | None:
+    """The words and (n, dim) rows of the block's non-empty lines, parsed by
+    one numpy read, when `_parse_line` would accept each of them with the
+    same values; None when it might not, or when there is no such line."""
+    words, coords = [], []
+    for line in block:
+        if line:
+            word, _, text = line.partition(" ")
+            words.append(word)
+            coords.append(text)
+    if not coords or "" in coords:  # numpy's reader skips a line with no coordinates
+        return None
+    if not all(text.isascii() and not text.encode("ascii").translate(None, _BLOCK_BYTES)
+               for text in coords):
+        return None
+    try:
+        rows = np.loadtxt(coords, delimiter=" ", comments=None, quotechar=None,
+                          dtype=np.float64, ndmin=2)
+    except ValueError:
+        return None
+    width = coords[0].count(" ") + 1 if dim is None else dim
+    if (rows.shape != (len(words), width) or not np.isfinite(rows).all()
+            or len(set(words)) < len(words) or not index.keys().isdisjoint(words)):
+        return None
+    return words, rows
+
+
+def _parse_line(path, lineno: int, line: str, dim: int | None,
+                index: dict[str, int]) -> tuple[str, np.ndarray]:
+    """The word and coordinates of one non-empty data line, checked in
+    order: its field count, its dimension against `dim` (when known), its
+    word against `index`'s words, then each coordinate."""
+    parts = line.split(" ")
+    if len(parts) < 2:
+        raise EmbeddingFormatError(
+            f"{path}: line {lineno}: expected '<word> <v1> ...', got {len(parts)} field(s)"
+        )
+    word, coords = parts[0], parts[1:]
+    if dim is not None and len(coords) != dim:
+        raise EmbeddingFormatError(
+            f"{path}: line {lineno}: inconsistent dimension (expected {dim} values, got {len(coords)})"
+        )
+    if word in index:
+        raise EmbeddingFormatError(f"{path}: line {lineno}: duplicate word {word!r}")
+    try:
+        values = np.fromiter(map(float, coords), dtype=np.float64, count=len(coords))
+    except ValueError as exc:
+        raise EmbeddingFormatError(f"{path}: line {lineno}: invalid coordinate: {exc}") from None
+    if not np.isfinite(values).all():
+        raise EmbeddingFormatError(f"{path}: line {lineno}: non-finite coordinate")
+    return word, values
+
+
 def load_word2vec_text(path) -> StaticWordMemory:
     """Parse a word2vec-style text file into a StaticWordMemory.
 
@@ -248,56 +347,57 @@ def load_word2vec_text(path) -> StaticWordMemory:
     "<word> <v1> ... <vd>" line per word, single-space separated, UTF-8.
     Spaces at the end of a line are ignored: the reference word2vec tool
     writes each value as "%lf ". The dimension is taken from the header or
-    inferred from the first data line; every malformed line is reported
-    with its 1-based line number.
+    inferred from the first data line; the first malformed line in file
+    order is reported with its 1-based line number.
 
-    Each line is parsed as it is read, into one float64 matrix. The matrix
-    is preallocated from the header's count when the file is large enough
-    to hold that many rows (each value needs a digit and a separator, so
-    count * 2 * dim <= file size) and grown otherwise, so a false count
-    allocates nothing the file cannot fill.
+    The lines are parsed a block at a time, into one float64 matrix; a
+    block holds at most BLOCK_TEXT characters, counting one for each line's
+    break, and so at most BLOCK_TEXT lines. A block whose coordinate text holds only
+    digits, ".eE+-" and spaces is parsed by one numpy read, which parses
+    each value as float() does; any other block, and one that read does
+    not turn into finite rows of the file's dimension under new words, is
+    parsed again line by line, which names its first bad line or accepts
+    it with the same values. The matrix is preallocated from the header's
+    count when the file is large enough to hold that many rows (each value
+    needs a digit and a separator, so count * 2 * dim <= file size) and
+    grown otherwise, so a false count allocates nothing the file cannot
+    fill.
     """
     declared_count = None
     dim = None
     index: dict[str, int] = {}  # each word's row, in row order
     matrix = np.empty((0, 0))
-    for lineno0, line in enumerate(read_lines(path, EmbeddingFormatError), 1):
-        line = line.rstrip(" ")
-        if lineno0 == 1:
-            header = _parse_header(line)
-            if header is not None:
-                declared_count, dim = header
-                continue
-        if line == "":
-            continue
-        parts = line.split(" ")
-        if len(parts) < 2:
-            raise EmbeddingFormatError(
-                f"{path}: line {lineno0}: expected '<word> <v1> ...', got {len(parts)} field(s)"
-            )
-        word, coords = parts[0], parts[1:]
-        if dim is None:
-            dim = len(coords)
-        elif len(coords) != dim:
-            raise EmbeddingFormatError(
-                f"{path}: line {lineno0}: inconsistent dimension (expected {dim} values, got {len(coords)})"
-            )
-        if word in index:
-            raise EmbeddingFormatError(f"{path}: line {lineno0}: duplicate word {word!r}")
-        try:
-            values = np.fromiter(map(float, coords), dtype=np.float64, count=dim)
-        except ValueError as exc:
-            raise EmbeddingFormatError(f"{path}: line {lineno0}: invalid coordinate: {exc}") from None
-        if not np.isfinite(values).all():
-            raise EmbeddingFormatError(f"{path}: line {lineno0}: non-finite coordinate")
+
+    def place(words: list[str], rows: np.ndarray) -> None:
+        nonlocal matrix
+        start, stop = len(index), len(index) + len(rows)
         if not index:
             fits = (declared_count is not None
                     and 1 <= declared_count <= os.path.getsize(path) // (2 * dim))
             matrix = np.empty((declared_count if fits else 1, dim))
-        elif len(index) == len(matrix):
-            matrix = np.concatenate([matrix, np.empty_like(matrix)])
-        matrix[len(index)] = values
-        index[word] = len(index)
+        if stop > len(matrix):
+            grown = np.empty((max(stop, 2 * len(matrix)), dim))
+            grown[:start] = matrix[:start]
+            matrix = grown
+        matrix[start:stop] = rows
+        index.update(zip(words, range(start, stop)))
+
+    for first, block in _text_blocks(path):
+        if first == 1:
+            header = _parse_header(block[0])
+            if header is not None:
+                declared_count, dim = header
+                block[0] = ""  # not a data line
+        parsed = _parse_block(block, dim, index)
+        if parsed is not None:
+            dim = parsed[1].shape[1]
+            place(*parsed)
+            continue
+        for lineno, line in enumerate(block, first):
+            if line:
+                word, values = _parse_line(path, lineno, line, dim, index)
+                dim = len(values)
+                place([word], values[None])
 
     if not index:
         raise EmbeddingFormatError(f"{path}: no embedding rows found")
@@ -313,11 +413,23 @@ def load_word2vec_text(path) -> StaticWordMemory:
 def save_word2vec_text(mem: StaticWordMemory, path) -> None:
     """Inverse of load_word2vec_text, with a "<count> <dim>" header;
     coordinates use shortest round-trip form. Written atomically, after a
-    check that no word holds a space or a line break, which the reader splits at."""
+    check that no word holds a space or a line break, which the reader splits
+    at, about BLOCK_TEXT bytes of lines at a time."""
     for word in mem.vocab:
         if " " in word or "\n" in word or "\r" in word:
             raise ValueError(f"cannot write word {word!r}: the text format splits at spaces and line breaks")
-    lines = [f"{mem.size} {mem.dim}\n"]
+    atomic_write_bytes(path, _text_pieces(mem))
+
+
+def _text_pieces(mem: StaticWordMemory) -> Iterator[bytes]:
+    """`mem`'s text file, a block of encoded lines at a time."""
+    lines = [f"{mem.size} {mem.dim}\n".encode("utf-8")]
+    size = 0
     for word, row in zip(mem.vocab, mem.matrix):
-        lines.append(word + " " + " ".join(repr(float(v)) for v in row) + "\n")
-    atomic_write_bytes(path, "".join(lines).encode("utf-8"))
+        line = (word + " " + " ".join(map(repr, row.tolist())) + "\n").encode("utf-8")
+        lines.append(line)
+        size += len(line)
+        if size >= BLOCK_TEXT:
+            yield b"".join(lines)
+            lines, size = [], 0
+    yield b"".join(lines)

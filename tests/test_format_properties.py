@@ -63,7 +63,8 @@ def parses_or_rejects(reader, path, data: bytes, error: type[Exception]) -> None
 
 @SETTINGS
 @given(data=arbitrary(b"3 2", b"2 2", b"0 0", b"-1 5", b"w", b"x", b"1", b"0.5", b"-2e3",
-                      b"nan", b"inf", b"1e400", b"\xc3\xa9"))
+                      b"nan", b"inf", b"1e400", b"\xc3\xa9", b"\x1c1", b"1_0", b"\t", b"1.",
+                      b".5", b"+3"))
 def test_word2vec_text(scratch, data):
     parses_or_rejects(load_word2vec_text, scratch, data, EmbeddingFormatError)
 

@@ -9,12 +9,14 @@ from lmn.data_io import SyntheticSpec, generate_synthetic
 from lmn.word_memory import (
     EmbeddingFormatError,
     StaticWordMemory,
+    atomic_write_bytes,
     embed_sentence,
     load_word2vec_text,
     normalize_rows,
     save_word2vec_text,
     tokenize,
 )
+from word2vec_oracle import joined_text
 
 
 @pytest.fixture
@@ -279,6 +281,19 @@ class TestWord2VecText:
         assert path.read_text() == "kept\n"
         assert [p.name for p in tmp_path.iterdir()] == ["emb.txt"]
 
+    def test_failed_piece_leaves_the_file_as_it_was(self, tmp_path):
+        path = tmp_path / "emb.txt"
+        path.write_text("kept\n")
+
+        def pieces():
+            yield b"1 1\n"
+            raise OSError("disk full")
+
+        with pytest.raises(OSError, match="disk full"):
+            atomic_write_bytes(path, pieces())
+        assert path.read_text() == "kept\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["emb.txt"]
+
     def test_round_trip_is_exact(self, tmp_path):
         rng = np.random.default_rng(7)
         mem = StaticWordMemory(
@@ -327,15 +342,32 @@ def test_matrix_shape_checks(vocab, matrix, message):
 
 class TestHoldOnce:
     """The embedding table exists once: loading builds no per-value Python
-    float and the Gram product keeps no second |V|-row table alive."""
+    float, saving holds a block of the file's text at a time, and the Gram
+    product keeps no second |V|-row table alive."""
 
     @pytest.fixture(scope="class")
-    def emb_path(self, tmp_path_factory):
+    def table(self):
         rng = np.random.default_rng(13)
+        return StaticWordMemory([f"w{i}" for i in range(2000)], rng.normal(size=(2000, 100)))
+
+    @pytest.fixture(scope="class")
+    def emb_path(self, table, tmp_path_factory):
         path = tmp_path_factory.mktemp("emb") / "emb.txt"
-        save_word2vec_text(StaticWordMemory([f"w{i}" for i in range(2000)],
-                                            rng.normal(size=(2000, 100))), path)
+        save_word2vec_text(table, path)
         return path
+
+    def test_save_holds_a_block_of_the_text(self, table, tmp_path):
+        # the writer encodes and writes a block of lines at a time, never
+        # the whole file's text, and writes the bytes of one whole-file join
+        path = tmp_path / "emb.txt"
+        tracemalloc.start()
+        try:
+            save_word2vec_text(table, path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.25 * path.stat().st_size
+        assert path.read_bytes() == joined_text(table)
 
     def test_gram_keeps_no_second_table(self, emb_path):
         tracemalloc.start()
