@@ -220,7 +220,7 @@ def cmd_gradcheck(args) -> int:
         params = init_params(mem.dim, example.features.channels, config, seed=args.seed)
     # outside `_located`: the preparation's errors already name the question or movie
     rows = prepare_example(mem, example, config).subtitle_mat
-    sub = None if rows is None else SubtitleMemory(rows, example.subtitles, example.item.movie_id)
+    sub = None if rows is None else SubtitleMemory(rows, example.subtitles)
     with _located(f"question {example.item.qid}"):
         err = gradcheck(params, mem, example.item, example.features, sub, step=args.step)
     print(f"gradcheck qid {example.item.qid}: max relative error {err:.3e} (step {args.step:g})")

@@ -43,7 +43,6 @@ class SubtitleMemory:
 
     matrix: np.ndarray  # (N, d)
     sentences: tuple[str, ...]
-    movie_id: str = ""
 
     def __post_init__(self):
         m = np.array(self.matrix, dtype=np.float64, order="C")  # a copy; the caller's array stays writable
@@ -68,7 +67,6 @@ def build_memory(
     sentences,
     mem: StaticWordMemory,
     normalize: bool = True,
-    movie_id: str = "",
 ) -> SubtitleMemory:
     """Embed each sentence with the word memory, preserving order. A row
     that overflows is left non-finite for `SubtitleMemory` to reject."""
@@ -77,7 +75,7 @@ def build_memory(
         raise ValueError("cannot build a subtitle memory from an empty sentence list")
     with np.errstate(over="ignore", invalid="ignore"):
         rows = embed_sentence(mem, sentences, normalize=normalize)
-    return SubtitleMemory(rows, sentences, movie_id)
+    return SubtitleMemory(rows, sentences)
 
 
 # --- the scale recurrence -------------------------------------------------

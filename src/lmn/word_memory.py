@@ -252,6 +252,11 @@ def _parse_header(line: str) -> tuple[int, int] | None:
 # of lines written as one piece.
 BLOCK_TEXT = 256 * 1024
 
+# One coordinate: [+-]?(digits[.digits?]|.digits)([eE][+-]?digits)?, ASCII
+# digits only. `repr` writes every finite float64 so, and float() and numpy's
+# reader parse each such field alike.
+_COORDINATE = re.compile(r"[+-]?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?")
+
 # The only bytes a block's coordinate text may hold for numpy's reader to
 # parse it. Numpy's reader and float() parse a field with the same routine
 # (PyOS_string_to_double), but numpy's reader also skips characters that
@@ -318,7 +323,8 @@ def _parse_line(path, lineno: int, line: str, dim: int | None,
                 index: dict[str, int]) -> tuple[str, np.ndarray]:
     """The word and coordinates of one non-empty data line, checked in
     order: its field count, its dimension against `dim` (when known), its
-    word against `index`'s words, then each coordinate."""
+    word against `index`'s words, then each coordinate against _COORDINATE,
+    then their values, which must be finite."""
     parts = line.split(" ")
     if len(parts) < 2:
         raise EmbeddingFormatError(
@@ -331,10 +337,10 @@ def _parse_line(path, lineno: int, line: str, dim: int | None,
         )
     if word in index:
         raise EmbeddingFormatError(f"{path}: line {lineno}: duplicate word {word!r}")
-    try:
-        values = np.fromiter(map(float, coords), dtype=np.float64, count=len(coords))
-    except ValueError as exc:
-        raise EmbeddingFormatError(f"{path}: line {lineno}: invalid coordinate: {exc}") from None
+    for text in coords:
+        if not _COORDINATE.fullmatch(text):
+            raise EmbeddingFormatError(f"{path}: line {lineno}: invalid coordinate: {text!r}")
+    values = np.fromiter(map(float, coords), dtype=np.float64, count=len(coords))
     if not np.isfinite(values).all():
         raise EmbeddingFormatError(f"{path}: line {lineno}: non-finite coordinate")
     return word, values
@@ -348,7 +354,10 @@ def load_word2vec_text(path) -> StaticWordMemory:
     Spaces at the end of a line are ignored: the reference word2vec tool
     writes each value as "%lf ". The dimension is taken from the header or
     inferred from the first data line; the first malformed line in file
-    order is reported with its 1-based line number.
+    order is reported with its 1-based line number. A coordinate is
+    `[+-]?(digits[.digits?]|.digits)([eE][+-]?digits)?` in ASCII digits;
+    any other field, `nan` and `inf` included, is an invalid coordinate,
+    and one past the float64 range, such as `1e400`, is non-finite.
 
     The lines are parsed a block at a time, into one float64 matrix; a
     block holds at most BLOCK_TEXT characters, counting one for each line's

@@ -74,7 +74,10 @@ def make_instance(
     avoid_kinks: bool = False,
 ) -> Instance:
     """Random small instance; with `avoid_kinks` the seed is advanced until
-    every ReLU gate pre-activation and region norm is comfortably nonzero."""
+    every ReLU gate pre-activation and region norm is comfortably nonzero,
+    some gate-kept subtitle row remains and the answer softmax is not
+    saturated, so that the loss has a gradient a difference quotient can
+    measure."""
     for attempt in range(64):
         rng = np.random.default_rng(seed + 7919 * attempt)
         v_size = int(rng.integers(3, 11))
@@ -121,9 +124,10 @@ def _well_conditioned(weights, prep, config, mem) -> bool:
             return False
     if state.clip_cache is not None:
         for pre in state.clip_cache.pre:
-            if np.min(np.abs(pre)) < 1e-6:
+            if np.min(np.abs(pre)) < 1e-6 or not np.any(pre > 0):  # a kink, or every row gated off
                 return False
-    if np.max(np.abs(state.dist.logits)) > 30:  # keep the softmax well away from saturation
+    # keep the softmax well away from saturation; the loss floor is the bench gate's
+    if np.max(np.abs(state.dist.logits)) > 30 or state.losses[0] < 1e-2:
         return False
     return True
 

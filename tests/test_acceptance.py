@@ -314,7 +314,10 @@ def test_criterion_6_format_fidelity(tmp_path):
 
 
 def test_criterion_7_cli_determinism(tmp_path):
-    with criterion(7, "cmd_train is byte-identical across runs and BLAS thread counts"):
+    # desk-size GEMMs run on one BLAS thread whatever the setting, so the
+    # thread counts agree here; see the next test for a split GEMM
+    with criterion(7, "cmd_train at the desk shape is byte-identical across runs and "
+                      "BLAS thread counts"):
         data_dir = tmp_path / "data"
         assert cli_main([
             "synth", "--out", str(data_dir),
@@ -348,3 +351,30 @@ def test_criterion_7_cli_determinism(tmp_path):
                     (tmp_path / run / "report.json").read_bytes())
                    for run in ("r1", "r2", "r3", "r4")]
         assert all(o == outputs[0] for o in outputs[1:])
+
+
+def test_eval_repeats_its_bytes_under_threaded_blas(tmp_path):
+    # at d=100, C=200, |V|=400 and 4x7x7 regions OpenBLAS splits the Gram
+    # and projection products over two threads, and eval.json differs from
+    # the one-thread run in the last digits of its probabilities; at a given
+    # thread count it must repeat byte for byte
+    data_dir = tmp_path / "data"
+    assert cli_main([
+        "synth", "--out", str(data_dir), "--vocab-size", "400", "--dim", "100",
+        "--channels", "200", "--frames", "4", "--height", "7", "--width", "7",
+        "--n-subtitles", "8", "--n-train", "2", "--n-eval", "4", "--noise", "10",
+        "--seed", "3",
+    ]) == 0
+    save_params(init_params(100, 200, seed=5).weights, tmp_path / "params.lmnp")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(lmn.__file__)))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="2", PYTHONPATH=path)
+    for run in ("r1", "r2"):
+        subprocess.run([
+            sys.executable, "-m", "lmn.cli", "eval",
+            "--embeddings", str(data_dir / "embeddings.txt"),
+            "--qa", str(data_dir / "eval.jsonl"), "--features", str(data_dir / "features"),
+            "--subtitles", str(data_dir / "subtitles"), "--frames", "4",
+            "--params", str(tmp_path / "params.lmnp"), "--out", str(tmp_path / run),
+        ], env=env, check=True, capture_output=True)
+    assert (tmp_path / "r1" / "eval.json").read_bytes() == (tmp_path / "r2" / "eval.json").read_bytes()

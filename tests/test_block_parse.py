@@ -3,20 +3,23 @@
 `load_word2vec_text` parses a block of lines with one numpy read, and a
 block that read cannot vouch for line by line. Whatever the bytes and the
 block budget, the loaded vocabulary and matrix bytes must equal those of
-`load_per_line`, the reader as it was before blocks, or the reader must
-raise the oracle's exception with the oracle's message.
+`load_per_line`, the reader as it was before blocks with each coordinate
+held to the ASCII number characters, or the reader must raise the
+oracle's exception with the oracle's message.
 """
 
 from __future__ import annotations
 
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import lmn.word_memory
-from lmn.word_memory import EmbeddingFormatError, _text_blocks, load_word2vec_text
+from lmn.word_memory import (EmbeddingFormatError, _parse_line, _text_blocks,
+                             load_word2vec_text)
 from word2vec_oracle import load_per_line
 
 # see test_format_properties.py: a failure report must not become an
@@ -27,8 +30,9 @@ pytestmark = pytest.mark.filterwarnings(
 SETTINGS = settings(derandomize=True, database=None, deadline=None, max_examples=300)
 
 NUMBERS = [b"1", b"0.5", b"-2e3", b"+3", b"1.", b".5", b"1e-5", b"0.1234567890123456789012345"]
-# fields float() and numpy's reader may treat apart (numpy skips \x1c-\x1f,
-# float() reads an Arabic-Indic digit), and fields neither accepts
+# fields float() and numpy's reader may treat apart (numpy skips \x1c-\x1f),
+# fields float() reads but the coordinate grammar rejects (a tab, NBSP, an
+# Arabic-Indic digit, an underscore, nan, inf), and fields neither accepts
 ODD = [b"\x1c1", b"\x1d", b"\x1f2", b"\t", b"1\t", b"\xc2\xa01", b"\xd9\xa1", b"1_0", b"_",
        b"nan", b"inf", b"1e400", b"", b"\xff", b"-", b"e"]
 WORDS = [b"a", b"b", b"c", b"d", b"e", b"\xc3\xa9", b"\x1c", b"w\xff"]
@@ -97,7 +101,28 @@ def test_separator_control_character_is_an_invalid_coordinate(tmp_path):
     path = tmp_path / "emb.txt"
     error, message = load_both(path, b"a 1 2\nb \x1c1 2\n")
     assert error is EmbeddingFormatError
-    assert message == f"{path}: line 2: invalid coordinate: could not convert string to float: '\\x1c1'"
+    assert message == f"{path}: line 2: invalid coordinate: '\\x1c1'"
+
+
+@pytest.mark.parametrize("field", ["1_0", "\u0661", "\xa01", "\u20031", "1\t", "nan", "inf",
+                                   "-Infinity", "0x1p3", "1e", ".", "+-1"])
+def test_field_outside_the_coordinate_grammar_is_invalid(tmp_path, field):
+    path = tmp_path / "emb.txt"
+    error, message = load_both(path, f"a 1 2\nb {field} 4\n".encode())
+    assert (error, message) == (EmbeddingFormatError,
+                                f"{path}: line 2: invalid coordinate: {field!r}")
+
+
+def test_grammar_admits_every_written_value():
+    # the writer emits repr(); the per-line parse must take every finite
+    # float64's repr back bitwise, subnormals and the extremes included
+    rng = np.random.default_rng(19)
+    values = rng.integers(0, 2**64, size=20000, dtype=np.uint64).view(np.float64)
+    values = np.concatenate([values[np.isfinite(values)],
+                             [0.0, -0.0, 5e-324, -1.7976931348623157e308, 1e16, 0.1]])
+    line = "w " + " ".join(map(repr, values.tolist()))
+    word, parsed = _parse_line("emb.txt", 1, line, None, {})
+    assert word == "w" and parsed.tobytes() == values.tobytes()
 
 
 @pytest.mark.parametrize("data, fault", [

@@ -1,11 +1,16 @@
+import __future__
 import dataclasses
+import inspect
 import json
 import math
 import re
+import textwrap
 
 import numpy as np
 import pytest
 
+import lmn.frame_encoder
+import lmn.subtitle_memory
 import lmn.training
 from instances import config_sweep, make_instance, prepare
 from lmn.answering import QAItem, predict
@@ -209,35 +214,103 @@ class TestGradcheckHarness:
         err = gradcheck(as_params(inst), inst.mem, inst.item, inst.features, inst.sub, step=1e-1)
         assert math.isfinite(err)
 
-    def test_entry_subsampling_for_large_shapes(self):
+    @pytest.mark.parametrize("edit", [np.negative, np.zeros_like, lambda g: 1.1 * g],
+                             ids=["negated", "zeroed", "scaled"])
+    def test_every_entry_is_checked(self, monkeypatch, edit):
+        # entry (4, 0) of the 16x24 weights holds 19% of the gradient's norm;
+        # a check that samples entries can miss it
         spec = SyntheticSpec(n_train=1, n_eval=1, seed=77)
         data = generate_synthetic(spec)
         example = data.examples("train")[0]
         sub = build_memory(example.subtitles, data.word_memory)
         params = init_params(spec.dim, spec.channels, seed=77)
-        # 16x24 weights exceed the 256-entry cap, so a seeded subset is checked
-        err = gradcheck(params, data.word_memory, example.item, example.features, sub,
-                        step=1e-5)
-        assert err <= 1e-4
+        args = (params, data.word_memory, example.item, example.features, sub)
+        assert gradcheck(*args) <= 1e-4
+        exact = lmn.training.run_backward
 
-    def test_saturated_softmax_has_no_measurable_entry(self):
+        def wrong_entry(*call):
+            grad = exact(*call)
+            grad[4, 0] = edit(grad[4, 0])
+            return grad
+
+        monkeypatch.setattr(lmn.training, "run_backward", wrong_entry)
+        assert gradcheck(*args) > 1e-4
+
+    @pytest.mark.parametrize("module, name, exact, planted, mode", [
+        (lmn.subtitle_memory, "encode_clip_backward", "dscale * prev * prev * (pre > 0.0)",
+         "dscale * prev * prev", dict(um_hops=2, qg=True)),
+        (lmn.subtitle_memory, "encode_clip_backward",
+         "weights * dscale + dlogits * cache.question_scores", "weights * dscale",
+         dict(um_hops=2, qg=True)),
+        (lmn.subtitle_memory, "encode_clip_backward", "if cache.carry_frames:", "if False:",
+         dict(um_hops=2, carry_frames=True)),
+        (lmn.frame_encoder, "_normalize_backward", "cache.xhat * inner", "0.0 * cache.xhat", {}),
+        (lmn.subtitle_memory, "encode_clip_backward", "np.maximum(pre, 0.0) * dscale",
+         "np.maximum(scale, 0.0) * dscale", dict(um_hops=3)),
+    ], ids=["relu-mask", "guide-term", "carry-frames", "normalize-projection", "gate-scale"])
+    def test_planted_adjoint_bug_is_caught(self, monkeypatch, module, name, exact, planted, mode):
+        # each bug is one expression of the adjoint's source, edited; the
+        # guide and mask bugs need a gate before the guide, and the scale
+        # bug a gate after the first, where the row scale is not the mask
+        source = textwrap.dedent(inspect.getsource(getattr(module, name)))
+        assert source.count(exact) == 1
+        namespace = dict(vars(module))
+        exec(compile(source.replace(exact, planted), module.__file__, "exec",
+                     flags=__future__.annotations.compiler_flag, dont_inherit=True), namespace)
+        instances = [make_instance(seed=seed, avoid_kinks=True, **mode) for seed in (2, 3)]
+        checks = [(as_params(inst), inst.mem, inst.item, inst.features, inst.sub)
+                  for inst in instances]
+        assert max(gradcheck(*args) for args in checks) <= 1e-4
+        monkeypatch.setattr(module, name, namespace[name])
+        if hasattr(lmn.training, name):  # the training module calls its own import
+            monkeypatch.setattr(lmn.training, name, namespace[name])
+        assert max(gradcheck(*args) for args in checks) > 1e-4
+
+    FLOOR_ERROR = (r"^no direction reaches 1e5 times the finite-difference floor "
+                   r"eps \* max\(\|loss\|, max \|logit\|\) / step = ")
+
+    @staticmethod
+    def saturated(scale, label):
         # the projection's scale cancels in the first hop's normalization, so
-        # raw word vectors scaled by 1e12 saturate the softmax instead: the
-        # loss is the logit gap, near 1e24, and its rounding floor
-        # |loss|*eps/step outgrows every gradient entry
+        # raw word vectors scaled up saturate the softmax instead
         rng = np.random.default_rng(5)
-        mem = StaticWordMemory(["aa", "bb", "cc"], 1e12 * rng.normal(size=(3, 3)))
+        mem = StaticWordMemory(["aa", "bb", "cc"], scale * rng.normal(size=(3, 3)))
         item = QAItem("q", "aa", ("aa", "bb", "cc", "aa bb", "bb cc"), "m", ("c",),
-                      correct_index=1)
+                      correct_index=label)
         features = ClipFeatures(rng.normal(size=(2, 4, 1, 2)))
         params = init_params(3, 4, ModelConfig(normalize_sentences=False), seed=1)
+        return params, mem, item, features
+
+    def test_saturated_softmax_has_no_measurable_entry(self):
+        # at 1e12 the loss is the logit gap, near 1e24, and its rounding
+        # floor eps*|loss|/step outgrows every gradient entry
+        params, mem, item, features = self.saturated(1e12, 1)
         loss, dist = forward(params, mem, item, features)
         assert dist.probs.max() == 1.0 and loss > 1e24
         assert np.abs(backward(params, mem, item, features)).max() < loss * np.finfo(float).eps / 1e-5
-        with pytest.raises(ValueError, match=r"^no checked gradient entry exceeds the "
-                           r"finite-difference floor \|loss\| \* eps / step = 9\.609e\+13 "
-                           r"\(loss 4\.328e\+24\)$"):
+        with pytest.raises(ValueError, match=self.FLOOR_ERROR + r"9\.609e\+13 "
+                           r"\(loss 4\.328e\+24, max \|logit\| 2\.459e\+24\)$"):
             gradcheck(params, mem, item, features)
+
+    @pytest.mark.parametrize("label", [1, 2, 3, 4])
+    def test_nearly_saturated_softmax_raises(self, label):
+        # at 1e10 the largest directional derivative is at most 19 times the
+        # floor: a difference quotient there is mostly the loss's rounding
+        params, mem, item, features = self.saturated(1e10, label)
+        with pytest.raises(ValueError, match=self.FLOOR_ERROR):
+            gradcheck(params, mem, item, features)
+
+    @pytest.mark.parametrize("index", [0, 1])
+    def test_vanishing_loss_raises(self, index):
+        # losses 3.7e-11 and 4.6e-6 at max |logit| 44.6 and 33.2: the logits'
+        # rounding, not the loss's, bounds what a difference quotient resolves
+        spec = SyntheticSpec(n_train=4, n_eval=1, seed=77)
+        data = generate_synthetic(spec)
+        example = data.examples("train")[index]
+        sub = build_memory(example.subtitles, data.word_memory)
+        params = init_params(spec.dim, spec.channels, seed=77)
+        with pytest.raises(ValueError, match=self.FLOOR_ERROR):
+            gradcheck(params, data.word_memory, example.item, example.features, sub)
 
     def test_rejects_bad_step(self):
         inst = make_instance(seed=102)
@@ -650,8 +723,7 @@ def test_non_finite_embedding_is_located(where, message, call, normalize):
             evaluate(params, mem, overflowing(where))
         else:
             example = overflowing(where)[1]
-            sub = build_memory(example.subtitles, mem, normalize=normalize,
-                               movie_id=example.item.movie_id)
+            sub = build_memory(example.subtitles, mem, normalize=normalize)
             one_item[call](params, mem, example.item, example.features, sub)
 
 

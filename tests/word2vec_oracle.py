@@ -1,7 +1,8 @@
 """The word2vec text reader and writer as they were before blocks: the
-per-line loader parses every line on its own with `float()`, and the
-writer joins the whole file's text before encoding it. Kept as oracles
-for the block reader and the streamed writer."""
+per-line loader parses every line on its own, each coordinate with
+`float()` once it is made only of the ASCII characters a number is written
+with, and the writer joins the whole file's text before encoding it. Kept
+as oracles for the block reader and the streamed writer."""
 
 from __future__ import annotations
 
@@ -11,6 +12,10 @@ import numpy as np
 
 from lmn.word_memory import (EmbeddingFormatError, StaticWordMemory, _parse_header,
                              read_lines)
+
+# float() also reads `nan`, `inf`, underscores between digits, non-ASCII
+# digits and surrounding whitespace; none of these is a coordinate
+NUMBER_CHARACTERS = set("0123456789.eE+-")
 
 
 def load_per_line(path) -> StaticWordMemory:
@@ -42,10 +47,15 @@ def load_per_line(path) -> StaticWordMemory:
             )
         if word in index:
             raise EmbeddingFormatError(f"{path}: line {lineno0}: duplicate word {word!r}")
-        try:
-            values = np.fromiter(map(float, coords), dtype=np.float64, count=dim)
-        except ValueError as exc:
-            raise EmbeddingFormatError(f"{path}: line {lineno0}: invalid coordinate: {exc}") from None
+        values = np.empty(dim)
+        for k, text in enumerate(coords):
+            try:
+                if not set(text) <= NUMBER_CHARACTERS:
+                    raise ValueError
+                values[k] = float(text)
+            except ValueError:
+                raise EmbeddingFormatError(
+                    f"{path}: line {lineno0}: invalid coordinate: {text!r}") from None
         if not np.isfinite(values).all():
             raise EmbeddingFormatError(f"{path}: line {lineno0}: non-finite coordinate")
         if not index:
