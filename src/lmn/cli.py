@@ -26,7 +26,6 @@ from .training import (
     ModelConfig,
     ModelParams,
     TrainConfig,
-    _check_step,
     _located,
     _require_labels,
     _run,
@@ -66,9 +65,10 @@ def _load_inputs(
     args, config: ModelConfig, first: bool = False
 ) -> tuple[StaticWordMemory, ModelParams | None, list[Example]]:
     """The embeddings, the `--params` model under `config` (None when no
-    params file is given) and the QA file's examples. Every path is checked
-    before any file is parsed, and the params are read right after the
-    embeddings, before any clip is decoded. With `first`, only the question
+    params file is given) and the QA file's examples. Every input path is
+    checked, and the `--out` directory made, before any file is parsed, so
+    a bad output path fails before the run; the params are read right after
+    the embeddings, before any clip is decoded. With `first`, only the question
     `args.qid` names, or the file's first question when it names none, so
     no other question's clips are decoded."""
     embeddings = _require(args.embeddings, "embedding file")
@@ -78,6 +78,9 @@ def _load_inputs(
     params_path = getattr(args, "params", None)  # train has none; gradcheck's is optional
     if params_path is not None:
         _require(params_path, "params file")
+    out = getattr(args, "out", None)  # train's and eval's; eval's is optional
+    if out is not None:
+        os.makedirs(out, exist_ok=True)
 
     mem = load_word2vec_text(embeddings)
     params = None
@@ -142,7 +145,6 @@ def cmd_train(args) -> int:
     params0 = init_params(mem.dim, channels, config, seed=trainer.seed)
     params, report = train(examples, mem, trainer, params0)
 
-    os.makedirs(args.out, exist_ok=True)
     params_path = os.path.join(args.out, "params.lmnp")
     report_path = os.path.join(args.out, "report.json")
     data_io.save_params(params.weights, params_path)
@@ -161,7 +163,6 @@ def cmd_eval(args) -> int:
     acc, records = evaluate(params, mem, examples)
     doc = {"accuracy": acc, "n": len(examples), "per_question": records}
     if args.out:
-        os.makedirs(args.out, exist_ok=True)
         _write_text(os.path.join(args.out, "eval.json"),
                     json.dumps(doc, ensure_ascii=False) + "\n")
     print(f"accuracy {acc:.4f} over {len(examples)} questions")
@@ -212,7 +213,6 @@ def cmd_rank_subtitles(args) -> int:
 
 def cmd_gradcheck(args) -> int:
     config = _settings(ModelConfig, args)
-    _check_step("step", args.step)
     if args.seed < 0:
         raise ValueError("seed must be >= 0")
     mem, params, (example,) = _load_inputs(args, config, first=True)
@@ -222,8 +222,8 @@ def cmd_gradcheck(args) -> int:
     rows = prepare_example(mem, example, config).subtitle_mat
     sub = None if rows is None else SubtitleMemory(rows, example.subtitles)
     with _located(f"question {example.item.qid}"):
-        err = gradcheck(params, mem, example.item, example.features, sub, step=args.step)
-    print(f"gradcheck qid {example.item.qid}: max relative error {err:.3e} (step {args.step:g})")
+        err = gradcheck(params, mem, example.item, example.features, sub)
+    print(f"gradcheck qid {example.item.qid}: max relative error {err:.3e}")
     return 0
 
 
@@ -329,7 +329,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_model_flags(p)
     p.add_argument("--params", default=None, help="optional LMNP file (default: fresh init)")
     p.add_argument("--qid", default=None)
-    p.add_argument("--step", type=float, default=1e-5)
     p.add_argument("--seed", type=int, default=0, help="seed of the fresh init")
     p.set_defaults(func=cmd_gradcheck)
 

@@ -13,7 +13,9 @@ their stored width, to float64 once per chunk; every other array of a
 one-item chunk is a view of the item's. Shapes never mix within a chunk, so
 nothing is padded or masked. `train`'s minibatches, its dev pass,
 `evaluate`, and `forward`, `backward` and `gradcheck` on their one-item
-chunks all take this path.
+chunks all take this path. Preparation cuts examples by the same rule
+(`_chunks`) and embeds each run's sentences in one call, so an evaluation
+embeds exactly the chunks it runs.
 
 Training is plain minibatch SGD with early stopping on dev accuracy, fully
 reproducible from the seed: a minibatch's gradient is one GEMM sum per
@@ -24,7 +26,8 @@ from __future__ import annotations
 
 import hashlib
 import json
-from collections.abc import Iterable, Iterator
+import math
+from collections.abc import Callable, Iterable, Iterator
 from contextlib import contextmanager, nullcontext
 from dataclasses import asdict, dataclass, field, replace
 
@@ -182,18 +185,22 @@ class Prepared:
 def _prepared(
     mem: StaticWordMemory, dataset: Iterable[Example], config: ModelConfig
 ) -> Iterator[Prepared]:
-    """The examples' prepared items in order, made a block at a time: the
-    examples are cut in order into blocks whose items would share one chunk
-    (`_blocks`), and each block's sentences are embedded in one call
-    (`_embed_block`). A movie's rows are embedded once and shared,
-    read-only, by every question about it. `embed_sentence` sums each row on
-    its own, so no row depends on its block: an item prepared alone, as
-    `forward` prepares it, has the same rows, and a movie's are the ones
-    `build_memory` gives."""
+    """The examples' prepared items in order, made a chunk at a time:
+    `_chunks` cuts the examples into the runs the engine stacks, and each
+    run's sentences are embedded in one call (`_embed_chunk`). A movie's
+    rows are embedded once and shared, read-only, by every question about
+    it. `embed_sentence` sums each row on its own, so no row depends on its
+    chunk: an item prepared alone, as `forward` prepares it, has the same
+    rows, and a movie's are the ones `build_memory` gives."""
+    def key(example: Example) -> tuple[tuple, int]:
+        t, c, h, w = example.features.tensor.shape
+        return _key((t, h * w, c), None if example.subtitles is None else len(example.subtitles),
+                    mem.dim)
+
     memories: dict[tuple[str, tuple[str, ...]], np.ndarray] = {}
-    for block in _blocks(dataset, mem.dim):
-        text_rows = _embed_block(mem, block, memories, config.normalize_sentences)
-        for i, example in enumerate(block):
+    for run in _chunks(dataset, key):
+        text_rows = _embed_chunk(mem, run, memories, config.normalize_sentences)
+        for i, example in enumerate(run):
             first = i * (1 + NUM_CHOICES)
             yield Prepared(
                 regions=example.features.regions(),
@@ -205,13 +212,13 @@ def _prepared(
             )
 
 
-def _embed_block(
+def _embed_chunk(
     mem: StaticWordMemory,
-    block: list[Example],
+    run: list[Example],
     memories: dict[tuple[str, tuple[str, ...]], np.ndarray],
     normalize: bool,
 ) -> np.ndarray:
-    """Embed the block in one `embed_sentence` call: six rows per example,
+    """Embed the run in one `embed_sentence` call: six rows per example,
     its question and answers, then the subtitles of each (movie_id,
     subtitles) not yet in `memories`, whose rows it adds there. Returns the
     question and answer rows, held apart from the movies' rows so that
@@ -220,11 +227,11 @@ def _embed_block(
     Rows that are not all finite raise one ValueError that starts
     `question <qid>: ` or `movie <movie_id>: ` and names the first such row,
     questions and answers before subtitles."""
-    texts = [text for example in block
+    texts = [text for example in run
              for text in (example.item.question, *example.item.answers)]
     subtitles: list[str] = []
     fresh: dict[tuple[str, tuple[str, ...]], slice] = {}  # each new movie's rows in `subtitles`
-    for example in block:
+    for example in run:
         key = (example.item.movie_id, example.subtitles)
         if example.subtitles is None or key in memories or key in fresh:
             continue
@@ -235,7 +242,7 @@ def _embed_block(
     with np.errstate(over="ignore", invalid="ignore"):
         rows = embed_sentence(mem, texts + subtitles, normalize=normalize)
     if not np.isfinite(rows).all():
-        _raise_non_finite(rows, block, fresh)
+        _raise_non_finite(rows, run, fresh)
     text_rows, movie_rows = rows[: len(texts)].copy(), rows[len(texts) :].copy()
     text_rows.setflags(write=False)
     movie_rows.setflags(write=False)
@@ -244,34 +251,16 @@ def _embed_block(
     return text_rows
 
 
-def _blocks(dataset: Iterable[Example], dim: int) -> Iterator[list[Example]]:
-    """The examples cut in order into blocks whose prepared items' stacked
-    copies, as `_nbytes` counts them, stay within CHUNK_BYTES; an example
-    over the budget is alone in its block."""
-    block: list[Example] = []
-    size = 0
-    for example in dataset:
-        n = _nbytes(example.features.tensor.size,
-                    0 if example.subtitles is None else len(example.subtitles), dim)
-        if block and size + n > CHUNK_BYTES:
-            yield block
-            block, size = [], 0
-        block.append(example)
-        size += n
-    if block:
-        yield block
-
-
-def _raise_non_finite(rows: np.ndarray, block: list[Example], fresh: dict[tuple, slice]) -> None:
-    """Name the block's first row that is not finite, and its question or
-    movie; the rows are `_embed_block`'s, six per question, then each
+def _raise_non_finite(rows: np.ndarray, run: list[Example], fresh: dict[tuple, slice]) -> None:
+    """Name the run's first row that is not finite, and its question or
+    movie; the rows are `_embed_chunk`'s, six per question, then each
     movie's."""
     bad = int(np.argmin(np.isfinite(rows).all(axis=1)))
     item, k = divmod(bad, 1 + NUM_CHOICES)
-    if item < len(block):
+    if item < len(run):
         row = "the question" if k == 0 else f"answer {k - 1}"
-        raise ValueError(f"question {block[item].item.qid}: {row} embeds to non-finite values")
-    bad -= len(block) * (1 + NUM_CHOICES)
+        raise ValueError(f"question {run[item].item.qid}: {row} embeds to non-finite values")
+    bad -= len(run) * (1 + NUM_CHOICES)
     for (movie_id, _), span in fresh.items():
         if span.start <= bad < span.stop:
             raise ValueError(f"movie {movie_id}: subtitle {bad - span.start} "
@@ -286,11 +275,11 @@ def prepare_example(mem: StaticWordMemory, example: Example, config: ModelConfig
 
 # A chunk stacks consecutive same-shape items along a leading batch axis
 # while their stacked copies, regions counted at float64 width, stay within
-# this many bytes, and `_prepared` cuts its blocks, one `embed_sentence` call
-# each, by the same count. At the desk shape an item is 8.3 KB, so a
-# minibatch of 8 (66 KB) is one chunk and an eval chunk or a preparation
-# block holds up to 31 items; a MovieQA-shape item (6.4 MB of float64
-# regions) is over it, runs alone and is prepared alone.
+# this many bytes; `_prepared` embeds the sentences of each such run of
+# examples in one `embed_sentence` call. At the desk shape an item is 8.3 KB,
+# so a minibatch of 8 (66 KB) is one chunk and an eval chunk holds up to 31
+# items; a MovieQA-shape item (6.4 MB of float64 regions) is over it, runs
+# alone and is prepared alone.
 # Measured on one pinned thread of a 2-vCPU x86 host: one forward over 1000
 # desk-shape items took 80.8, 16.2, 13.3, 13.7, 15.7 and 19.0 ms at budgets
 # of 16 KiB, 64 KiB, 256 KiB, 1 MiB, 4 MiB and 16 MiB, and twelve desk-train
@@ -337,29 +326,34 @@ class Chunk:
         )
 
 
-def _shape(prep: Prepared) -> tuple:
-    return prep.regions.shape, None if prep.subtitle_mat is None else prep.subtitle_mat.shape
+def _key(regions: tuple[int, int, int], subtitles: int | None, dim: int) -> tuple[tuple, int]:
+    """An item's chunk key: its shape, (T, R, C) regions and subtitle count
+    (None when video-only), and its bytes in a stacked chunk, its regions at
+    float64 width and its question, answer and subtitle rows."""
+    rows = 1 + NUM_CHOICES + (subtitles or 0)
+    return (regions, subtitles), 8 * (math.prod(regions) + rows * dim)
 
 
-def _nbytes(regions: int, subtitles: int, dim: int) -> int:
-    """An item's share of a stacked chunk: its `regions` values at float64
-    width, and its question, answer and `subtitles` sentence rows."""
-    return 8 * (regions + (1 + NUM_CHOICES + subtitles) * dim)
+def _item_key(prep: Prepared) -> tuple[tuple, int]:
+    subtitles = None if prep.subtitle_mat is None else len(prep.subtitle_mat)
+    return _key(prep.regions.shape, subtitles, prep.question.size)
 
 
-def _chunks(items: Iterable[Prepared]) -> Iterator[list[Prepared]]:
-    """The items cut in order into runs of one shape whose stacked copies
-    stay within CHUNK_BYTES; an item over the budget runs alone. Items of
-    one shape have one byte count, so a run that has no room for another is
-    yielded before the next item is read."""
-    run: list[Prepared] = []
-    for prep in items:
-        if run and _shape(prep) != _shape(run[0]):
+def _chunks(items: Iterable, key: Callable[..., tuple[tuple, int]]) -> Iterator[list]:
+    """The items, examples or prepared items, cut in order into runs of one
+    shape whose stacked copies stay within CHUNK_BYTES; `key` gives an
+    item's shape and bytes (`_key`). An item over the budget runs alone.
+    Items of one shape have one byte count, so a run that has no room for
+    another is yielded before the next item is read."""
+    run, run_shape = [], None
+    for item in items:
+        shape, nbytes = key(item)
+        if run and shape != run_shape:
             yield run
             run = []
-        run.append(prep)
-        subtitles = 0 if prep.subtitle_mat is None else len(prep.subtitle_mat)
-        if (len(run) + 1) * _nbytes(prep.regions.size, subtitles, prep.question.size) > CHUNK_BYTES:
+        run.append(item)
+        run_shape = shape
+        if (len(run) + 1) * nbytes > CHUNK_BYTES:
             yield run
             run = []
     if run:
@@ -433,7 +427,7 @@ def _run(
     probs, logits, losses = [], [], []
     total = None
     lo = 0
-    for run in _chunks(items):
+    for run in _chunks(items, _item_key):
         chunk = Chunk.of(run)
         try:
             with _located(names[lo]) if names else nullcontext():

@@ -10,7 +10,7 @@ import numpy as np
 from lmn.answering import QAItem
 from lmn.frame_encoder import ClipFeatures
 from lmn.subtitle_memory import SubtitleMemory, build_memory
-from lmn.training import Chunk, ModelConfig, Prepared, run_forward
+from lmn.training import Chunk, ModelConfig, ModelParams, Prepared, gradcheck, run_forward
 from lmn.word_memory import StaticWordMemory, embed_sentence
 
 _SPATIAL = [(1, 1), (1, 2), (1, 3), (2, 2), (1, 5), (2, 3)]
@@ -75,9 +75,9 @@ def make_instance(
 ) -> Instance:
     """Random small instance; with `avoid_kinks` the seed is advanced until
     every ReLU gate pre-activation and region norm is comfortably nonzero,
-    some gate-kept subtitle row remains and the answer softmax is not
-    saturated, so that the loss has a gradient a difference quotient can
-    measure."""
+    some gate-kept subtitle row remains, the answer softmax is not
+    saturated and some direction's derivative clears `gradcheck`'s floor,
+    so that the loss has a gradient a difference quotient can measure."""
     for attempt in range(64):
         rng = np.random.default_rng(seed + 7919 * attempt)
         v_size = int(rng.integers(3, 11))
@@ -110,14 +110,15 @@ def make_instance(
             sentences = [_sentence(rng, words) for _ in range(n_subs)]
             sub = build_memory(sentences, mem, normalize=config.normalize_sentences)
 
-        prep = prepare(mem, item, features, sub, config)
-        if avoid_kinks and not _well_conditioned(weights, prep, config, mem):
-            continue
-        return Instance(mem, weights, item, features, sub, config, prep)
+        inst = Instance(mem, weights, item, features, sub, config,
+                        prepare(mem, item, features, sub, config))
+        if not avoid_kinks or _well_conditioned(inst):
+            return inst
     raise RuntimeError(f"could not build a kink-free instance from seed {seed}")
 
 
-def _well_conditioned(weights, prep, config, mem) -> bool:
+def _well_conditioned(inst: Instance) -> bool:
+    weights, prep, config, mem = inst.weights, inst.prep, inst.config, inst.mem
     state = run_forward(weights, Chunk.of([prep]), config, mem)
     for hop in state.frame_cache.hop_caches:
         if np.min(np.abs(hop.norms)) < 1e-3:
@@ -128,6 +129,13 @@ def _well_conditioned(weights, prep, config, mem) -> bool:
                 return False
     # keep the softmax well away from saturation; the loss floor is the bench gate's
     if np.max(np.abs(state.dist.logits)) > 30 or state.losses[0] < 1e-2:
+        return False
+    # deep gate chains can leave every directional derivative under the floor
+    try:
+        gradcheck(ModelParams(weights, config), mem, inst.item, inst.features, inst.sub)
+    except ValueError as exc:
+        if not str(exc).startswith("no direction reaches 1e5 times the finite-difference floor"):
+            raise
         return False
     return True
 

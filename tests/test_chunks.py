@@ -14,6 +14,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import lmn.training
 from lmn.answering import QAItem
 from lmn.data_io import Example
 from lmn.frame_encoder import ClipFeatures
@@ -23,6 +24,7 @@ from lmn.training import (
     ModelConfig,
     ModelParams,
     _chunks,
+    _item_key,
     _prepared,
     _run,
     evaluate,
@@ -73,7 +75,7 @@ class TestChunkRule:
         dataset = [example(rng, f"q{k}", 2, 512, 3, hw=(7, 7)) for k in range(2)]
         items = list(_prepared(mem, dataset, ModelConfig()))
         assert items[0].regions.nbytes > CHUNK_BYTES
-        runs = list(_chunks(items))
+        runs = list(_chunks(items, _item_key))
         assert [len(run) for run in runs] == [1, 1]
         for run, ex, prep in zip(runs, dataset, items):
             chunk = Chunk.of(run)
@@ -81,7 +83,7 @@ class TestChunkRule:
             assert np.shares_memory(chunk.regions, ex.features.tensor)
             assert np.shares_memory(chunk.subtitles, prep.subtitle_mat)
 
-    def test_mixed_batch_splits_into_same_shape_chunks(self):
+    def test_mixed_batch_splits_into_same_shape_chunks(self, monkeypatch):
         rng = np.random.default_rng(2)
         mem = word_memory(rng, 5)
         # (frames, subtitles): two frame counts, two subtitle counts and
@@ -90,8 +92,23 @@ class TestChunkRule:
                   (3, None), (2, 3)]
         dataset = [example(rng, f"q{k}", t, 6, n) for k, (t, n) in enumerate(shapes)]
         config = ModelConfig(um_hops=2, qg=True)
+        calls = []
+        embed = lmn.training.embed_sentence
+
+        def recording(mem, texts, normalize):
+            calls.append(texts)
+            return embed(mem, texts, normalize)
+
+        monkeypatch.setattr(lmn.training, "embed_sentence", recording)
         items = list(_prepared(mem, dataset, config))
-        assert [len(run) for run in _chunks(items)] == [2, 3, 2, 2, 1, 1]
+        runs = list(_chunks(items, _item_key))
+        assert [len(run) for run in runs] == [2, 3, 2, 2, 1, 1]
+        # preparation embeds exactly the engine's chunks, one call each
+        examples = iter(dataset)
+        for run, texts in zip(runs, calls, strict=True):
+            run = [next(examples) for _ in run]
+            assert texts == [text for ex in run for text in (ex.item.question, *ex.item.answers)] \
+                + [text for ex in run for text in ex.subtitles or ()]
         weights = 0.3 * rng.normal(size=(5, 6))
         out = _run(weights, items, config, mem, gradient=True)
         assert_close(out.gradient, np.sum(one_item_gradients(weights, items, config, mem), axis=0))
@@ -109,7 +126,7 @@ class TestChunkRule:
         size = items[0].regions.nbytes + items[0].question.nbytes + items[0].answer_mat.nbytes \
             + items[0].subtitle_mat.nbytes
         monkeypatch.setattr("lmn.training.CHUNK_BYTES", 3 * size)
-        assert [len(run) for run in _chunks(items)] == [3, 3, 1]
+        assert [len(run) for run in _chunks(items, _item_key)] == [3, 3, 1]
 
 
 class TestPromote:
@@ -148,7 +165,8 @@ class TestPromote:
             + items[0].subtitle_mat.nbytes
         monkeypatch.setattr("lmn.training.CHUNK_BYTES", 3 * size)
         for dataset in (wide, [narrowed(ex) for ex in wide]):
-            assert [len(run) for run in _chunks(_prepared(mem, dataset, ModelConfig()))] == [3, 3, 1]
+            runs = _chunks(_prepared(mem, dataset, ModelConfig()), _item_key)
+            assert [len(run) for run in runs] == [3, 3, 1]
 
 
 # every ModelConfig switch crossed; video-only ignores the subtitle switches
@@ -172,7 +190,7 @@ def test_stacked_chunk_matches_its_items(index):
         mem = word_memory(rng, 4)
         dataset = [example(rng, f"q{k}", 3, 5, None if video_only else 4) for k in range(4)]
         items = list(_prepared(mem, dataset, config))
-        assert len(list(_chunks(items))) == 1
+        assert len(list(_chunks(items, _item_key))) == 1
         weights = 0.2 * rng.normal(size=(4, 5))
         out = _run(weights, items, config, mem, gradient=True)
         for prep, loss in zip(items, out.losses):
@@ -197,7 +215,7 @@ def test_evaluate_names_the_first_failing_question_of_a_chunk():
     dataset[2] = Example(dataset[2].item, dataset[2].features, ("boom w1", "w2", "w3"))
     dataset[5] = Example(dataset[5].item, dataset[5].features, ("boom", "w2", "w3"))
     config = ModelConfig(um_hops=2, normalize_sentences=False)
-    assert len(list(_chunks(list(_prepared(mem, dataset, config))))) == 1
+    assert len(list(_chunks(list(_prepared(mem, dataset, config)), _item_key))) == 1
     params = ModelParams(rng.normal(size=(4, 6)), config)
     with pytest.raises(ValueError, match=r"^question q2: overflow encountered in multiply$"):
         evaluate(params, mem, dataset)
@@ -215,7 +233,7 @@ def test_gradient_sums_in_chunk_order_and_is_reproducible():
     first = _run(weights, items, config, mem, gradient=True).gradient
     assert first.tobytes() == _run(weights, items, config, mem, gradient=True).gradient.tobytes()
     expected = None
-    for run in _chunks(items):
+    for run in _chunks(items, _item_key):
         part = _run(weights, run, config, mem, gradient=True)
         expected = part.gradient if expected is None else expected + part.gradient
     assert first.tobytes() == expected.tobytes()

@@ -152,6 +152,23 @@ class TestBackward:
                 checked += 1
         assert checked == 20
 
+    def test_every_admitted_sweep_instance_is_measurable(self):
+        # seeds 0-9 of every mode: no instance `make_instance` admits makes
+        # `gradcheck` raise, and every mode admits one
+        worst = 0.0
+        for combo in config_sweep():
+            admitted = 0
+            for seed in range(10):
+                try:
+                    inst = make_instance(seed=seed, avoid_kinks=True, **combo)
+                except RuntimeError:
+                    continue
+                err = gradcheck(as_params(inst), inst.mem, inst.item, inst.features, inst.sub)
+                worst = max(worst, err)
+                admitted += 1
+            assert admitted, combo
+        assert worst <= 1e-4
+
     @pytest.mark.parametrize("um_hops, qg", [(1, True), (2, False), (2, True), (3, False), (3, True)])
     def test_carry_frames_variant(self, um_hops, qg):
         inst = make_instance(seed=555, um_hops=um_hops, qg=qg, carry_frames=True, avoid_kinks=True)
@@ -677,11 +694,12 @@ class TestPreparedBlocks:
         mem = data.word_memory
         dataset = data.examples("eval")
         config = ModelConfig()
-        per_chunk = len(next(lmn.training._chunks(lmn.training._prepared(mem, dataset, config))))
-        assert per_chunk > 1
+        runs = list(lmn.training._chunks(lmn.training._prepared(mem, dataset, config),
+                                         lmn.training._item_key))
+        assert len(runs[0]) > 1
         calls = count_embeddings(monkeypatch)
         evaluate(init_params(mem.dim, 24, config), mem, dataset)
-        assert len(calls) <= math.ceil(len(dataset) / per_chunk) + 1
+        assert len(calls) == len(runs)
 
 
 def overflowing(where):
