@@ -27,7 +27,6 @@ from .training import (
     ModelParams,
     TrainConfig,
     _located,
-    _require_labels,
     _run,
     evaluate,
     gradcheck,
@@ -159,7 +158,6 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     config = _settings(ModelConfig, args)
     mem, params, examples = _load_inputs(args, config)
-    _require_labels(example.item for example in examples)
     acc, records = evaluate(params, mem, examples)
     doc = {"accuracy": acc, "n": len(examples), "per_question": records}
     if args.out:
@@ -172,7 +170,7 @@ def cmd_eval(args) -> int:
 def cmd_answer(args) -> int:
     config = _settings(ModelConfig, args)
     mem, params, (example,) = _load_inputs(args, config, first=True)
-    prep = prepare_example(mem, example, config)
+    prep = prepare_example(mem, example)
     dist = _run(params.weights, [prep], config, mem,
                 names=[f"question {example.item.qid}"]).dist
     (choice,) = predict(dist).tolist()
@@ -194,7 +192,7 @@ def cmd_rank_subtitles(args) -> int:
     if not 0 <= i < args.frames:  # subsampling gives every question --frames frames
         raise ValueError(f"frame index {i} out of range (clip has {args.frames} frames)")
     mem, params, (example,) = _load_inputs(args, config, first=True)
-    prep = prepare_example(mem, example, config)
+    prep = prepare_example(mem, example)
     with _located(f"question {example.item.qid}"):
         # the frame's vector is the attended sum of its one group of regions
         (frame,), _ = encode_frames_cached(prep.regions[i : i + 1], params.weights, mem,
@@ -219,7 +217,7 @@ def cmd_gradcheck(args) -> int:
     if params is None:
         params = init_params(mem.dim, example.features.channels, config, seed=args.seed)
     # outside `_located`: the preparation's errors already name the question or movie
-    rows = prepare_example(mem, example, config).subtitle_mat
+    rows = prepare_example(mem, example).subtitle_mat
     sub = None if rows is None else SubtitleMemory(rows, example.subtitles)
     with _located(f"question {example.item.qid}"):
         err = gradcheck(params, mem, example.item, example.features, sub)
@@ -249,12 +247,8 @@ def _add_model_flags(p: argparse.ArgumentParser) -> None:
     g.add_argument("--swm-hops", type=int, help="word-memory attention passes")
     g.add_argument("--um-hops", type=int, help="subtitle-memory passes")
     g.add_argument("--qg", action="store_true", help="enable question-guided reweighting")
-    g.add_argument("--no-normalize-sentences", dest="normalize_sentences",
-                   action="store_false", help="skip unit-normalizing sentence embeddings")
     g.add_argument("--average-clip", action="store_true",
                    help="divide the clip vector by the frame count before scoring")
-    g.add_argument("--um-carry-frames", action="store_true",
-                   help="later subtitle passes attend with the previous pass's frames")
 
 
 def _count(text: str) -> int:

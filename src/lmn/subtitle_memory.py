@@ -114,7 +114,6 @@ class ClipCache:
     memory version `scales[k][..., None] * memory`."""
 
     memory: np.ndarray  # (..., N, d) built memory M, never copied
-    carry_frames: bool
     scales: list[np.ndarray] = field(default_factory=list)  # (..., N) row scale c of each pass
     scores: list[np.ndarray] = field(default_factory=list)  # (..., N) M s, s the pass's frame sum
     pre: list[np.ndarray] = field(default_factory=list)  # (..., N) update-gate pre-activations
@@ -128,7 +127,6 @@ def encode_clip_cached(
     question: np.ndarray | None,
     um_hops: int,
     qg: bool,
-    carry_frames: bool = False,
 ) -> tuple[np.ndarray, ClipCache]:
     """Run the full subtitle pipeline on the (d,) frame sum over the (N, d)
     memory, or on (B, d) sums over (B, N, d) memories; returns the clip
@@ -140,16 +138,14 @@ def encode_clip_cached(
     c ← ReLU(c · M v) · c, so pass t+1 attends over the memory gated by pass
     t's clip vector v. Question guidance, when enabled, rescales once more
     after the update passes, c ← softmax(c · M q) · c, and triggers one final
-    pass. By default every pass attends with the input frame sum; with
-    `carry_frames` each pass reuses the previous pass's reattended frames,
-    whose sum is the previous clip vector.
+    pass. Every pass attends with the input frame sum.
     """
     if um_hops < 1:
         raise ValueError(f"um_hops must be >= 1, got {um_hops}")
     if qg and question is None:
         raise ValueError("question guidance requires a question vector")
 
-    cache = ClipCache(memory0, carry_frames)
+    cache = ClipCache(memory0)
     scale = np.ones(memory0.shape[:-1])
     for k in range(um_hops + qg):
         if k == um_hops:
@@ -160,8 +156,6 @@ def encode_clip_cached(
             pre = scale * _row_dots(memory0, vector)
             cache.pre.append(pre)
             scale = np.maximum(pre, 0.0) * scale
-        if k > 0 and carry_frames:
-            frame_sum = vector
         scores = _row_dots(memory0, frame_sum)
         vector = _weighted_row_sum(scale * scale * scores, memory0)
         cache.scales.append(scale)
@@ -192,21 +186,19 @@ def encode_clip_backward(dvector: np.ndarray, cache: ClipCache) -> np.ndarray:
         if k == 0:
             break
         dscale = dscale + 2.0 * scale * scores * dweights
-        if cache.carry_frames:
-            dclip = dframe_sum
-        else:
-            dsum = dsum + dframe_sum
-            dclip = np.zeros_like(dvector)
+        dsum = dsum + dframe_sum
         prev = cache.scales[k - 1]
         if k == last and cache.guide is not None:
+            # the guide reads the question, not the previous clip vector
             weights = cache.guide
             dguide = dscale * prev
             inner = np.matmul(weights[..., None, :], dguide[..., None])[..., 0]  # (..., 1)
             dlogits = weights * (dguide - inner)
             dscale = weights * dscale + dlogits * cache.question_scores
+            dclip = np.zeros_like(dvector)
         else:
             pre = cache.pre[k - 1]
-            dclip = dclip + _dot_memory(dscale * prev * prev * (pre > 0.0), memory)
+            dclip = _dot_memory(dscale * prev * prev * (pre > 0.0), memory)
             dscale = 2.0 * np.maximum(pre, 0.0) * dscale
     return dsum + dframe_sum
 

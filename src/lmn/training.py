@@ -30,6 +30,7 @@ import math
 from collections.abc import Callable, Iterable, Iterator
 from contextlib import contextmanager, nullcontext
 from dataclasses import asdict, dataclass, field, replace
+from typing import ClassVar
 
 import numpy as np
 
@@ -81,9 +82,11 @@ class ModelConfig:
     swm_hops: int = 1
     um_hops: int = 1
     qg: bool = False
-    normalize_sentences: bool = True
     average_clip: bool = False
-    um_carry_frames: bool = False
+    # constants, not settings: only the bench's desk gates read them, and
+    # they go when the bench drops those reads
+    normalize_sentences: ClassVar[bool] = True
+    um_carry_frames: ClassVar[bool] = False
 
     def __post_init__(self):
         check_field_types(self)
@@ -182,16 +185,15 @@ class Prepared:
     label: int | None
 
 
-def _prepared(
-    mem: StaticWordMemory, dataset: Iterable[Example], config: ModelConfig
-) -> Iterator[Prepared]:
+def _prepared(mem: StaticWordMemory, dataset: Iterable[Example]) -> Iterator[Prepared]:
     """The examples' prepared items in order, made a chunk at a time:
     `_chunks` cuts the examples into the runs the engine stacks, and each
     run's sentences are embedded in one call (`_embed_chunk`). A movie's
     rows are embedded once and shared, read-only, by every question about
     it. `embed_sentence` sums each row on its own, so no row depends on its
     chunk: an item prepared alone, as `forward` prepares it, has the same
-    rows, and a movie's are the ones `build_memory` gives."""
+    rows, and a movie's are the ones `build_memory` gives. Preparation
+    does not depend on the model config."""
     def key(example: Example) -> tuple[tuple, int]:
         t, c, h, w = example.features.tensor.shape
         return _key((t, h * w, c), None if example.subtitles is None else len(example.subtitles),
@@ -199,7 +201,7 @@ def _prepared(
 
     memories: dict[tuple[str, tuple[str, ...]], np.ndarray] = {}
     for run in _chunks(dataset, key):
-        text_rows = _embed_chunk(mem, run, memories, config.normalize_sentences)
+        text_rows = _embed_chunk(mem, run, memories)
         for i, example in enumerate(run):
             first = i * (1 + NUM_CHOICES)
             yield Prepared(
@@ -216,7 +218,6 @@ def _embed_chunk(
     mem: StaticWordMemory,
     run: list[Example],
     memories: dict[tuple[str, tuple[str, ...]], np.ndarray],
-    normalize: bool,
 ) -> np.ndarray:
     """Embed the run in one `embed_sentence` call: six rows per example,
     its question and answers, then the subtitles of each (movie_id,
@@ -224,9 +225,9 @@ def _embed_chunk(
     question and answer rows, held apart from the movies' rows so that
     neither keeps the other in memory.
 
-    Rows that are not all finite raise one ValueError that starts
-    `question <qid>: ` or `movie <movie_id>: ` and names the first such row,
-    questions and answers before subtitles."""
+    An empty subtitle list, and rows that are not all finite, raise one
+    ValueError that starts `movie <movie_id>: ` or `question <qid>: `; it
+    names the first such row, questions and answers before subtitles."""
     texts = [text for example in run
              for text in (example.item.question, *example.item.answers)]
     subtitles: list[str] = []
@@ -236,11 +237,12 @@ def _embed_chunk(
         if example.subtitles is None or key in memories or key in fresh:
             continue
         if not example.subtitles:
-            raise ValueError("cannot build a subtitle memory from an empty sentence list")
+            raise ValueError(f"movie {example.item.movie_id}: "
+                             f"cannot build a subtitle memory from an empty sentence list")
         fresh[key] = slice(len(subtitles), len(subtitles) + len(example.subtitles))
         subtitles += example.subtitles
     with np.errstate(over="ignore", invalid="ignore"):
-        rows = embed_sentence(mem, texts + subtitles, normalize=normalize)
+        rows = embed_sentence(mem, texts + subtitles)
     if not np.isfinite(rows).all():
         _raise_non_finite(rows, run, fresh)
     text_rows, movie_rows = rows[: len(texts)].copy(), rows[len(texts) :].copy()
@@ -267,8 +269,12 @@ def _raise_non_finite(rows: np.ndarray, run: list[Example], fresh: dict[tuple, s
                              f"embeds to non-finite values")
 
 
-def prepare_example(mem: StaticWordMemory, example: Example, config: ModelConfig) -> Prepared:
-    return next(_prepared(mem, [example], config))
+def prepare_example(
+    mem: StaticWordMemory, example: Example, config: ModelConfig | None = None
+) -> Prepared:
+    """The example's prepared item. `config` changes nothing; the bench's
+    gates still pass one."""
+    return next(_prepared(mem, [example]))
 
 
 # --- the chunk engine ---------------------------------------------------------
@@ -374,8 +380,7 @@ def run_forward(
     frame_sums, frame_cache = encode_frames_cached(chunk.regions, weights, mem, config.swm_hops)
     if chunk.subtitles is not None:
         clips, clip_cache = encode_clip_cached(
-            frame_sums, chunk.subtitles, chunk.questions,
-            config.um_hops, config.qg, config.um_carry_frames,
+            frame_sums, chunk.subtitles, chunk.questions, config.um_hops, config.qg
         )
     else:
         clip_cache = None
@@ -460,7 +465,7 @@ def _labeled(
     need a label. The question and answers are prepared by `prepare_example`
     and raise its located errors; the subtitle rows are `sub`'s, as given."""
     _require_labels([item])
-    prep = prepare_example(mem, Example(item, features, None), params.config)
+    prep = prepare_example(mem, Example(item, features, None))
     return replace(prep, subtitle_mat=None if sub is None else sub.matrix)
 
 
@@ -564,7 +569,8 @@ def gradcheck(
 def evaluate(
     params: ModelParams, mem: StaticWordMemory, dataset: list[Example]
 ) -> tuple[float, list[dict]]:
-    """Accuracy plus a per-question record of prediction and its probability.
+    """Accuracy plus a per-question record of prediction, its probability
+    and its correctness; every question needs its correct_index.
 
     Questions run in chunks of consecutive same-shape items, each through
     one stacked forward; a question over the chunk budget runs alone on one
@@ -575,21 +581,21 @@ def evaluate(
     names its question or movie."""
     if not dataset:
         raise ValueError("empty dataset")
-    out = _run(params.weights, _prepared(mem, dataset, params.config), params.config, mem,
+    _require_labels(example.item for example in dataset)
+    out = _run(params.weights, _prepared(mem, dataset), params.config, mem,
                names=[f"question {example.item.qid}" for example in dataset])
     records = []
     hits = 0
     for example, choice, probs in zip(dataset, predict(out.dist).tolist(), out.dist.probs):
-        record = {
+        correct = choice == example.item.correct_index
+        records.append({
             "qid": example.item.qid,
             "predicted": choice,
             "prob": float(probs[choice]),
-        }
-        if example.item.correct_index is not None:
-            record["correct_index"] = example.item.correct_index
-            record["correct"] = choice == example.item.correct_index
-            hits += record["correct"]
-        records.append(record)
+            "correct_index": example.item.correct_index,
+            "correct": correct,
+        })
+        hits += correct
     return hits / len(dataset), records
 
 
@@ -629,7 +635,7 @@ def train(
     _require_labels(example.item for example in dataset)
 
     model_config = params0.config
-    prepared = list(_prepared(mem, dataset, model_config))
+    prepared = list(_prepared(mem, dataset))
 
     rng = np.random.default_rng(config.seed)
     n = len(prepared)

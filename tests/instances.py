@@ -32,11 +32,10 @@ def prepare(
     item: QAItem,
     features: ClipFeatures,
     sub: SubtitleMemory | None,
-    config: ModelConfig,
 ) -> Prepared:
     """One item prepared on its own: its question and answers embedded in
     one call, and `sub`'s rows as they are."""
-    text = embed_sentence(mem, (item.question, *item.answers), normalize=config.normalize_sentences)
+    text = embed_sentence(mem, (item.question, *item.answers))
     return Prepared(
         regions=features.regions(),
         question=text[0],
@@ -70,7 +69,6 @@ def make_instance(
     um_hops: int = 1,
     qg: bool = False,
     video_only: bool = False,
-    carry_frames: bool = False,
     avoid_kinks: bool = False,
 ) -> Instance:
     """Random small instance; with `avoid_kinks` the seed is advanced until
@@ -89,12 +87,7 @@ def make_instance(
 
         words = _words(rng, v_size)
         mem = StaticWordMemory(words, rng.normal(size=(v_size, d)))
-        config = ModelConfig(
-            swm_hops=swm_hops,
-            um_hops=um_hops,
-            qg=qg,
-            um_carry_frames=carry_frames,
-        )
+        config = ModelConfig(swm_hops=swm_hops, um_hops=um_hops, qg=qg)
         item = QAItem(
             qid=f"inst{seed}",
             question=_sentence(rng, words, 2),
@@ -108,10 +101,10 @@ def make_instance(
         sub = None
         if not video_only:
             sentences = [_sentence(rng, words) for _ in range(n_subs)]
-            sub = build_memory(sentences, mem, normalize=config.normalize_sentences)
+            sub = build_memory(sentences, mem)
 
         inst = Instance(mem, weights, item, features, sub, config,
-                        prepare(mem, item, features, sub, config))
+                        prepare(mem, item, features, sub))
         if not avoid_kinks or _well_conditioned(inst):
             return inst
     raise RuntimeError(f"could not build a kink-free instance from seed {seed}")

@@ -81,7 +81,7 @@ def test_criterion_1_oracle_equivalence():
                 inst.prep.subtitle_mat, inst.prep.question, inst.prep.answer_mat,
                 label=inst.item.correct_index,
                 swm_hops=inst.config.swm_hops, um_hops=inst.config.um_hops,
-                qg=inst.config.qg, carry_frames=inst.config.um_carry_frames,
+                qg=inst.config.qg,
             )
             worst = max(worst, abs(loss - ref["loss"]))
             worst = max(worst, float(np.max(np.abs(dist.probs - np.array(ref["probs"])))))

@@ -73,7 +73,7 @@ class TestChunkRule:
         mem = word_memory(rng, 4)
         # 2 frames of 7x7 regions with 512 channels: 401 KB of float64 regions
         dataset = [example(rng, f"q{k}", 2, 512, 3, hw=(7, 7)) for k in range(2)]
-        items = list(_prepared(mem, dataset, ModelConfig()))
+        items = list(_prepared(mem, dataset))
         assert items[0].regions.nbytes > CHUNK_BYTES
         runs = list(_chunks(items, _item_key))
         assert [len(run) for run in runs] == [1, 1]
@@ -95,12 +95,12 @@ class TestChunkRule:
         calls = []
         embed = lmn.training.embed_sentence
 
-        def recording(mem, texts, normalize):
+        def recording(mem, texts):
             calls.append(texts)
-            return embed(mem, texts, normalize)
+            return embed(mem, texts)
 
         monkeypatch.setattr(lmn.training, "embed_sentence", recording)
-        items = list(_prepared(mem, dataset, config))
+        items = list(_prepared(mem, dataset))
         runs = list(_chunks(items, _item_key))
         assert [len(run) for run in runs] == [2, 3, 2, 2, 1, 1]
         # preparation embeds exactly the engine's chunks, one call each
@@ -121,8 +121,7 @@ class TestChunkRule:
     def test_chunks_stop_at_the_budget(self, monkeypatch):
         rng = np.random.default_rng(3)
         mem = word_memory(rng, 4)
-        items = list(_prepared(mem, [example(rng, f"q{k}", 2, 6, 3) for k in range(7)],
-                               ModelConfig()))
+        items = list(_prepared(mem, [example(rng, f"q{k}", 2, 6, 3) for k in range(7)]))
         size = items[0].regions.nbytes + items[0].question.nbytes + items[0].answer_mat.nbytes \
             + items[0].subtitle_mat.nbytes
         monkeypatch.setattr("lmn.training.CHUNK_BYTES", 3 * size)
@@ -139,7 +138,7 @@ class TestPromote:
         mem = word_memory(rng, 4)
         dataset = [narrowed(example(rng, f"q{k}", 2, 512, 3, hw=(7, 7))) for k in range(count)]
         config = ModelConfig()
-        items = list(_prepared(mem, dataset, config))
+        items = list(_prepared(mem, dataset))
         assert all(prep.regions.dtype == np.float32 for prep in items)
         chunk = Chunk.of(items)
         assert chunk.regions.dtype == np.float64 and chunk.regions.shape == (count, 2 * 49, 512)
@@ -160,24 +159,22 @@ class TestPromote:
         rng = np.random.default_rng(5)
         mem = word_memory(rng, 4)
         wide = [example(rng, f"q{k}", 2, 6, 3) for k in range(7)]
-        items = list(_prepared(mem, wide, ModelConfig()))
+        items = list(_prepared(mem, wide))
         size = items[0].regions.nbytes + items[0].question.nbytes + items[0].answer_mat.nbytes \
             + items[0].subtitle_mat.nbytes
         monkeypatch.setattr("lmn.training.CHUNK_BYTES", 3 * size)
         for dataset in (wide, [narrowed(ex) for ex in wide]):
-            runs = _chunks(_prepared(mem, dataset, ModelConfig()), _item_key)
+            runs = _chunks(_prepared(mem, dataset), _item_key)
             assert [len(run) for run in runs] == [3, 3, 1]
 
 
 # every ModelConfig switch crossed; video-only ignores the subtitle switches
 CONFIGS = [
-    (ModelConfig(swm_hops=swm, um_hops=um, qg=qg, um_carry_frames=carry, average_clip=avg,
-                 normalize_sentences=norm), False)
-    for swm, um, qg, carry, avg, norm in itertools.product(
-        (1, 2), (1, 2, 3), (False, True), (False, True), (False, True), (True, False))
+    (ModelConfig(swm_hops=swm, um_hops=um, qg=qg, average_clip=avg), False)
+    for swm, um, qg, avg in itertools.product((1, 2), (1, 2, 3), (False, True), (False, True))
 ] + [
-    (ModelConfig(swm_hops=swm, average_clip=avg, normalize_sentences=norm), True)
-    for swm, avg, norm in itertools.product((1, 2), (False, True), (True, False))
+    (ModelConfig(swm_hops=swm, average_clip=avg), True)
+    for swm, avg in itertools.product((1, 2), (False, True))
 ]
 
 
@@ -189,7 +186,7 @@ def test_stacked_chunk_matches_its_items(index):
         rng = np.random.default_rng(100 + index)
         mem = word_memory(rng, 4)
         dataset = [example(rng, f"q{k}", 3, 5, None if video_only else 4) for k in range(4)]
-        items = list(_prepared(mem, dataset, config))
+        items = list(_prepared(mem, dataset))
         assert len(list(_chunks(items, _item_key))) == 1
         weights = 0.2 * rng.normal(size=(4, 5))
         out = _run(weights, items, config, mem, gradient=True)
@@ -197,27 +194,25 @@ def test_stacked_chunk_matches_its_items(index):
             ref = reference_forward(
                 mem.matrix, weights, prep.regions, prep.subtitle_mat, prep.question,
                 prep.answer_mat, label=prep.label, swm_hops=config.swm_hops,
-                um_hops=config.um_hops, qg=config.qg, carry_frames=config.um_carry_frames,
-                average_clip=config.average_clip,
+                um_hops=config.um_hops, qg=config.qg, average_clip=config.average_clip,
             )
             assert abs(loss - ref["loss"]) <= 1e-12 * abs(ref["loss"]), config
         assert_close(out.gradient, np.sum(one_item_gradients(weights, items, config, mem), axis=0))
 
 
 def test_evaluate_names_the_first_failing_question_of_a_chunk():
-    # the word "boom" is 1e100 long and sentences are not normalized, so the
-    # update gate overflows on the one question whose subtitles use it
+    # two questions' regions are near 1e200, so their projected rows
+    # overflow when the first hop squares them to normalize
     rng = np.random.default_rng(4)
-    vectors = rng.normal(size=(len(WORDS) + 1, 4))
-    vectors[-1] *= 1e100
-    mem = StaticWordMemory(WORDS + ["boom"], vectors)
+    mem = word_memory(rng, 4)
     dataset = [example(rng, f"q{k}", 2, 6, 3) for k in range(8)]
-    dataset[2] = Example(dataset[2].item, dataset[2].features, ("boom w1", "w2", "w3"))
-    dataset[5] = Example(dataset[5].item, dataset[5].features, ("boom", "w2", "w3"))
-    config = ModelConfig(um_hops=2, normalize_sentences=False)
-    assert len(list(_chunks(list(_prepared(mem, dataset, config)), _item_key))) == 1
+    for k in (2, 5):
+        huge = ClipFeatures(1e200 * dataset[k].features.tensor)
+        dataset[k] = Example(dataset[k].item, huge, dataset[k].subtitles)
+    config = ModelConfig(um_hops=2)
+    assert len(list(_chunks(list(_prepared(mem, dataset)), _item_key))) == 1
     params = ModelParams(rng.normal(size=(4, 6)), config)
-    with pytest.raises(ValueError, match=r"^question q2: overflow encountered in multiply$"):
+    with pytest.raises(ValueError, match=r"^question q2: overflow encountered in vecdot$"):
         evaluate(params, mem, dataset)
     # without the two overflowing questions the same chunk scores
     evaluate(params, mem, dataset[:2] + dataset[3:5] + dataset[6:])
@@ -228,7 +223,7 @@ def test_gradient_sums_in_chunk_order_and_is_reproducible():
     mem = word_memory(rng, 4)
     config = ModelConfig(um_hops=2)
     dataset = [example(rng, f"q{k}", t, 5, 3) for k, t in enumerate((2, 2, 3, 3, 3, 2))]
-    items = list(_prepared(mem, dataset, config))
+    items = list(_prepared(mem, dataset))
     weights = 0.3 * rng.normal(size=(4, 5))
     first = _run(weights, items, config, mem, gradient=True).gradient
     assert first.tobytes() == _run(weights, items, config, mem, gradient=True).gradient.tobytes()

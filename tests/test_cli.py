@@ -485,9 +485,9 @@ class TestRankSubtitles:
         sentences = load_plaintext_subtitles(
             synth_dir / "subtitles" / f"{item.movie_id}.txt").texts()
         memory0 = build_memory(sentences, mem).matrix
-        for flags, um_hops, qg, carry in ((["--um-hops", "2", "--qg"], 2, True, False),
-                                          (["--um-hops", "3", "--um-carry-frames"], 3, False, True)):
-            _, final = loop_encode(np.array(frames), memory0, question, um_hops, qg, carry)
+        for flags, um_hops, qg in ((["--um-hops", "2", "--qg"], 2, True),
+                                   (["--um-hops", "3"], 3, False)):
+            _, final = loop_encode(np.array(frames), memory0, question, um_hops, qg)
             for index, frame in enumerate(frames):
                 scores = [math.fsum(a * b for a, b in zip(frame, row)) for row in final]
                 order = sorted(range(len(scores)), key=lambda n: (-scores[n], n))
@@ -578,6 +578,11 @@ class TestParsing:
         ])
         assert code == 2
         assert capsys.readouterr().err.startswith("error:")
+
+    @pytest.mark.parametrize("flag", ["--um-carry-frames", "--no-normalize-sentences"])
+    def test_removed_model_flags_are_usage_errors(self, synth_dir, flag, capsys):
+        assert main(["train", *data_args(synth_dir), flag]) == 2
+        assert capsys.readouterr().err == f"error: unrecognized arguments: {flag}\n"
 
     def test_preset_best(self, synth_dir, tmp_path):
         # the paper's strongest configuration: two subtitle passes plus guidance

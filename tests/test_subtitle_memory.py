@@ -26,14 +26,13 @@ def raw_memory(matrix):
     return SubtitleMemory(matrix, tuple(f"s{i}" for i in range(matrix.shape[0])))
 
 
-def loop_encode(frames, memory, question, um_hops, qg, carry=False):
+def loop_encode(frames, memory, question, um_hops, qg):
     """Step-by-step scalar-loop execution of the clip pipeline; returns the
     clip vector and the final memory."""
     t, d = frames.shape
     mem = [list(map(float, row)) for row in memory]
     cur = [list(map(float, row)) for row in frames]
-    base = [row[:] for row in cur]
-    clip = per = None
+    clip = None
     for hop in range(um_hops):
         per = []
         for i in range(t):
@@ -45,7 +44,6 @@ def loop_encode(frames, memory, question, um_hops, qg, carry=False):
         if hop < um_hops - 1:
             gates = [max(math.fsum(clip[a] * s[a] for a in range(d)), 0.0) for s in mem]
             mem = [[gates[n] * mem[n][a] for a in range(d)] for n in range(len(mem))]
-            cur = per if carry else base
     if qg:
         logits = [math.fsum(question[a] * s[a] for a in range(d)) for s in mem]
         mx = max(logits)
@@ -53,7 +51,6 @@ def loop_encode(frames, memory, question, um_hops, qg, carry=False):
         total = math.fsum(exps)
         weights = [e / total for e in exps]
         mem = [[weights[n] * mem[n][a] for a in range(d)] for n in range(len(mem))]
-        cur = per if carry else base
         per = []
         for i in range(t):
             betas = [math.fsum(cur[i][a] * s[a] for a in range(d)) for s in mem]
@@ -75,11 +72,9 @@ def oracle_attend(frames, memory):
     return per_frame.sum(axis=0), (frames, memory, scores, per_frame)
 
 
-def oracle_attend_backward(dvector, dper_frame_extra, cache):
+def oracle_attend_backward(dvector, cache):
     frames, memory, scores, _ = cache
-    dper_frame = np.broadcast_to(dvector, (frames.shape[0], dvector.shape[0])).copy()
-    if dper_frame_extra is not None:
-        dper_frame += dper_frame_extra
+    dper_frame = np.broadcast_to(dvector, (frames.shape[0], dvector.shape[0]))
     dscores = dper_frame @ memory.T
     dframes = dscores @ memory
     dmemory = scores.T @ dper_frame + dscores.T @ frames
@@ -113,49 +108,39 @@ def oracle_guide_backward(dnext, cache):
     return weights[:, None] * dnext + np.outer(dlogits, question)
 
 
-def oracle_encode(frames, memory, question, um_hops, qg, carry):
+def oracle_encode(frames, memory, question, um_hops, qg):
     """Returns the clip vector, the final memory and the pass caches."""
     attends, updates = [], []
-    current = frames
     for t in range(um_hops):
-        vector, cache = oracle_attend(current, memory)
+        vector, cache = oracle_attend(frames, memory)
         attends.append(cache)
         if t < um_hops - 1:
             memory, ucache = oracle_update(memory, vector)
             updates.append(ucache)
-            current = cache[3] if carry else frames
     guide = guide_attend = None
     if qg:
         memory, guide = oracle_guide(memory, question)
-        vector, guide_attend = oracle_attend(attends[-1][3] if carry else frames, memory)
-    return vector, memory, (attends, updates, guide, guide_attend, carry)
+        vector, guide_attend = oracle_attend(frames, memory)
+    return vector, memory, (attends, updates, guide, guide_attend)
 
 
 def oracle_backward(dvector, caches):
     """Gradient of the oracle's clip vector with respect to the frames."""
-    attends, updates, guide, guide_attend, carry = caches
+    attends, updates, guide, guide_attend = caches
     hops = len(attends)
     dframes = np.zeros_like(attends[0][0])
-    dper_frame_in = [None] * hops
     dvector_in = [np.zeros_like(dvector) for _ in range(hops)]
     if guide_attend is not None:
-        dcur, dmem = oracle_attend_backward(dvector, None, guide_attend)
-        if carry:
-            dper_frame_in[hops - 1] = dcur
-        else:
-            dframes += dcur
+        dcur, dmem = oracle_attend_backward(dvector, guide_attend)
+        dframes += dcur
         dmem_ver = oracle_guide_backward(dmem, guide)
     else:
         dvector_in[hops - 1] = dvector
         dmem_ver = np.zeros_like(attends[-1][1])
     for t in range(hops - 1, -1, -1):
-        dcur, dmem = oracle_attend_backward(dvector_in[t], dper_frame_in[t], attends[t])
+        dcur, dmem = oracle_attend_backward(dvector_in[t], attends[t])
         dmem_ver = dmem_ver + dmem
-        if t > 0 and carry:
-            prev = dper_frame_in[t - 1]
-            dper_frame_in[t - 1] = dcur if prev is None else prev + dcur
-        else:
-            dframes += dcur
+        dframes += dcur
         if t > 0:
             dmem_ver, dclip = oracle_update_backward(dmem_ver, updates[t - 1])
             dvector_in[t - 1] = dvector_in[t - 1] + dclip
@@ -167,13 +152,13 @@ def final_memory(matrix, cache):
     return cache.scales[-1][:, None] * matrix
 
 
-def assert_matches_oracle(frames, matrix, question, um_hops, qg, carry, dvector):
+def assert_matches_oracle(frames, matrix, question, um_hops, qg, dvector):
     """Clip vector, final memory and frame gradient within 1e-12 of the
     oracle, relative to the oracle's largest entry. Every frame's oracle
     gradient is the frame-sum gradient."""
-    vector, cache = encode_clip_cached(frames.sum(0), matrix, question, um_hops, qg, carry)
+    vector, cache = encode_clip_cached(frames.sum(0), matrix, question, um_hops, qg)
     final = final_memory(matrix, cache)
-    expected, expected_final, caches = oracle_encode(frames, matrix, question, um_hops, qg, carry)
+    expected, expected_final, caches = oracle_encode(frames, matrix, question, um_hops, qg)
     dsum = encode_clip_backward(dvector, cache)
     expected_dframes = oracle_backward(dvector, caches)
     assert dsum.shape == frames.shape[1:]
@@ -380,17 +365,15 @@ class TestEncodeClip:
         guided, _ = encode_clip_cached(frames.sum(0), matrix, question, um_hops=1, qg=True)
         np.testing.assert_allclose(guided, plain / n**2, rtol=1e-10)
 
-    @pytest.mark.parametrize("carry", [False, True])
-    def test_matches_step_by_step_oracle(self, carry):
+    @pytest.mark.parametrize("qg", [False, True])
+    def test_matches_step_by_step_oracle(self, qg):
         rng = np.random.default_rng(53)
         frames = rng.normal(size=(2, 4))
         matrix = rng.normal(size=(3, 4))
         question = rng.normal(size=4)
-        vector, cache = encode_clip_cached(frames.sum(0), matrix, question,
-                                           um_hops=2, qg=True, carry_frames=carry)
+        vector, cache = encode_clip_cached(frames.sum(0), matrix, question, um_hops=2, qg=qg)
         final = final_memory(matrix, cache)
-        expected, expected_final = loop_encode(frames, matrix, question,
-                                               um_hops=2, qg=True, carry=carry)
+        expected, expected_final = loop_encode(frames, matrix, question, um_hops=2, qg=qg)
         np.testing.assert_allclose(vector, expected, atol=1e-12)
         np.testing.assert_allclose(final, expected_final, atol=1e-12)
 
@@ -413,16 +396,19 @@ class TestEncodeClip:
 
 
 class TestMatrixOracle:
-    @pytest.mark.parametrize("carry", [False, True])
+    @pytest.mark.parametrize("unit_rows", [False, True])
     @pytest.mark.parametrize("qg", [False, True])
     @pytest.mark.parametrize("um_hops", [1, 2, 3])
-    def test_matches_pass_by_pass_oracle(self, um_hops, qg, carry):
-        rng = np.random.default_rng(100 * um_hops + 10 * qg + carry)
+    def test_matches_pass_by_pass_oracle(self, um_hops, qg, unit_rows):
+        # unit rows are what `build_memory` gives the model
+        rng = np.random.default_rng(100 * um_hops + 10 * qg + unit_rows)
         for t, n, d in ((3, 5, 4), (7, 40, 16)):
             frames = rng.normal(size=(t, d))
             matrix = rng.normal(size=(n, d)) / math.sqrt(d)
+            if unit_rows:
+                matrix /= np.linalg.norm(matrix, axis=1, keepdims=True)
             question = rng.normal(size=d)
-            cache, caches = assert_matches_oracle(frames, matrix, question, um_hops, qg, carry,
+            cache, caches = assert_matches_oracle(frames, matrix, question, um_hops, qg,
                                                   rng.normal(size=d))
             assert len(cache.scales) == um_hops + qg
             for pre, (_, _, expected_pre, _) in zip(cache.pre, caches[1], strict=True):
@@ -442,7 +428,7 @@ class TestMatrixOracle:
         matrix = np.vstack([np.hstack([0.3 * rng.normal(size=(5, 3)), np.zeros((5, 1))]),
                             [0.0, 0.0, 0.0, 1.0]])
         question = rng.normal(size=4)
-        cache, caches = assert_matches_oracle(frames, matrix, question, 2, True, False,
+        cache, caches = assert_matches_oracle(frames, matrix, question, 2, True,
                                               rng.normal(size=4))
         assert len(cache.pre) == 1
         for pre, (_, _, expected_pre, _) in zip(cache.pre, caches[1], strict=True):

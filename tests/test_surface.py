@@ -3,7 +3,9 @@
 The benchmark's tracer (`bench/spans.py`) wraps each of its ENTRY_POINTS and
 silently skips one it cannot find, which would leave that layer's metrics at
 zero; every other name a `bench/` script reads from the package must still
-resolve; the package root exports exactly the names the README documents.
+resolve, and so must every attribute a bench script reads from a workload's
+`ModelConfig`; the package root exports exactly the names the README
+documents.
 """
 
 import ast
@@ -61,6 +63,25 @@ def test_bench_name_resolves(module_name, attr):
     module = importlib.import_module(module_name)
     found = hasattr(module, attr) or importlib.util.find_spec(f"{module_name}.{attr}") is not None
     assert found, f"bench/ reads {module_name}.{attr}, which is gone"
+
+
+def _bench_model_reads():
+    """Each `<x>.model.<attr>` a bench script reads: the attributes of a
+    workload's `ModelConfig`."""
+    attrs = set()
+    for path in sorted(glob.glob(os.path.join(ROOT, "bench", "*.py"))):
+        with open(path, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read(), path)
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Attribute)
+                    and node.value.attr == "model"):
+                attrs.add(node.attr)
+    return sorted(attrs)
+
+
+@pytest.mark.parametrize("attr", _bench_model_reads())
+def test_bench_model_read_resolves(attr):
+    assert hasattr(lmn.ModelConfig(), attr), f"bench/ reads ModelConfig.{attr}, which is gone"
 
 
 def test_package_exports_are_the_documented_surface():

@@ -64,7 +64,6 @@ def reference_loss(inst):
         swm_hops=inst.config.swm_hops,
         um_hops=inst.config.um_hops,
         qg=inst.config.qg,
-        carry_frames=inst.config.um_carry_frames,
     )
 
 
@@ -169,12 +168,6 @@ class TestBackward:
             assert admitted, combo
         assert worst <= 1e-4
 
-    @pytest.mark.parametrize("um_hops, qg", [(1, True), (2, False), (2, True), (3, False), (3, True)])
-    def test_carry_frames_variant(self, um_hops, qg):
-        inst = make_instance(seed=555, um_hops=um_hops, qg=qg, carry_frames=True, avoid_kinks=True)
-        err = gradcheck(as_params(inst), inst.mem, inst.item, inst.features, inst.sub, step=1e-5)
-        assert err <= 1e-4
-
     def test_flat_loss_gives_zero_gradient(self):
         rng = np.random.default_rng(81)
         mem = StaticWordMemory(["aa", "bb"], rng.normal(size=(2, 3)))
@@ -259,12 +252,12 @@ class TestGradcheckHarness:
         (lmn.subtitle_memory, "encode_clip_backward",
          "weights * dscale + dlogits * cache.question_scores", "weights * dscale",
          dict(um_hops=2, qg=True)),
-        (lmn.subtitle_memory, "encode_clip_backward", "if cache.carry_frames:", "if False:",
-         dict(um_hops=2, carry_frames=True)),
+        (lmn.subtitle_memory, "encode_clip_backward", "dsum = dsum + dframe_sum", "dsum = dsum",
+         dict(um_hops=2)),
         (lmn.frame_encoder, "_normalize_backward", "cache.xhat * inner", "0.0 * cache.xhat", {}),
         (lmn.subtitle_memory, "encode_clip_backward", "np.maximum(pre, 0.0) * dscale",
          "np.maximum(scale, 0.0) * dscale", dict(um_hops=3)),
-    ], ids=["relu-mask", "guide-term", "carry-frames", "normalize-projection", "gate-scale"])
+    ], ids=["relu-mask", "guide-term", "frame-sum", "normalize-projection", "gate-scale"])
     def test_planted_adjoint_bug_is_caught(self, monkeypatch, module, name, exact, planted, mode):
         # each bug is one expression of the adjoint's source, edited; the
         # guide and mask bugs need a gate before the guide, and the scale
@@ -288,34 +281,43 @@ class TestGradcheckHarness:
 
     @staticmethod
     def saturated(scale, label):
-        # the projection's scale cancels in the first hop's normalization, so
-        # raw word vectors scaled up saturate the softmax instead
+        # the projection's scale cancels in the first hop's normalization, and
+        # the question and answers embed to unit rows, so subtitle rows built
+        # unnormalized from word vectors scaled up saturate the softmax
+        # instead: the logits grow as scale**2, and answer 2 wins
         rng = np.random.default_rng(5)
         mem = StaticWordMemory(["aa", "bb", "cc"], scale * rng.normal(size=(3, 3)))
         item = QAItem("q", "aa", ("aa", "bb", "cc", "aa bb", "bb cc"), "m", ("c",),
                       correct_index=label)
         features = ClipFeatures(rng.normal(size=(2, 4, 1, 2)))
-        params = init_params(3, 4, ModelConfig(normalize_sentences=False), seed=1)
-        return params, mem, item, features
+        sub = build_memory(["aa bb", "cc", "bb cc"], mem, normalize=False)
+        return init_params(3, 4, seed=1), mem, item, features, sub
 
     def test_saturated_softmax_has_no_measurable_entry(self):
-        # at 1e12 the loss is the logit gap, near 1e24, and its rounding
-        # floor eps*|loss|/step outgrows every gradient entry
-        params, mem, item, features = self.saturated(1e12, 1)
-        loss, dist = forward(params, mem, item, features)
-        assert dist.probs.max() == 1.0 and loss > 1e24
-        assert np.abs(backward(params, mem, item, features)).max() < loss * np.finfo(float).eps / 1e-5
-        with pytest.raises(ValueError, match=self.FLOOR_ERROR + r"9\.609e\+13 "
-                           r"\(loss 4\.328e\+24, max \|logit\| 2\.459e\+24\)$"):
-            gradcheck(params, mem, item, features)
+        # at 1e12 answer 2 leads by a logit gap near 1e24: its loss and every
+        # gradient entry round to 0.0, under the floor eps*max|logit|/step
+        args = self.saturated(1e12, 2)
+        loss, dist = forward(*args)
+        assert dist.probs.max() == 1.0 and loss == 0.0
+        assert not backward(*args).any()
+        with pytest.raises(ValueError, match=self.FLOOR_ERROR + r"5\.388e\+13 "
+                           r"\(loss 0\.000e\+00, max \|logit\| 2\.426e\+24\)$"):
+            gradcheck(*args)
 
-    @pytest.mark.parametrize("label", [1, 2, 3, 4])
-    def test_nearly_saturated_softmax_raises(self, label):
-        # at 1e10 the largest directional derivative is at most 19 times the
-        # floor: a difference quotient there is mostly the loss's rounding
-        params, mem, item, features = self.saturated(1e10, label)
+    @pytest.mark.parametrize("label", [0, 1, 3, 4])
+    def test_saturated_wrong_answer_is_measured(self, label):
+        # here a wrong answer's loss, near 1e24, is its logit gap, whose
+        # gradient grows with it and stays 1e10 times above the floor
+        assert gradcheck(*self.saturated(1e12, label)) <= 1e-4
+
+    @pytest.mark.parametrize("scale", [4.0, 4.5, 5.0])
+    def test_nearly_saturated_softmax_raises(self, scale):
+        # losses 8.8e-7, 2.0e-8 and 2.9e-10 at max |logit| 39.5, 49.8 and
+        # 61.3: the largest directional derivative is at most 1.8e4, 416 and
+        # 6 times the floor, so a difference quotient there is mostly the
+        # logits' rounding
         with pytest.raises(ValueError, match=self.FLOOR_ERROR):
-            gradcheck(params, mem, item, features)
+            gradcheck(*self.saturated(scale, 2))
 
     @pytest.mark.parametrize("index", [0, 1])
     def test_vanishing_loss_raises(self, index):
@@ -371,8 +373,8 @@ class TestSettingTypes:
         (ModelConfig, "swm_hops", 1.5, "an integer"),
         (ModelConfig, "um_hops", True, "an integer"),
         (ModelConfig, "qg", 2, "a bool"),
-        (ModelConfig, "normalize_sentences", 1, "a bool"),
-        (ModelConfig, "um_carry_frames", np.True_, "a bool"),
+        (ModelConfig, "average_clip", 1, "a bool"),
+        (ModelConfig, "qg", np.True_, "a bool"),
         (TrainConfig, "batch_size", 2.5, "an integer"),
         (TrainConfig, "seed", "3", "an integer"),
         (TrainConfig, "max_epochs", np.float64(3.0), "an integer"),
@@ -385,6 +387,12 @@ class TestSettingTypes:
     def test_rejects_wrong_type(self, cls, name, value, kind):
         with pytest.raises(ValueError, match=f"^{cls.__name__}.{name} must be {kind}, got "):
             cls(**{name: value})
+
+    @pytest.mark.parametrize("name", ["normalize_sentences", "um_carry_frames"])
+    def test_model_constants_are_not_settings(self, name):
+        assert name not in {f.name for f in dataclasses.fields(ModelConfig)}
+        with pytest.raises(TypeError, match=name):
+            ModelConfig(**{name: getattr(ModelConfig, name)})
 
     def test_accepts_numpy_integers_and_integer_rates(self):
         assert ModelConfig(swm_hops=np.int64(2)) == ModelConfig(swm_hops=2)
@@ -399,6 +407,15 @@ def small_synthetic():
     return generate_synthetic(spec)
 
 
+def unlabeled(data, indices):
+    """The first six eval examples, those at `indices` without a label."""
+    dataset = data.examples("eval")[:6]
+    for k in indices:
+        item = dataclasses.replace(dataset[k].item, correct_index=None)
+        dataset[k] = Example(item, dataset[k].features, dataset[k].subtitles)
+    return dataset
+
+
 @pytest.mark.parametrize("call, message", [
     (lambda data: ModelParams(np.zeros(3)), "weights must be 2-D (d,C), got (3,)"),
     (lambda data: ModelParams(np.array([[np.inf]])), "weights contain non-finite entries"),
@@ -408,11 +425,14 @@ def small_synthetic():
     (lambda data: TrainConfig(dev_fraction=0.0), "dev_fraction must be in (0, 1)"),
     (lambda data: TrainConfig(dev_fraction=1.0), "dev_fraction must be in (0, 1)"),
     (lambda data: evaluate(init_params(6, 8), data.word_memory, []), "empty dataset"),
+    # an unlabeled question would count as a miss and dilute the accuracy
+    (lambda data: evaluate(init_params(6, 8), data.word_memory, unlabeled(data, (1, 3, 5))),
+     "item 'eval00001' has no correct_index"),
     (lambda data: train(data.examples("train")[:1], data.word_memory, TrainConfig(),
                         init_params(6, 8)),
      "dataset of 1 items is too small for a dev split"),
 ], ids=["weights-1d", "weights-non-finite", "max-epochs", "seed", "patience", "dev-fraction-0",
-        "dev-fraction-1", "evaluate-empty", "train-one-item"])
+        "dev-fraction-1", "evaluate-empty", "evaluate-unlabeled", "train-one-item"])
 def test_input_checks(small_synthetic, call, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         call(small_synthetic)
@@ -532,9 +552,9 @@ def count_embeddings(monkeypatch):
     calls = []
     original = lmn.training.embed_sentence
 
-    def recording(mem, sentences, normalize=True):
+    def recording(mem, sentences):
         calls.append(tuple(sentences))
-        return original(mem, sentences, normalize=normalize)
+        return original(mem, sentences)
 
     monkeypatch.setattr(lmn.training, "embed_sentence", recording)
     return calls
@@ -546,12 +566,11 @@ def embeddings_of(calls, sentences):
     return sum(call[i : i + n] == sentences for call in calls for i in range(len(call) - n + 1))
 
 
-def per_item_prepared(mem, dataset, config):
+def per_item_prepared(mem, dataset):
     """Reference preparation: every item builds its own subtitle memory."""
     for ex in dataset:
-        sub = None if ex.subtitles is None else build_memory(
-            ex.subtitles, mem, normalize=config.normalize_sentences)
-        yield prepare(mem, ex.item, ex.features, sub, config)
+        sub = None if ex.subtitles is None else build_memory(ex.subtitles, mem)
+        yield prepare(mem, ex.item, ex.features, sub)
 
 
 class TestSubtitleMemoryCache:
@@ -580,7 +599,7 @@ class TestSubtitleMemoryCache:
         params = init_params(6, 8, self.CONFIG, seed=8)
         _, records = evaluate(params, mem, dataset)
         expected = []
-        for ex, prep in zip(dataset, per_item_prepared(mem, dataset, self.CONFIG)):
+        for ex, prep in zip(dataset, per_item_prepared(mem, dataset)):
             dist = run_forward(params.weights, Chunk.of([prep]), self.CONFIG, mem).dist
             (choice,) = predict(dist).tolist()
             expected.append({"qid": ex.item.qid, "predicted": choice,
@@ -614,7 +633,7 @@ class TestSubtitleMemoryCache:
             for k, s in ((0, 0), (1, 1), (2, 0))
         ]
         calls = count_embeddings(monkeypatch)
-        preps = list(lmn.training._prepared(mem, dataset, self.CONFIG))
+        preps = list(lmn.training._prepared(mem, dataset))
         assert embeddings_of(calls, source[0].subtitles) == 1
         assert embeddings_of(calls, source[1].subtitles) == 1
         assert not np.array_equal(preps[0].subtitle_mat, preps[1].subtitle_mat)
@@ -650,17 +669,15 @@ def subtitled_bytes(example, dim):
 
 
 class TestPreparedBlocks:
-    @pytest.mark.parametrize("normalize", [True, False])
-    def test_blocks_match_per_item_preparation(self, small_synthetic, monkeypatch, normalize):
+    def test_blocks_match_per_item_preparation(self, small_synthetic, monkeypatch):
         mem = small_synthetic.word_memory
-        config = ModelConfig(normalize_sentences=normalize)
         dataset = block_dataset(small_synthetic)
         budget = 4 * subtitled_bytes(dataset[0], mem.dim)
         assert len(dataset[8].subtitles) * mem.dim * 8 > budget
-        expected = list(per_item_prepared(mem, dataset, config))
+        expected = list(per_item_prepared(mem, dataset))
         monkeypatch.setattr(lmn.training, "CHUNK_BYTES", budget)
         calls = count_embeddings(monkeypatch)
-        preps = list(lmn.training._prepared(mem, dataset, config))
+        preps = list(lmn.training._prepared(mem, dataset))
         assert len(calls) >= 3
         assert embeddings_of(calls, dataset[8].subtitles) == 1
         for ex, prep, want in zip(dataset, preps, expected, strict=True):
@@ -680,21 +697,29 @@ class TestPreparedBlocks:
         assert preps[11].subtitle_mat is preps[8].subtitle_mat
         assert preps[7].subtitle_mat.tobytes() != preps[2].subtitle_mat.tobytes()
 
-    def test_empty_subtitles_rejected(self, small_synthetic, monkeypatch):
+    @pytest.mark.parametrize("call", ["prepare", "train", "evaluate"])
+    def test_empty_subtitles_rejected(self, small_synthetic, monkeypatch, call):
         mem = small_synthetic.word_memory
         dataset = block_dataset(small_synthetic)
         monkeypatch.setattr(lmn.training, "CHUNK_BYTES", 4 * subtitled_bytes(dataset[0], mem.dim))
-        dataset.append(Example(dataset[0].item, dataset[0].features, ()))
-        with pytest.raises(ValueError, match="^cannot build a subtitle memory from an empty "
-                                             "sentence list$"):
-            list(lmn.training._prepared(mem, dataset, ModelConfig()))
+        item = dataclasses.replace(dataset[0].item, movie_id="silent")
+        dataset.append(Example(item, dataset[0].features, ()))
+        params = init_params(mem.dim, 8)
+        with pytest.raises(ValueError, match="^movie silent: cannot build a subtitle memory "
+                                             "from an empty sentence list$"):
+            if call == "prepare":
+                list(lmn.training._prepared(mem, dataset))
+            elif call == "train":
+                train(dataset, mem, TrainConfig(max_epochs=1), params)
+            else:
+                evaluate(params, mem, dataset)
 
     def test_evaluate_embeds_once_per_chunk(self, monkeypatch):
         data = generate_synthetic(SyntheticSpec(n_train=1, n_eval=1000))
         mem = data.word_memory
         dataset = data.examples("eval")
         config = ModelConfig()
-        runs = list(lmn.training._chunks(lmn.training._prepared(mem, dataset, config),
+        runs = list(lmn.training._chunks(lmn.training._prepared(mem, dataset),
                                          lmn.training._item_key))
         assert len(runs[0]) > 1
         calls = count_embeddings(monkeypatch)
@@ -720,16 +745,19 @@ def overflowing(where):
     return dataset
 
 
-@pytest.mark.parametrize("normalize", [True, False])
+@pytest.mark.parametrize("config", [ModelConfig(), ModelConfig(um_hops=2, qg=True)],
+                         ids=["default", "um2-qg"])
 @pytest.mark.parametrize("call", ["train", "evaluate", "forward", "backward", "gradcheck"])
 @pytest.mark.parametrize("where, message", [
     ("subtitle", "movie m1: subtitle 1 embeds to non-finite values"),
     ("question", "question q1: the question embeds to non-finite values"),
     ("answer", "question q1: answer 3 embeds to non-finite values"),
 ])
-def test_non_finite_embedding_is_located(where, message, call, normalize):
+def test_non_finite_embedding_is_located(where, message, call, config):
+    # the located message holds on the guided path too, where the question
+    # also steers the subtitle memory
     mem = StaticWordMemory(["big", "w"], np.array([[1.5e308, 0.0], [0.0, 1.0]]))
-    params = init_params(2, 3, ModelConfig(normalize_sentences=normalize))
+    params = init_params(2, 3, config)
     one_item = {"forward": forward, "backward": backward, "gradcheck": gradcheck}
     if call in one_item and where == "subtitle":
         # the caller builds the item's subtitle memory, which rejects the row
@@ -741,7 +769,7 @@ def test_non_finite_embedding_is_located(where, message, call, normalize):
             evaluate(params, mem, overflowing(where))
         else:
             example = overflowing(where)[1]
-            sub = build_memory(example.subtitles, mem, normalize=normalize)
+            sub = build_memory(example.subtitles, mem)
             one_item[call](params, mem, example.item, example.features, sub)
 
 
@@ -759,7 +787,7 @@ class TestHoldOnce:
 
     def test_prepared_regions_share_the_feature_buffer(self, small_synthetic):
         example = small_synthetic.examples("train")[0]
-        prep = prepare_example(small_synthetic.word_memory, example, ModelConfig())
+        prep = prepare_example(small_synthetic.word_memory, example)
         assert np.shares_memory(prep.regions, example.features.tensor)
         np.testing.assert_array_equal(prep.regions, example.features.tensor.transpose(0, 2, 3, 1)
                                       .reshape(prep.regions.shape))
