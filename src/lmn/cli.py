@@ -64,12 +64,13 @@ def _load_inputs(
     args, config: ModelConfig, first: bool = False
 ) -> tuple[StaticWordMemory, ModelParams | None, list[Example]]:
     """The embeddings, the `--params` model under `config` (None when no
-    params file is given) and the QA file's examples. Every input path is
-    checked, and the `--out` directory made, before any file is parsed, so
-    a bad output path fails before the run; the params are read right after
-    the embeddings, before any clip is decoded. With `first`, only the question
-    `args.qid` names, or the file's first question when it names none, so
-    no other question's clips are decoded."""
+    params file is given) and the QA file's examples, which
+    `data_io.load_examples` reads. Every input path is checked, and the
+    `--out` directory made, before any file is parsed, so a bad output path
+    fails before the run; the params are read right after the embeddings,
+    before any clip is decoded. With `first`, only the question `args.qid`
+    names, or the file's first question when it names none, so no other
+    question's clips are decoded."""
     embeddings = _require(args.embeddings, "embedding file")
     qa = _require(args.qa, "QA file")
     feature_dir = _require(args.features, "feature directory")
@@ -99,35 +100,7 @@ def _load_inputs(
         items = items[:1]
     if not items:
         raise ValueError("empty dataset")
-
-    subtitle_cache: dict[str, tuple[str, ...]] = {}
-    examples = []
-    for item in items:
-        clips = [
-            data_io.load_features(os.path.join(feature_dir, f"{cid}.lmnf"))
-            for cid in item.clip_ids
-        ]
-        try:
-            features = data_io.subsample_frames(clips, args.frames)
-        except ValueError as exc:
-            raise ValueError(f"question {item.qid}: {exc}") from None
-        sentences = None
-        if subtitle_dir is not None:
-            if item.movie_id not in subtitle_cache:
-                subtitle_cache[item.movie_id] = _load_subtitles(subtitle_dir, item.movie_id)
-            sentences = subtitle_cache[item.movie_id]
-        examples.append(Example(item, features, sentences))
-    return mem, params, examples
-
-
-def _load_subtitles(subtitle_dir: str, movie_id: str) -> tuple[str, ...]:
-    srt = os.path.join(subtitle_dir, movie_id + ".srt")
-    txt = os.path.join(subtitle_dir, movie_id + ".txt")
-    if os.path.exists(srt):
-        return tuple(data_io.parse_srt(srt).texts())
-    if os.path.exists(txt):
-        return tuple(data_io.load_plaintext_subtitles(txt).texts())
-    raise ValueError(f"no subtitle file for movie {movie_id!r} in {subtitle_dir}")
+    return mem, params, data_io.load_examples(items, feature_dir, subtitle_dir, args.frames)
 
 
 def _write_text(path: str, text: str) -> None:
@@ -171,8 +144,7 @@ def cmd_answer(args) -> int:
     config = _settings(ModelConfig, args)
     mem, params, (example,) = _load_inputs(args, config, first=True)
     prep = prepare_example(mem, example)
-    dist = _run(params.weights, [prep], config, mem,
-                names=[f"question {example.item.qid}"]).dist
+    dist = _run(params.weights, [prep], config, mem).dist
     (choice,) = predict(dist).tolist()
     print(f"qid {example.item.qid}: predicted answer {choice}")
     for h, (text, p) in enumerate(zip(example.item.answers, dist.probs[0])):
@@ -216,11 +188,9 @@ def cmd_gradcheck(args) -> int:
     mem, params, (example,) = _load_inputs(args, config, first=True)
     if params is None:
         params = init_params(mem.dim, example.features.channels, config, seed=args.seed)
-    # outside `_located`: the preparation's errors already name the question or movie
     rows = prepare_example(mem, example).subtitle_mat
     sub = None if rows is None else SubtitleMemory(rows, example.subtitles)
-    with _located(f"question {example.item.qid}"):
-        err = gradcheck(params, mem, example.item, example.features, sub)
+    err = gradcheck(params, mem, example.item, example.features, sub)
     print(f"gradcheck qid {example.item.qid}: max relative error {err:.3e}")
     return 0
 

@@ -48,6 +48,7 @@ __all__ = [
     "SyntheticDataset",
     "generate_synthetic",
     "write_synthetic",
+    "load_examples",
 ]
 
 
@@ -530,3 +531,31 @@ def write_synthetic(data: SyntheticDataset, outdir) -> dict[str, str]:
         text = "\n".join(data.subtitles[movie_id]) + "\n"
         atomic_write_bytes(os.path.join(subtitle_dir, movie_id + ".txt"), text.encode("utf-8"))
     return paths
+
+
+def load_examples(items, feature_dir, subtitle_dir, frames: int) -> list[Example]:
+    """The items' examples, read from the layout `write_synthetic` writes.
+    Each item's clips `<feature_dir>/<clip_id>.lmnf` are subsampled together
+    to `frames` frames; a clip shape mismatch raises a ValueError that
+    starts `question <qid>: `. Each movie's sentences are read once, from
+    `<subtitle_dir>/<movie_id>.srt`, else from its `.txt`, else a ValueError
+    names the movie; with `subtitle_dir` None every example is video-only."""
+    subtitles: dict[str, tuple[str, ...]] = {}
+    examples = []
+    for item in items:
+        clips = [load_features(os.path.join(feature_dir, f"{cid}.lmnf")) for cid in item.clip_ids]
+        try:
+            features = subsample_frames(clips, frames)
+        except ValueError as exc:
+            raise ValueError(f"question {item.qid}: {exc}") from None
+        if subtitle_dir is not None and item.movie_id not in subtitles:
+            srt = os.path.join(subtitle_dir, item.movie_id + ".srt")
+            txt = os.path.join(subtitle_dir, item.movie_id + ".txt")
+            if os.path.exists(srt):
+                subtitles[item.movie_id] = tuple(parse_srt(srt).texts())
+            elif os.path.exists(txt):
+                subtitles[item.movie_id] = tuple(load_plaintext_subtitles(txt).texts())
+            else:
+                raise ValueError(f"no subtitle file for movie {item.movie_id!r} in {subtitle_dir}")
+        examples.append(Example(item, features, subtitles.get(item.movie_id)))
+    return examples

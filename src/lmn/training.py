@@ -13,7 +13,8 @@ their stored width, to float64 once per chunk; every other array of a
 one-item chunk is a view of the item's. Shapes never mix within a chunk, so
 nothing is padded or masked. `train`'s minibatches, its dev pass,
 `evaluate`, and `forward`, `backward` and `gradcheck` on their one-item
-chunks all take this path. Preparation cuts examples by the same rule
+chunks all take this path, under one numeric guard that names a failing
+chunk's question. Preparation cuts examples by the same rule
 (`_chunks`) and embeds each run's sentences in one call, so an evaluation
 embeds exactly the chunks it runs.
 
@@ -28,7 +29,7 @@ import hashlib
 import json
 import math
 from collections.abc import Callable, Iterable, Iterator
-from contextlib import contextmanager, nullcontext
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, replace
 from typing import ClassVar
 
@@ -110,8 +111,9 @@ class ModelParams:
 
 
 def init_params(dim: int, channels: int, config: ModelConfig | None = None, seed: int = 0) -> ModelParams:
-    """Uniform init on [-a, a] with a = sqrt(6/(d+C)), which keeps initial
-    logits bounded."""
+    """Uniform init on [-a, a] with a = sqrt(6/(d+C)). The first word-memory
+    hop normalizes each projected region, which removes the projection's
+    scale, so the bound does not limit the logits."""
     bound = np.sqrt(6.0 / (dim + channels))
     rng = np.random.default_rng(seed)
     weights = rng.uniform(-bound, bound, size=(dim, channels))
@@ -178,6 +180,7 @@ def _digest(weights: np.ndarray) -> str:
 class Prepared:
     """Frozen per-item inputs: everything but the projection weights."""
 
+    qid: str  # names the item in a located error
     regions: np.ndarray  # (T, R, C), a view of the clip's feature buffer at its width
     question: np.ndarray  # (d,)
     answer_mat: np.ndarray  # (5, d)
@@ -205,6 +208,7 @@ def _prepared(mem: StaticWordMemory, dataset: Iterable[Example]) -> Iterator[Pre
         for i, example in enumerate(run):
             first = i * (1 + NUM_CHOICES)
             yield Prepared(
+                qid=example.item.qid,
                 regions=example.features.regions(),
                 question=text_rows[first],
                 answer_mat=text_rows[first + 1 : first + 1 + NUM_CHOICES],
@@ -422,33 +426,31 @@ def _run(
     config: ModelConfig,
     mem: StaticWordMemory,
     gradient: bool = False,
-    names: list[str] | None = None,
 ) -> Outcome:
     """Run the items chunk by chunk through one stacked forward and, with
     `gradient`, one backward per chunk; chunk gradients are summed in chunk
-    order. With `names`, one per item, a chunk that fails numerically is
-    rerun one item at a time, so the ValueError raised starts with the name
-    of the first item that fails alone (the chunk's first otherwise)."""
+    order. Each chunk runs under `_located`: an overflow or invalid
+    operation raises one ValueError that starts `question <qid>: `. A chunk
+    of several items that fails is rerun one item at a time, so the error
+    names the first item that fails alone (the chunk's first otherwise)."""
     probs, logits, losses = [], [], []
     total = None
-    lo = 0
     for run in _chunks(items, _item_key):
         chunk = Chunk.of(run)
         try:
-            with _located(names[lo]) if names else nullcontext():
+            with _located(f"question {run[0].qid}"):
                 state = run_forward(weights, chunk, config, mem)
                 if gradient:
                     grad = run_backward(state, chunk, config, mem)
                     total = grad if total is None else total + grad
         except ValueError:
-            if names and len(run) > 1:
-                for i, prep in enumerate(run, lo):
-                    _run(weights, [prep], config, mem, gradient, names[i : i + 1])
+            if len(run) > 1:
+                for prep in run:
+                    _run(weights, [prep], config, mem, gradient)
             raise
         probs.append(state.dist.probs)
         logits.append(state.dist.logits)
         losses.append(state.losses)
-        lo += len(run)
     dist = AnswerDistribution(np.concatenate(probs), np.concatenate(logits))
     losses = None if any(x is None for x in losses) else np.concatenate(losses)
     return Outcome(dist, losses, total)
@@ -538,7 +540,9 @@ def gradcheck(
     The loss is computed from the logits, so a difference quotient resolves
     nothing below the floor ε·max(|loss|, max |logit|)/step. A direction
     counts where |analytic| + |numeric| ≥ floor/1e-5, so rounding is at most
-    1e-5 of its error; a ValueError naming the floor is raised if none does."""
+    1e-5 of its error. If none does, a ValueError that starts
+    `question <qid>: ` names the floor; its forwards raise `_run`'s located
+    errors."""
     _check_step("step", step)
     prep = _labeled(params, mem, item, features, sub)
     config = params.config
@@ -559,8 +563,9 @@ def gradcheck(
         if scale >= floor / 1e-5:
             errors.append(abs(analytic - numeric) / scale)
     if not errors:
-        raise ValueError(f"no direction reaches 1e5 times the finite-difference floor eps * max(|loss|, "
-                         f"max |logit|) / step = {floor:.3e} (loss {loss:.3e}, max |logit| {logit:.3e})")
+        raise ValueError(f"question {item.qid}: no direction reaches 1e5 times the finite-difference "
+                         f"floor eps * max(|loss|, max |logit|) / step = {floor:.3e} "
+                         f"(loss {loss:.3e}, max |logit| {logit:.3e})")
     return max(errors)
 
 
@@ -575,15 +580,14 @@ def evaluate(
     Questions run in chunks of consecutive same-shape items, each through
     one stacked forward; a question over the chunk budget runs alone on one
     float64 copy of its frames. A question that overflows or scores
-    non-finite logits raises one ValueError that starts `question <qid>: `,
-    naming the first such question. A question, answer or subtitle row that
-    embeds to non-finite values raises the ValueError of `_prepared`, which
-    names its question or movie."""
+    non-finite logits raises `_run`'s ValueError, which starts
+    `question <qid>: ` and names the first such question. A question,
+    answer or subtitle row that embeds to non-finite values raises the
+    ValueError of `_prepared`, which names its question or movie."""
     if not dataset:
         raise ValueError("empty dataset")
     _require_labels(example.item for example in dataset)
-    out = _run(params.weights, _prepared(mem, dataset), params.config, mem,
-               names=[f"question {example.item.qid}" for example in dataset])
+    out = _run(params.weights, _prepared(mem, dataset), params.config, mem)
     records = []
     hits = 0
     for example, choice, probs in zip(dataset, predict(out.dist).tolist(), out.dist.probs):
@@ -626,9 +630,10 @@ def train(
     row that embeds to non-finite values stops the run before epoch 1 with
     the ValueError of `_prepared`.
 
-    A batch or dev pass that overflows, or whose loss or gradient is not
-    finite, raises one ValueError that starts `epoch E batch B: ` or
-    `epoch E dev: `.
+    A batch or dev pass whose loss or gradient is not finite raises one
+    ValueError that starts `epoch E batch B: ` or `epoch E dev: `; for an
+    overflow that prefix is followed by the question `_run` names, as in
+    `epoch E batch B: question <qid>: …`.
     """
     if not dataset:
         raise ValueError("empty dataset")

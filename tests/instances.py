@@ -37,6 +37,7 @@ def prepare(
     one call, and `sub`'s rows as they are."""
     text = embed_sentence(mem, (item.question, *item.answers))
     return Prepared(
+        qid=item.qid,
         regions=features.regions(),
         question=text[0],
         answer_mat=text[1:],
@@ -127,7 +128,8 @@ def _well_conditioned(inst: Instance) -> bool:
     try:
         gradcheck(ModelParams(weights, config), mem, inst.item, inst.features, inst.sub)
     except ValueError as exc:
-        if not str(exc).startswith("no direction reaches 1e5 times the finite-difference floor"):
+        if not str(exc).startswith(f"question {inst.item.qid}: no direction reaches 1e5 times "
+                                   f"the finite-difference floor"):
             raise
         return False
     return True

@@ -18,6 +18,7 @@ import lmn.training
 from lmn.answering import QAItem
 from lmn.data_io import Example
 from lmn.frame_encoder import ClipFeatures
+from lmn.subtitle_memory import build_memory
 from lmn.training import (
     CHUNK_BYTES,
     Chunk,
@@ -28,6 +29,8 @@ from lmn.training import (
     _prepared,
     _run,
     evaluate,
+    forward,
+    gradcheck,
     run_backward,
     run_forward,
 )
@@ -200,9 +203,12 @@ def test_stacked_chunk_matches_its_items(index):
         assert_close(out.gradient, np.sum(one_item_gradients(weights, items, config, mem), axis=0))
 
 
-def test_evaluate_names_the_first_failing_question_of_a_chunk():
+@pytest.mark.parametrize("entry", [evaluate, forward, lmn.training.backward, gradcheck],
+                         ids=lambda f: f.__name__)
+def test_evaluate_names_the_first_failing_question_of_a_chunk(entry):
     # two questions' regions are near 1e200, so their projected rows
-    # overflow when the first hop squares them to normalize
+    # overflow when the first hop squares them to normalize; `evaluate`
+    # runs all eight in one chunk, the single-item entry points run q2
     rng = np.random.default_rng(4)
     mem = word_memory(rng, 4)
     dataset = [example(rng, f"q{k}", 2, 6, 3) for k in range(8)]
@@ -212,8 +218,11 @@ def test_evaluate_names_the_first_failing_question_of_a_chunk():
     config = ModelConfig(um_hops=2)
     assert len(list(_chunks(list(_prepared(mem, dataset)), _item_key))) == 1
     params = ModelParams(rng.normal(size=(4, 6)), config)
+    failing = dataset[2]
+    args = ((params, mem, dataset) if entry is evaluate else
+            (params, mem, failing.item, failing.features, build_memory(failing.subtitles, mem)))
     with pytest.raises(ValueError, match=r"^question q2: overflow encountered in vecdot$"):
-        evaluate(params, mem, dataset)
+        entry(*args)
     # without the two overflowing questions the same chunk scores
     evaluate(params, mem, dataset[:2] + dataset[3:5] + dataset[6:])
 

@@ -17,6 +17,7 @@ from lmn.data_io import (
     SubtitleFile,
     SyntheticSpec,
     generate_synthetic,
+    load_examples,
     load_features,
     load_params,
     load_plaintext_subtitles,
@@ -561,6 +562,23 @@ class TestGenerateSynthetic:
                 left = os.path.join(root, name)
                 right = os.path.join(dir_b, rel, name)
                 assert filecmp.cmp(left, right, shallow=False), name
+
+    @pytest.mark.parametrize("split", ["train", "eval"])
+    def test_load_examples_reads_back_the_written_layout(self, tmp_path, split):
+        spec = SyntheticSpec(n_train=6, n_eval=3, seed=12)
+        data = generate_synthetic(spec)
+        paths = write_synthetic(data, tmp_path)
+        items = load_qa_jsonl(paths[split])
+        loaded = load_examples(items, paths["features"], paths["subtitles"], spec.frames)
+        expected = data.examples(split)
+        assert len(loaded) == len(expected)
+        for got, want in zip(loaded, expected):
+            assert got.item == want.item
+            assert got.features.tensor.dtype == want.features.tensor.dtype
+            assert got.features.tensor.tobytes() == want.features.tensor.tobytes()
+            assert got.subtitles == want.subtitles
+        video_only = load_examples(items, paths["features"], None, spec.frames)
+        assert [ex.subtitles for ex in video_only] == [None] * len(items)
 
     def test_label_distribution_near_uniform(self):
         data = generate_synthetic(SyntheticSpec())

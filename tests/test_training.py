@@ -276,7 +276,7 @@ class TestGradcheckHarness:
             monkeypatch.setattr(lmn.training, name, namespace[name])
         assert max(gradcheck(*args) for args in checks) > 1e-4
 
-    FLOOR_ERROR = (r"^no direction reaches 1e5 times the finite-difference floor "
+    FLOOR_ERROR = (r"^question \S+: no direction reaches 1e5 times the finite-difference floor "
                    r"eps \* max\(\|loss\|, max \|logit\|\) / step = ")
 
     @staticmethod
