@@ -22,7 +22,7 @@ from .data_io import (
     subsample_frames,
 )
 from .frame_encoder import ClipFeatures, encode_frames_cached
-from .subtitle_memory import SubtitleMemory, build_memory, encode_clip_cached, rank_subtitles
+from .subtitle_memory import build_memory, encode_clip_cached
 from .training import (
     ModelConfig,
     ModelParams,
@@ -32,6 +32,7 @@ from .training import (
     gradcheck,
     init_params,
     prepare_example,
+    rank_subtitles,
     train,
 )
 from .word_memory import (
@@ -53,7 +54,6 @@ __all__ = [
     "ModelParams",
     "QAItem",
     "StaticWordMemory",
-    "SubtitleMemory",
     "SyntheticSpec",
     "TrainConfig",
     "build_memory",

@@ -19,20 +19,16 @@ import numpy as np
 from . import data_io
 from .answering import predict
 from .data_io import Example, SyntheticSpec
-from .frame_encoder import encode_frames_cached
-from .subtitle_memory import SubtitleMemory, rank_subtitles
 from .training import (
-    Chunk,
     ModelConfig,
     ModelParams,
     TrainConfig,
-    _located,
-    _run,
+    answer_distributions,
     evaluate,
     gradcheck,
     init_params,
     prepare_example,
-    run_forward,
+    rank_subtitles,
     train,
 )
 from .word_memory import StaticWordMemory, load_word2vec_text
@@ -143,8 +139,7 @@ def cmd_eval(args) -> int:
 def cmd_answer(args) -> int:
     config = _settings(ModelConfig, args)
     mem, params, (example,) = _load_inputs(args, config, first=True)
-    prep = prepare_example(mem, example)
-    dist = _run(params.weights, [prep], config, mem).dist
+    dist = answer_distributions(params, mem, [example])
     (choice,) = predict(dist).tolist()
     print(f"qid {example.item.qid}: predicted answer {choice}")
     for h, (text, p) in enumerate(zip(example.item.answers, dist.probs[0])):
@@ -164,20 +159,9 @@ def cmd_rank_subtitles(args) -> int:
     if not 0 <= i < args.frames:  # subsampling gives every question --frames frames
         raise ValueError(f"frame index {i} out of range (clip has {args.frames} frames)")
     mem, params, (example,) = _load_inputs(args, config, first=True)
-    prep = prepare_example(mem, example)
-    with _located(f"question {example.item.qid}"):
-        # the frame's vector is the attended sum of its one group of regions
-        (frame,), _ = encode_frames_cached(prep.regions[i : i + 1], params.weights, mem,
-                                           config.swm_hops)
-        memory = prep.subtitle_mat
-        if args.memory_state == "final":
-            # the memory the model's last subtitle pass attends over
-            state = run_forward(params.weights, Chunk.of([prep]), config, mem)
-            memory = state.clip_cache.scales[-1][0][:, None] * memory
-        sub = SubtitleMemory(memory, example.subtitles)
-        ranked = rank_subtitles(frame, sub)
+    ranked = rank_subtitles(params, mem, example, i, args.memory_state == "final")
     for rank, (idx, sim) in enumerate(ranked, 1):
-        print(f"{rank}\t{sim:+.6f}\t{sub.sentences[idx]}")
+        print(f"{rank}\t{sim:+.6f}\t{example.subtitles[idx]}")
     return 0
 
 
@@ -188,8 +172,7 @@ def cmd_gradcheck(args) -> int:
     mem, params, (example,) = _load_inputs(args, config, first=True)
     if params is None:
         params = init_params(mem.dim, example.features.channels, config, seed=args.seed)
-    rows = prepare_example(mem, example).subtitle_mat
-    sub = None if rows is None else SubtitleMemory(rows, example.subtitles)
+    sub = prepare_example(mem, example).subtitle_mat
     err = gradcheck(params, mem, example.item, example.features, sub)
     print(f"gradcheck qid {example.item.qid}: max relative error {err:.3e}")
     return 0

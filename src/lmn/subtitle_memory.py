@@ -29,53 +29,29 @@ from .answering import softmax
 from .word_memory import StaticWordMemory, embed_sentence
 
 __all__ = [
-    "SubtitleMemory",
     "build_memory",
     "encode_clip_cached",
     "encode_clip_backward",
-    "rank_subtitles",
 ]
-
-
-@dataclass(frozen=True)
-class SubtitleMemory:
-    """Per-movie matrix of subtitle embeddings (one row per sentence)."""
-
-    matrix: np.ndarray  # (N, d)
-    sentences: tuple[str, ...]
-
-    def __post_init__(self):
-        m = np.array(self.matrix, dtype=np.float64, order="C")  # a copy; the caller's array stays writable
-        if m.ndim != 2 or m.shape[0] < 1:
-            raise ValueError(f"subtitle matrix must be (N>=1, d), got {m.shape}")
-        if len(self.sentences) != m.shape[0]:
-            raise ValueError(
-                f"{len(self.sentences)} sentences for {m.shape[0]} memory rows"
-            )
-        if not np.isfinite(m).all():
-            raise ValueError("subtitle matrix contains non-finite entries")
-        m.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
-        object.__setattr__(self, "sentences", tuple(self.sentences))
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[1]
 
 
 def build_memory(
     sentences,
     mem: StaticWordMemory,
     normalize: bool = True,
-) -> SubtitleMemory:
-    """Embed each sentence with the word memory, preserving order. A row
-    that overflows is left non-finite for `SubtitleMemory` to reject."""
+) -> np.ndarray:
+    """The read-only (N, d) float64 matrix of the sentences' embeddings,
+    one row per sentence in order: a movie's subtitle memory, as the model
+    takes it."""
     sentences = tuple(sentences)
     if not sentences:
         raise ValueError("cannot build a subtitle memory from an empty sentence list")
     with np.errstate(over="ignore", invalid="ignore"):
         rows = embed_sentence(mem, sentences, normalize=normalize)
-    return SubtitleMemory(rows, sentences)
+    if not np.isfinite(rows).all():
+        raise ValueError("subtitle matrix contains non-finite entries")
+    rows.setflags(write=False)
+    return rows
 
 
 # --- the scale recurrence -------------------------------------------------
@@ -202,14 +178,3 @@ def encode_clip_backward(dvector: np.ndarray, cache: ClipCache) -> np.ndarray:
             dscale = 2.0 * np.maximum(pre, 0.0) * dscale
     return dsum + dframe_sum
 
-
-def rank_subtitles(frame: np.ndarray, sub: SubtitleMemory) -> list[tuple[int, float]]:
-    """Subtitles sorted by descending inner product with a frame vector.
-
-    Ties keep file order; indices are 0-based positions in the memory."""
-    frame = np.asarray(frame, dtype=np.float64)
-    if frame.shape != (sub.dim,):
-        raise ValueError(f"frame vector must have shape ({sub.dim},), got {frame.shape}")
-    scores = sub.matrix @ frame
-    order = np.argsort(-scores, kind="stable")
-    return [(int(n), float(scores[n])) for n in order]

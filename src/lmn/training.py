@@ -52,7 +52,6 @@ from .frame_encoder import (
 )
 from .subtitle_memory import (
     ClipCache,
-    SubtitleMemory,
     build_memory,  # unused here; the bench tracer wraps `lmn.training.build_memory` by name
     encode_clip_backward,
     encode_clip_cached,
@@ -72,7 +71,9 @@ __all__ = [
     "sgd_step",
     "gradcheck",
     "train",
+    "answer_distributions",
     "evaluate",
+    "rank_subtitles",
 ]
 
 
@@ -461,14 +462,21 @@ def _labeled(
     mem: StaticWordMemory,
     item: QAItem,
     features: ClipFeatures,
-    sub: SubtitleMemory | None,
+    sub: np.ndarray | None,
 ) -> Prepared:
     """The prepared item of `forward`, `backward` and `gradcheck`; all three
     need a label. The question and answers are prepared by `prepare_example`
-    and raise its located errors; the subtitle rows are `sub`'s, as given."""
+    and raise its located errors; the subtitle rows are `sub`, as given."""
     _require_labels([item])
+    if sub is not None:
+        sub = np.asarray(sub, dtype=np.float64)
+        fits = sub.ndim == 2 and len(sub) > 0 and sub.shape[1] == mem.dim
+        if not (fits and np.isfinite(sub).all()):
+            got = "non-finite entries" if fits else f"shape {sub.shape}"
+            raise ValueError(f"subtitle rows must be a finite (N>=1, {mem.dim}) matrix "
+                             f"for the {mem.dim}-wide word memory, got {got}")
     prep = prepare_example(mem, Example(item, features, None))
-    return replace(prep, subtitle_mat=None if sub is None else sub.matrix)
+    return replace(prep, subtitle_mat=sub)
 
 
 def _require_labels(items: Iterable[QAItem]) -> None:
@@ -482,7 +490,7 @@ def forward(
     mem: StaticWordMemory,
     item: QAItem,
     features: ClipFeatures,
-    sub: SubtitleMemory | None = None,
+    sub: np.ndarray | None = None,
 ) -> tuple[float, AnswerDistribution]:
     """Loss and answer distribution for one labeled item."""
     out = _run(params.weights, [_labeled(params, mem, item, features, sub)], params.config, mem)
@@ -494,7 +502,7 @@ def backward(
     mem: StaticWordMemory,
     item: QAItem,
     features: ClipFeatures,
-    sub: SubtitleMemory | None = None,
+    sub: np.ndarray | None = None,
 ) -> np.ndarray:
     """Gradient of the item loss with respect to the projection weights."""
     prep = _labeled(params, mem, item, features, sub)
@@ -529,7 +537,7 @@ def gradcheck(
     mem: StaticWordMemory,
     item: QAItem,
     features: ClipFeatures,
-    sub: SubtitleMemory | None = None,
+    sub: np.ndarray | None = None,
     step: float = 1e-5,
 ) -> float:
     """Max relative error between the analytic gradient and central finite
@@ -569,13 +577,12 @@ def gradcheck(
     return max(errors)
 
 
-# --- training loop ------------------------------------------------------------
+# --- inference ----------------------------------------------------------------
 
-def evaluate(
-    params: ModelParams, mem: StaticWordMemory, dataset: list[Example]
-) -> tuple[float, list[dict]]:
-    """Accuracy plus a per-question record of prediction, its probability
-    and its correctness; every question needs its correct_index.
+def answer_distributions(
+    params: ModelParams, mem: StaticWordMemory, examples: list[Example]
+) -> AnswerDistribution:
+    """The (n, 5) answer distribution of each example, labeled or not.
 
     Questions run in chunks of consecutive same-shape items, each through
     one stacked forward; a question over the chunk budget runs alone on one
@@ -584,13 +591,22 @@ def evaluate(
     `question <qid>: ` and names the first such question. A question,
     answer or subtitle row that embeds to non-finite values raises the
     ValueError of `_prepared`, which names its question or movie."""
-    if not dataset:
+    if not examples:
         raise ValueError("empty dataset")
+    return _run(params.weights, _prepared(mem, examples), params.config, mem).dist
+
+
+def evaluate(
+    params: ModelParams, mem: StaticWordMemory, dataset: list[Example]
+) -> tuple[float, list[dict]]:
+    """Accuracy plus a per-question record of prediction, its probability
+    and its correctness; every question needs its correct_index. The
+    distributions, and their errors, are `answer_distributions`'."""
     _require_labels(example.item for example in dataset)
-    out = _run(params.weights, _prepared(mem, dataset), params.config, mem)
+    dist = answer_distributions(params, mem, dataset)
     records = []
     hits = 0
-    for example, choice, probs in zip(dataset, predict(out.dist).tolist(), out.dist.probs):
+    for example, choice, probs in zip(dataset, predict(dist).tolist(), dist.probs):
         correct = choice == example.item.correct_index
         records.append({
             "qid": example.item.qid,
@@ -602,6 +618,39 @@ def evaluate(
         hits += correct
     return hits / len(dataset), records
 
+
+def rank_subtitles(
+    params: ModelParams,
+    mem: StaticWordMemory,
+    example: Example,
+    frame: int,
+    final: bool = False,
+) -> list[tuple[int, float]]:
+    """The example's subtitles as (index, score) pairs, by descending inner
+    product with the vector of its frame `frame` (the attended sum of that
+    frame's regions), ties in file order. With `final` the rows are the
+    memory the model's last subtitle pass attends over, else the built
+    memory. A numeric failure raises `question <qid>: …`; a video-only
+    example or a frame index outside [0, T) raises a ValueError."""
+    qid, frames = example.item.qid, len(example.features.tensor)
+    if example.subtitles is None:
+        raise ValueError(f"question {qid} has no subtitles to rank")
+    if not 0 <= frame < frames:
+        raise ValueError(f"frame index {frame} out of range (clip has {frames} frames)")
+    prep = prepare_example(mem, example)
+    with _located(f"question {qid}"):
+        (vector,), _ = encode_frames_cached(prep.regions[frame : frame + 1], params.weights,
+                                            mem, params.config.swm_hops)
+        memory = prep.subtitle_mat
+        if final:
+            state = run_forward(params.weights, Chunk.of([prep]), params.config, mem)
+            memory = state.clip_cache.scales[-1][0][:, None] * memory
+        scores = memory @ vector
+    order = np.argsort(-scores, kind="stable")
+    return [(int(n), float(scores[n])) for n in order]
+
+
+# --- training loop ------------------------------------------------------------
 
 @contextmanager
 def _located(where: str):

@@ -9,7 +9,7 @@ import numpy as np
 
 from lmn.answering import QAItem
 from lmn.frame_encoder import ClipFeatures
-from lmn.subtitle_memory import SubtitleMemory, build_memory
+from lmn.subtitle_memory import build_memory
 from lmn.training import Chunk, ModelConfig, ModelParams, Prepared, gradcheck, run_forward
 from lmn.word_memory import StaticWordMemory, embed_sentence
 
@@ -22,7 +22,7 @@ class Instance:
     weights: np.ndarray
     item: QAItem
     features: ClipFeatures
-    sub: SubtitleMemory | None
+    sub: np.ndarray | None
     config: ModelConfig
     prep: Prepared
 
@@ -31,17 +31,17 @@ def prepare(
     mem: StaticWordMemory,
     item: QAItem,
     features: ClipFeatures,
-    sub: SubtitleMemory | None,
+    sub: np.ndarray | None,
 ) -> Prepared:
     """One item prepared on its own: its question and answers embedded in
-    one call, and `sub`'s rows as they are."""
+    one call, and the subtitle rows `sub` as they are."""
     text = embed_sentence(mem, (item.question, *item.answers))
     return Prepared(
         qid=item.qid,
         regions=features.regions(),
         question=text[0],
         answer_mat=text[1:],
-        subtitle_mat=None if sub is None else sub.matrix,
+        subtitle_mat=sub,
         label=item.correct_index,
     )
 

@@ -2,6 +2,7 @@ import argparse
 import dataclasses
 import json
 import math
+import re
 import shutil
 
 import numpy as np
@@ -367,6 +368,39 @@ class TestAnswer:
         assert code == 0
         assert "predicted answer" in out
 
+    def test_unlabeled_question_prints_no_label(self, synth_dir, trained_dir, tmp_path, capsys):
+        record = json.loads((synth_dir / "train.jsonl").read_text().splitlines()[0])
+        del record["correct_index"]
+        qa = tmp_path / "qa.jsonl"
+        qa.write_text(json.dumps(record) + "\n")
+        args = data_args(synth_dir)
+        args[args.index("--qa") + 1] = str(qa)
+        code = main(["answer", *args, "--params", str(trained_dir / "params.lmnp"),
+                     "--qid", record["qid"]])
+        captured = capsys.readouterr()
+        assert code == 0, captured.err
+        lines = captured.out.splitlines()
+        assert re.fullmatch(rf"qid {record['qid']}: predicted answer [0-4]", lines[0])
+        assert len(lines) == 6  # five answers, no label line
+        for h, line in enumerate(lines[1:]):
+            assert re.match(rf"^ [ *] \[{h}\] p=[01]\.\d{{4}} ", line), line
+
+    def test_printed_probability_is_evaluates(self, synth_dir, trained_dir, tmp_path, capsys):
+        out = tmp_path / "eval"
+        params = str(trained_dir / "params.lmnp")
+        assert main(["eval", *data_args(synth_dir), "--params", params, "--out", str(out)]) == 0
+        records = json.loads((out / "eval.json").read_text())["per_question"]
+        capsys.readouterr()
+        for record in records[:3]:
+            assert main(["answer", *data_args(synth_dir), "--params", params,
+                         "--qid", record["qid"]]) == 0
+            lines = capsys.readouterr().out.splitlines()
+            assert lines[0] == f"qid {record['qid']}: predicted answer {record['predicted']}"
+            chosen = lines[1 + record["predicted"]]
+            assert chosen.startswith(f" * [{record['predicted']}] p={record['prob']:.4f} ")
+            verdict = "correct" if record["correct"] else "incorrect"
+            assert lines[6:] == [f"label {record['correct_index']} ({verdict})"]
+
     def test_unknown_qid(self, synth_dir, trained_dir, capsys):
         code = main([
             "answer", *data_args(synth_dir),
@@ -484,7 +518,7 @@ class TestRankSubtitles:
                                    question, np.zeros((5, mem.dim)))["frames"]
         sentences = load_plaintext_subtitles(
             synth_dir / "subtitles" / f"{item.movie_id}.txt").texts()
-        memory0 = build_memory(sentences, mem).matrix
+        memory0 = build_memory(sentences, mem)
         for flags, um_hops, qg in ((["--um-hops", "2", "--qg"], 2, True),
                                    (["--um-hops", "3"], 3, False)):
             _, final = loop_encode(np.array(frames), memory0, question, um_hops, qg)

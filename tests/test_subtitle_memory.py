@@ -4,26 +4,25 @@ import re
 import numpy as np
 import pytest
 
+import lmn.training
+from lmn.answering import QAItem
+from lmn.data_io import Example, SyntheticSpec, generate_synthetic
+from lmn.frame_encoder import ClipFeatures
 from lmn.subtitle_memory import (
-    SubtitleMemory,
     _row_dots,
     _weighted_row_sum,
     build_memory,
     encode_clip_backward,
     encode_clip_cached,
-    rank_subtitles,
 )
+from lmn.training import ModelConfig, ModelParams, init_params, prepare_example, rank_subtitles
 from lmn.word_memory import StaticWordMemory
+from reference import reference_forward
 
 
 @pytest.fixture
 def tiny_mem():
     return StaticWordMemory(["a", "b"], np.eye(2))
-
-
-def raw_memory(matrix):
-    matrix = np.asarray(matrix, dtype=float)
-    return SubtitleMemory(matrix, tuple(f"s{i}" for i in range(matrix.shape[0])))
 
 
 def loop_encode(frames, memory, question, um_hops, qg):
@@ -170,21 +169,21 @@ def assert_matches_oracle(frames, matrix, question, um_hops, qg, dvector):
 
 class TestBuildMemory:
     def test_symmetric_sentence(self, tiny_mem):
-        sub = build_memory(["a b"], tiny_mem, normalize=True)
+        rows = build_memory(["a b"], tiny_mem, normalize=True)
         s = 1.0 / math.sqrt(2.0)
-        np.testing.assert_allclose(sub.matrix, [[s, s]], atol=1e-15)
+        np.testing.assert_allclose(rows, [[s, s]], atol=1e-15)
 
     def test_all_oov_sentence_gives_zero_row(self, tiny_mem):
-        sub = build_memory(["zz qq"], tiny_mem)
-        np.testing.assert_array_equal(sub.matrix, [[0.0, 0.0]])
+        rows = build_memory(["zz qq"], tiny_mem)
+        np.testing.assert_array_equal(rows, [[0.0, 0.0]])
 
     def test_rows_match_per_sentence_oracle(self):
         rng = np.random.default_rng(2)
         words = ["red", "ink", "pink", "paper"]
         mem = StaticWordMemory(words, rng.normal(size=(4, 3)))
         sentences = ["red ink", "pink paper red", "ink"]
-        sub = build_memory(sentences, mem, normalize=False)
-        for row, sentence in zip(sub.matrix, sentences):
+        rows = build_memory(sentences, mem, normalize=False)
+        for row, sentence in zip(rows, sentences):
             toks = sentence.split()
             expected = sum(mem.matrix[words.index(t)] for t in toks) / len(toks)
             np.testing.assert_allclose(row, expected, atol=1e-15)
@@ -193,12 +192,12 @@ class TestBuildMemory:
         with pytest.raises(ValueError, match="empty"):
             build_memory([], tiny_mem)
 
-    def test_caller_array_stays_writable_and_cannot_reach_the_memory(self):
-        m = np.eye(2)
-        sub = SubtitleMemory(m, ("s0", "s1"))
-        assert m.flags.writeable and not sub.matrix.flags.writeable
-        m[0, 0] = 5.0
-        np.testing.assert_array_equal(sub.matrix, np.eye(2))
+    def test_rows_are_read_only_float64(self, tiny_mem):
+        rows = build_memory(["a", "b a"], tiny_mem)
+        assert rows.dtype == np.float64 and rows.shape == (2, 2)
+        assert not rows.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            rows[0, 0] = 5.0
 
 
 class TestSubtitleAttend:
@@ -436,35 +435,99 @@ class TestMatrixOracle:
 
 
 @pytest.mark.parametrize("call, message", [
-    (lambda: SubtitleMemory(np.zeros(2), ("s0",)), "subtitle matrix must be (N>=1, d), got (2,)"),
-    (lambda: SubtitleMemory(np.zeros((0, 2)), ()), "subtitle matrix must be (N>=1, d), got (0, 2)"),
-    (lambda: SubtitleMemory(np.eye(2), ("s0",)), "1 sentences for 2 memory rows"),
-    (lambda: SubtitleMemory([[np.nan, 0.0]], ("s0",)), "subtitle matrix contains non-finite entries"),
-    (lambda: rank_subtitles(np.zeros(3), raw_memory(np.eye(2))),
-     "frame vector must have shape (2,), got (3,)"),
-], ids=["matrix-1d", "no-rows", "sentence-count", "non-finite", "frame-shape"])
+    (lambda: build_memory([], StaticWordMemory(["a"], np.eye(1))),
+     "cannot build a subtitle memory from an empty sentence list"),
+    (lambda: build_memory(["a", "big big"], StaticWordMemory(["a", "big"], [[1.0], [1.5e308]])),
+     "subtitle matrix contains non-finite entries"),
+], ids=["empty", "non-finite"])
 def test_input_checks(call, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         call()
 
 
+def ranking_example(subtitles, regions, qid="q"):
+    """An example over the words a and b whose frames have one region
+    each; `regions` holds their (2,) features."""
+    item = QAItem(qid=qid, question="a", answers=("a",) * 5, movie_id="m", clip_ids=("c",),
+                  correct_index=0)
+    tensor = np.asarray(regions, dtype=np.float64)[:, :, None, None]  # (T, C=2, 1, 1)
+    return Example(item, ClipFeatures(tensor), subtitles)
+
+
 class TestRankSubtitles:
+    # with unit word rows a and b as the axes and the identity projection, a
+    # frame's vector is its one region made unit length
+    mem = StaticWordMemory(["a", "b"], np.eye(2))
+    params = ModelParams(np.eye(2))
+
     def test_descending_order(self):
-        sub = raw_memory([[0.2, 0.0], [0.9, 0.0], [0.5, 0.0]])
-        ranked = rank_subtitles(np.array([1.0, 0.0]), sub)
+        subtitles = ("b", "a", "a a b")
+        example = ranking_example(subtitles, [[1.0, 0.2], [1.0, 1.0]])
+        ranked = rank_subtitles(self.params, self.mem, example, 0)
         assert [idx for idx, _ in ranked] == [1, 2, 0]
-        np.testing.assert_allclose([s for _, s in ranked], [0.9, 0.5, 0.2])
+        frame = np.array([1.0, 0.2]) / math.hypot(1.0, 0.2)
+        np.testing.assert_allclose([s for _, s in ranked],
+                                   (build_memory(subtitles, self.mem) @ frame)[[1, 2, 0]],
+                                   rtol=1e-12)
 
     def test_ties_keep_file_order(self):
-        sub = raw_memory([[1.0, 0.0], [1.0, 0.0], [1.0, 0.0]])
-        ranked = rank_subtitles(np.array([1.0, 0.0]), sub)
-        assert [idx for idx, _ in ranked] == [0, 1, 2]
+        # against the frame (1, 1), a and b tie, and so do "b a" and "a b",
+        # which embed to one row
+        example = ranking_example(("b", "a", "b a", "a b", "a"), [[1.0, 0.2], [1.0, 1.0]])
+        ranked = rank_subtitles(self.params, self.mem, example, 1)
+        assert [idx for idx, _ in ranked] == [2, 3, 0, 1, 4]
 
-    def test_matches_sort_oracle(self):
-        rng = np.random.default_rng(61)
-        matrix = rng.normal(size=(8, 3))
-        frame = rng.normal(size=3)
-        ranked = rank_subtitles(frame, raw_memory(matrix))
-        scores = [float(row @ frame) for row in matrix]
-        expected = sorted(range(8), key=lambda n: (-scores[n], n))
-        assert [idx for idx, _ in ranked] == expected
+    @pytest.mark.parametrize("frame, message", [
+        (-1, "frame index -1 out of range (clip has 2 frames)"),
+        (2, "frame index 2 out of range (clip has 2 frames)"),
+    ])
+    def test_frame_outside_the_clip_is_rejected(self, frame, message):
+        example = ranking_example(("a",), [[1.0, 0.2], [1.0, 1.0]])
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            rank_subtitles(self.params, self.mem, example, frame)
+
+    def test_video_only_example_is_rejected(self):
+        example = ranking_example(None, [[1.0, 0.2]])
+        with pytest.raises(ValueError, match="^question q has no subtitles to rank$"):
+            rank_subtitles(self.params, self.mem, example, 0)
+
+    def test_numeric_failure_names_the_question(self):
+        params = ModelParams(1e200 * np.eye(2))
+        example = ranking_example(("a",), [[1.0, 0.2]], qid="q7")
+        with pytest.raises(ValueError, match="^question q7: overflow"):
+            rank_subtitles(params, self.mem, example, 0)
+
+    def test_prepares_the_example_once(self, monkeypatch):
+        calls = []
+        embed = lmn.training.embed_sentence
+        monkeypatch.setattr(lmn.training, "embed_sentence",
+                            lambda *args, **kw: calls.append(1) or embed(*args, **kw))
+        example = ranking_example(("b", "a"), [[1.0, 0.2]])
+        rank_subtitles(ModelParams(np.eye(2), ModelConfig(um_hops=2, qg=True)), self.mem,
+                       example, 0, final=True)
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("swm_hops, um_hops, qg", [(1, 1, False), (2, 2, True), (1, 3, False)])
+    @pytest.mark.parametrize("final", [False, True])
+    def test_matches_sort_oracle(self, swm_hops, um_hops, qg, final):
+        # the frame vectors of the straight-loop reference, ranked against
+        # the built memory or the loop's final memory
+        spec = SyntheticSpec(vocab_size=20, dim=6, channels=8, frames=3, height=2, width=2,
+                             n_subtitles=5, n_train=2, n_eval=1, seed=9)
+        data = generate_synthetic(spec)
+        mem, example = data.word_memory, data.examples("train")[0]
+        config = ModelConfig(swm_hops=swm_hops, um_hops=um_hops, qg=qg)
+        params = init_params(spec.dim, spec.channels, config, seed=2)
+        prep = prepare_example(mem, example)
+        frames = reference_forward(mem.matrix, params.weights, prep.regions, None, prep.question,
+                                   np.zeros((5, mem.dim)), swm_hops=swm_hops)["frames"]
+        memory = build_memory(example.subtitles, mem)
+        if final:
+            _, memory = loop_encode(np.array(frames), memory, prep.question, um_hops, qg)
+        for index, frame in enumerate(frames):
+            ranked = rank_subtitles(params, mem, example, index, final)
+            scores = [math.fsum(a * b for a, b in zip(frame, row)) for row in memory]
+            expected = sorted(range(len(scores)), key=lambda n: (-scores[n], n))
+            assert [idx for idx, _ in ranked] == expected
+            np.testing.assert_allclose([s for _, s in ranked], [scores[n] for n in expected],
+                                       rtol=1e-12, atol=1e-12 * max(map(abs, scores)))

@@ -91,3 +91,23 @@ def test_package_exports_are_the_documented_surface():
     documented = set(re.findall(r"`([A-Za-z_]\w*)`", section))
     assert documented == set(lmn.__all__)
     assert all(hasattr(lmn, name) for name in lmn.__all__)
+
+
+def test_cli_imports_only_the_public_library():
+    """The CLI parses, checks paths and prints: it calls the library's
+    public functions, never a private name or a layer module."""
+    path = os.path.join(ROOT, "src", "lmn", "cli.py")
+    with open(path, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read(), path)
+    layers = ("frame_encoder", "subtitle_memory")
+    bad = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            module = "." * node.level + (node.module or "")
+            bad += [f"from {module} import {alias.name}" for alias in node.names
+                    if module.split(".")[-1] in layers or alias.name in layers
+                    or alias.name.startswith("_")]
+        elif isinstance(node, ast.Import):
+            bad += [f"import {alias.name}" for alias in node.names
+                    if alias.name.split(".")[-1] in layers]
+    assert bad == []

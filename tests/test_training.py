@@ -640,7 +640,7 @@ class TestSubtitleMemoryCache:
         assert preps[2].subtitle_mat is preps[0].subtitle_mat
         for ex, prep in zip(dataset, preps):
             np.testing.assert_array_equal(prep.subtitle_mat,
-                                          build_memory(ex.subtitles, mem).matrix)
+                                          build_memory(ex.subtitles, mem))
 
 
 def block_dataset(data):
@@ -771,6 +771,28 @@ def test_non_finite_embedding_is_located(where, message, call, config):
             example = overflowing(where)[1]
             sub = build_memory(example.subtitles, mem)
             one_item[call](params, mem, example.item, example.features, sub)
+
+
+@pytest.mark.parametrize("call", [forward, backward, gradcheck], ids=lambda f: f.__name__)
+@pytest.mark.parametrize("rows, got", [
+    (np.ones(16), "shape (16,)"),
+    (np.ones((0, 16)), "shape (0, 16)"),
+    (np.ones((3, 7)), "shape (3, 7)"),
+    (np.full((3, 16), np.nan), "non-finite entries"),
+], ids=["1-d", "no-rows", "width", "non-finite"])
+def test_subtitle_rows_are_checked_before_any_forward(monkeypatch, call, rows, got):
+    data = generate_synthetic(SyntheticSpec(n_train=1, n_eval=1, seed=3))
+    example = data.examples("train")[0]
+    params = init_params(16, 24, seed=3)
+
+    def no_forward(*args):
+        raise AssertionError("a forward ran")
+
+    monkeypatch.setattr(lmn.training, "run_forward", no_forward)
+    message = (f"subtitle rows must be a finite (N>=1, 16) matrix for the 16-wide word memory, "
+               f"got {got}")
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call(params, data.word_memory, example.item, example.features, rows)
 
 
 def test_params_copy_the_callers_weights():
