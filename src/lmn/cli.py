@@ -16,7 +16,7 @@ from dataclasses import fields
 
 import numpy as np
 
-from . import data_io
+from . import build_memory, data_io
 from .answering import predict
 from .data_io import Example, SyntheticSpec
 from .training import (
@@ -172,7 +172,11 @@ def cmd_gradcheck(args) -> int:
     mem, params, (example,) = _load_inputs(args, config, first=True)
     if params is None:
         params = init_params(mem.dim, example.features.channels, config, seed=args.seed)
-    sub = prepare_example(mem, example).subtitle_mat
+    try:  # the subtitles alone; gradcheck embeds the question and answers
+        sub = None if example.subtitles is None else build_memory(example.subtitles, mem)
+    except ValueError:  # the example's preparation raises the located message
+        prepare_example(mem, example)
+        raise
     err = gradcheck(params, mem, example.item, example.features, sub)
     print(f"gradcheck qid {example.item.qid}: max relative error {err:.3e}")
     return 0

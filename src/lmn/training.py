@@ -132,7 +132,7 @@ class TrainConfig:
 
     def __post_init__(self):
         check_field_types(self)
-        _check_step("learning_rate", self.learning_rate)
+        _check_learning_rate(self.learning_rate)
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
         if self.max_epochs < 0:
@@ -515,21 +515,22 @@ def sgd_step(weights: np.ndarray, gradient: np.ndarray, learning_rate: float) ->
     gradient = np.asarray(gradient, dtype=np.float64)
     if weights.shape != gradient.shape:
         raise ValueError(f"shape mismatch: weights {weights.shape}, gradient {gradient.shape}")
-    _check_step("learning_rate", learning_rate)
+    _check_learning_rate(learning_rate)
     return weights - learning_rate * gradient
 
 
-def _check_step(name: str, value: float) -> None:
-    """Reject a learning rate or finite-difference step that is not positive and finite."""
+def _check_learning_rate(value: float) -> None:
+    """Reject a learning rate that is not positive and finite."""
     if value <= 0:
-        raise ValueError(f"{name} must be positive")
+        raise ValueError("learning_rate must be positive")
     if not np.isfinite(value):
-        raise ValueError(f"{name} must be finite, got {value}")
+        raise ValueError(f"learning_rate must be finite, got {value}")
 
 
 # --- finite-difference check --------------------------------------------------
 
 DIRECTIONS = 8  # random directions per `gradcheck`, two forwards each
+STEP = 1e-5  # `gradcheck`'s central-difference step along each direction
 
 
 def gradcheck(
@@ -538,25 +539,23 @@ def gradcheck(
     item: QAItem,
     features: ClipFeatures,
     sub: np.ndarray | None = None,
-    step: float = 1e-5,
 ) -> float:
     """Max relative error between the analytic gradient and central finite
     differences along DIRECTIONS seeded Gaussian directions V of unit
     Frobenius norm, each of which moves every weight entry: ⟨∇L, V⟩ against
-    (L(W + step·V) − L(W − step·V)) / (2·step).
+    (L(W + STEP·V) − L(W − STEP·V)) / (2·STEP).
 
     The loss is computed from the logits, so a difference quotient resolves
-    nothing below the floor ε·max(|loss|, max |logit|)/step. A direction
+    nothing below the floor ε·max(|loss|, max |logit|)/STEP. A direction
     counts where |analytic| + |numeric| ≥ floor/1e-5, so rounding is at most
     1e-5 of its error. If none does, a ValueError that starts
     `question <qid>: ` names the floor; its forwards raise `_run`'s located
     errors."""
-    _check_step("step", step)
     prep = _labeled(params, mem, item, features, sub)
     config = params.config
     out = _run(params.weights, [prep], config, mem, gradient=True)
     loss, logit = out.losses[0], np.abs(out.dist.logits).max()
-    floor = np.finfo(np.float64).eps * max(abs(loss), logit) / step
+    floor = np.finfo(np.float64).eps * max(abs(loss), logit) / STEP
 
     rng = np.random.default_rng(0)
     errors = []
@@ -564,9 +563,9 @@ def gradcheck(
         direction = rng.standard_normal(params.weights.shape)
         direction /= np.linalg.norm(direction)
         analytic = np.vdot(out.gradient, direction)
-        loss_plus = _run(params.weights + step * direction, [prep], config, mem).losses[0]
-        loss_minus = _run(params.weights - step * direction, [prep], config, mem).losses[0]
-        numeric = (loss_plus - loss_minus) / (2.0 * step)
+        loss_plus = _run(params.weights + STEP * direction, [prep], config, mem).losses[0]
+        loss_minus = _run(params.weights - STEP * direction, [prep], config, mem).losses[0]
+        numeric = (loss_plus - loss_minus) / (2.0 * STEP)
         scale = abs(analytic) + abs(numeric)
         if scale >= floor / 1e-5:
             errors.append(abs(analytic - numeric) / scale)

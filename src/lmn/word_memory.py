@@ -147,9 +147,8 @@ def embed_sentence(mem: StaticWordMemory, sentences, normalize: bool = True) -> 
     The sum runs by token position: with the sentences ranked by token
     count (descending, stable), the ones that have a j-th token lead the
     ranking, so position j adds one gather of their j-th rows into the
-    leading rows of the accumulator; once the longest sentence is alone,
-    its remaining rows are added by one `np.add.accumulate`. No gather is
-    larger than (n, d) rows or one sentence's tokens."""
+    leading rows of the accumulator. No gather is larger than (n, d)
+    rows."""
     if isinstance(sentences, str):
         raise TypeError("embed_sentence takes a sequence of sentences, not a str")
     lookup = mem._index.get
@@ -163,13 +162,6 @@ def embed_sentence(mem: StaticWordMemory, sentences, normalize: bool = True) -> 
     for j in range(len(ranked[0]) if ranked else 0):
         while len(ranked[m - 1]) <= j:
             m -= 1
-        if m == 1:
-            # the longest sentence's own tail: one gather and one sequential
-            # accumulate add its rows in the same order, one at a time
-            tail = mem.matrix.take(ranked[0][j:], axis=0)
-            tail[0] += acc[0]
-            acc[0] = np.add.accumulate(tail)[-1]
-            break
         acc[:m] += mem.matrix.take([rows[j] for rows in ranked[:m]], axis=0)
     out = np.empty_like(acc)
     out[order] = acc

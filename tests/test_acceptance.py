@@ -97,7 +97,7 @@ def test_criterion_2_gradient_correctness():
             inst = make_instance(seed=20000 + i, avoid_kinks=True, **combo)
             err = gradcheck(
                 ModelParams(inst.weights, inst.config),
-                inst.mem, inst.item, inst.features, inst.sub, step=1e-5,
+                inst.mem, inst.item, inst.features, inst.sub,
             )
             worst = max(worst, err)
         elapsed = time.monotonic() - start

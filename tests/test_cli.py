@@ -572,6 +572,31 @@ class TestGradcheck:
         assert code == 0, captured.err
         assert captured.out.startswith("gradcheck qid eval00000: max relative error")
 
+    def test_embeds_each_sentence_once(self, tmp_path, monkeypatch, capsys):
+        # the subtitles through build_memory, then the question and answers
+        # through gradcheck's preparation, and nothing twice
+        data = tmp_path / "data"
+        assert main(["synth", "--out", str(data), "--seed", "3"]) == 0
+        (item,) = [q for q in load_qa_jsonl(data / "eval.jsonl") if q.qid == "eval00003"]
+        subtitles = load_plaintext_subtitles(data / "subtitles" / f"{item.movie_id}.txt").texts()
+        calls = []
+
+        def spy(mem, sentences, normalize=True):
+            calls.append(list(sentences))
+            return embed_sentence(mem, sentences, normalize)
+
+        monkeypatch.setattr("lmn.training.embed_sentence", spy)
+        monkeypatch.setattr("lmn.subtitle_memory.embed_sentence", spy)
+        capsys.readouterr()
+        code = main([
+            "gradcheck", "--embeddings", str(data / "embeddings.txt"),
+            "--qa", str(data / "eval.jsonl"), "--features", str(data / "features"),
+            "--subtitles", str(data / "subtitles"), "--frames", "4", "--qid", item.qid,
+        ])
+        assert code == 0, capsys.readouterr().err
+        assert [len(call) for call in calls] == [5, 6]
+        assert calls == [list(subtitles), [item.question, *item.answers]]
+
 
 @pytest.mark.parametrize("command", ["eval", "answer", "rank-subtitles", "gradcheck"])
 def test_overflowing_subtitle_names_the_movie(command, synth_dir, trained_dir, tmp_path, capsys):

@@ -37,8 +37,7 @@ from reference import reference_forward
 
 LN5 = 1.6094379124341003
 
-# step sizes and learning rates that are not positive and finite, with the
-# message each gets
+# learning rates that are not positive and finite, with the message each gets
 BAD_STEPS = [
     (0.0, "must be positive"),
     (-1e-3, "must be positive"),
@@ -145,8 +144,7 @@ class TestBackward:
         for rep in range(2):  # two seeds per mode: 20 instances
             for i, combo in enumerate(combos):
                 inst = make_instance(seed=1000 * (rep + 1) + i, avoid_kinks=True, **combo)
-                err = gradcheck(as_params(inst), inst.mem, inst.item, inst.features,
-                                inst.sub, step=1e-5)
+                err = gradcheck(as_params(inst), inst.mem, inst.item, inst.features, inst.sub)
                 assert err <= 1e-4, f"combo {combo} seed rep {rep}: rel error {err}"
                 checked += 1
         assert checked == 20
@@ -218,11 +216,6 @@ class TestGradcheckHarness:
                 rel = abs(analytic[a, b] - numeric) / max(1e-8, abs(analytic[a, b]) + abs(numeric))
                 worst = max(worst, rel)
         assert worst <= 1e-10
-
-    def test_large_step_is_diagnostic_only(self):
-        inst = make_instance(seed=99, avoid_kinks=True)
-        err = gradcheck(as_params(inst), inst.mem, inst.item, inst.features, inst.sub, step=1e-1)
-        assert math.isfinite(err)
 
     @pytest.mark.parametrize("edit", [np.negative, np.zeros_like, lambda g: 1.1 * g],
                              ids=["negated", "zeroed", "scaled"])
@@ -330,13 +323,6 @@ class TestGradcheckHarness:
         params = init_params(spec.dim, spec.channels, seed=77)
         with pytest.raises(ValueError, match=self.FLOOR_ERROR):
             gradcheck(params, data.word_memory, example.item, example.features, sub)
-
-    def test_rejects_bad_step(self):
-        inst = make_instance(seed=102)
-        for step, message in BAD_STEPS:
-            with pytest.raises(ValueError, match=f"^step {message}$"):
-                gradcheck(as_params(inst), inst.mem, inst.item, inst.features, inst.sub,
-                          step=step)
 
 
 class TestSgdStep:

@@ -4,6 +4,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lmn.data_io import SyntheticSpec, generate_synthetic
 from lmn.word_memory import (
@@ -169,6 +171,47 @@ class TestBatchedEmbedding:
     def test_bare_string_is_refused(self, tiny_mem):
         with pytest.raises(TypeError, match="sequence of sentences"):
             embed_sentence(tiny_mem, "a b")
+
+
+# words whose rows differ by orders of magnitude, so that a sum taken in
+# another order would round differently
+PROPERTY_WORDS = [f"w{i}" for i in range(12)]
+PROPERTY_MEM = StaticWordMemory(PROPERTY_WORDS, np.random.default_rng(7).normal(size=(12, 5))
+                                * 10.0 ** np.arange(-5, 7)[:, None])
+OOV_WORDS = st.sampled_from(["xyzzy", "plugh"])
+SHORT_SENTENCES = st.one_of(
+    st.just(""),
+    st.lists(OOV_WORDS, min_size=1, max_size=4).map(" ".join),
+    st.lists(st.one_of(st.sampled_from(PROPERTY_WORDS), OOV_WORDS), max_size=6).map(" ".join),
+)
+LONG_SENTENCES = st.lists(st.sampled_from(PROPERTY_WORDS), min_size=40, max_size=160).map(" ".join)
+
+
+@st.composite
+def sentence_lists(draw):
+    """0-8 sentences: empty, all out-of-vocabulary or short ones, and at
+    times one far longer than the rest, or two tied for the longest."""
+    sentences = draw(st.lists(SHORT_SENTENCES, max_size=8))
+    if sentences and draw(st.booleans()):
+        sentences[draw(st.integers(0, len(sentences) - 1))] = draw(LONG_SENTENCES)
+    if len(sentences) >= 2 and draw(st.booleans()):
+        longest = max(range(len(sentences)), key=lambda i: len(sentences[i].split()))
+        other = draw(st.sampled_from([i for i in range(len(sentences)) if i != longest]))
+        sentences[other] = " ".join(draw(st.permutations(sentences[longest].split())))
+    return sentences
+
+
+# On a failure Hypothesis imports its patch writer, which can raise a
+# third-party DeprecationWarning under the suite's warnings-as-errors.
+@pytest.mark.filterwarnings("ignore:mypy_extensions.TypedDict is deprecated:DeprecationWarning")
+@pytest.mark.parametrize("normalize", [True, False])
+@settings(derandomize=True, database=None, deadline=None, max_examples=80)
+@given(sentences=sentence_lists())
+def test_embedding_any_sentence_list_equals_the_loop_oracle(normalize, sentences):
+    got = embed_sentence(PROPERTY_MEM, sentences, normalize=normalize)
+    expected = np.array([_loop_embed(PROPERTY_MEM, text, normalize) for text in sentences])
+    assert got.shape == (len(sentences), PROPERTY_MEM.dim)
+    assert got.tobytes() == expected.reshape(got.shape).tobytes()
 
 
 class TestNormalizeRows:
