@@ -28,6 +28,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import weakref
 from collections.abc import Callable, Iterable, Iterator
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, replace
@@ -193,19 +194,24 @@ def _prepared(mem: StaticWordMemory, dataset: Iterable[Example]) -> Iterator[Pre
     """The examples' prepared items in order, made a chunk at a time:
     `_chunks` cuts the examples into the runs the engine stacks, and each
     run's sentences are embedded in one call (`_embed_chunk`). A movie's
-    rows are embedded once and shared, read-only, by every question about
-    it. `embed_sentence` sums each row on its own, so no row depends on its
-    chunk: an item prepared alone, as `forward` prepares it, has the same
-    rows, and a movie's are the ones `build_memory` gives. Preparation
-    does not depend on the model config."""
+    rows are embedded once and shared, read-only, by its questions while
+    any prepared item holds them: `memories` holds them only weakly, so
+    they are freed with the last such item. `train` holds every item, so
+    it embeds each movie once; `evaluate` drops each item after its chunk
+    runs, so it holds only the movies in flight and embeds a movie once
+    per stretch of consecutive questions about it. `embed_sentence` sums
+    each row on its own, so no row depends on its chunk: an item prepared
+    alone, as `forward` prepares it, has the same rows, and a movie's are
+    the ones `build_memory` gives. Preparation does not depend on the model
+    config."""
     def key(example: Example) -> tuple[tuple, int]:
         t, c, h, w = example.features.tensor.shape
         return _key((t, h * w, c), None if example.subtitles is None else len(example.subtitles),
                     mem.dim)
 
-    memories: dict[tuple[str, tuple[str, ...]], np.ndarray] = {}
+    memories = weakref.WeakValueDictionary()
     for run in _chunks(dataset, key):
-        text_rows = _embed_chunk(mem, run, memories)
+        text_rows, movies = _embed_chunk(mem, run, memories)
         for i, example in enumerate(run):
             first = i * (1 + NUM_CHOICES)
             yield Prepared(
@@ -214,7 +220,7 @@ def _prepared(mem: StaticWordMemory, dataset: Iterable[Example]) -> Iterator[Pre
                 question=text_rows[first],
                 answer_mat=text_rows[first + 1 : first + 1 + NUM_CHOICES],
                 subtitle_mat=None if example.subtitles is None
-                else memories[example.item.movie_id, example.subtitles],
+                else movies[example.item.movie_id, example.subtitles],
                 label=example.item.correct_index,
             )
 
@@ -222,13 +228,14 @@ def _prepared(mem: StaticWordMemory, dataset: Iterable[Example]) -> Iterator[Pre
 def _embed_chunk(
     mem: StaticWordMemory,
     run: list[Example],
-    memories: dict[tuple[str, tuple[str, ...]], np.ndarray],
-) -> np.ndarray:
+    memories: weakref.WeakValueDictionary[tuple[str, tuple[str, ...]], np.ndarray],
+) -> tuple[np.ndarray, dict[tuple[str, tuple[str, ...]], np.ndarray]]:
     """Embed the run in one `embed_sentence` call: six rows per example,
     its question and answers, then the subtitles of each (movie_id,
-    subtitles) not yet in `memories`, whose rows it adds there. Returns the
-    question and answer rows, held apart from the movies' rows so that
-    neither keeps the other in memory.
+    subtitles) that `memories` no longer holds, whose rows it adds there.
+    Returns the question and answer rows, held apart from the movies' rows
+    so that neither keeps the other in memory, and the rows of each of the
+    run's movies, which keep them alive while the run is prepared.
 
     An empty subtitle list, and rows that are not all finite, raise one
     ValueError that starts `movie <movie_id>: ` or `question <qid>: `; it
@@ -236,10 +243,15 @@ def _embed_chunk(
     texts = [text for example in run
              for text in (example.item.question, *example.item.answers)]
     subtitles: list[str] = []
+    movies: dict[tuple[str, tuple[str, ...]], np.ndarray] = {}
     fresh: dict[tuple[str, tuple[str, ...]], slice] = {}  # each new movie's rows in `subtitles`
     for example in run:
         key = (example.item.movie_id, example.subtitles)
-        if example.subtitles is None or key in memories or key in fresh:
+        if example.subtitles is None or key in movies or key in fresh:
+            continue
+        rows = memories.get(key)  # one strong reference, or None once the rows are freed
+        if rows is not None:
+            movies[key] = rows
             continue
         if not example.subtitles:
             raise ValueError(f"movie {example.item.movie_id}: "
@@ -254,8 +266,8 @@ def _embed_chunk(
     text_rows.setflags(write=False)
     movie_rows.setflags(write=False)
     for key, span in fresh.items():
-        memories[key] = movie_rows[span]
-    return text_rows
+        movies[key] = memories[key] = movie_rows[span]
+    return text_rows, movies
 
 
 def _raise_non_finite(rows: np.ndarray, run: list[Example], fresh: dict[tuple, slice]) -> None:
@@ -452,6 +464,7 @@ def _run(
         probs.append(state.dist.probs)
         logits.append(state.dist.logits)
         losses.append(state.losses)
+        del chunk, state  # freed before the next chunk is stacked
     dist = AnswerDistribution(np.concatenate(probs), np.concatenate(logits))
     losses = None if any(x is None for x in losses) else np.concatenate(losses)
     return Outcome(dist, losses, total)
@@ -673,8 +686,9 @@ def train(
     The dataset is shuffled once to carve off the dev fraction, reshuffled
     every epoch for minibatching, and training stops after `patience` epochs
     without a dev-accuracy improvement. The returned parameters are the best
-    dev-epoch snapshot (ties keep the earlier epoch). Each movie's
-    subtitle rows are embedded once and shared by its questions. A sentence
+    dev-epoch snapshot (ties keep the earlier epoch). Every prepared item
+    is held for the whole run, so each movie's subtitle rows are embedded
+    once and shared by its questions, whatever their order. A sentence
     row that embeds to non-finite values stops the run before epoch 1 with
     the ValueError of `_prepared`.
 

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import codecs
 import contextlib
+import ctypes
 import os
 import re
 import tempfile
@@ -41,6 +42,11 @@ __all__ = [
     "load_word2vec_text",
     "save_word2vec_text",
 ]
+
+try:  # glibc: hands the free pages of the C heap back to the OS
+    _malloc_trim = ctypes.CDLL(None).malloc_trim
+except (AttributeError, OSError, TypeError):  # another C library
+    _malloc_trim = None
 
 # Maximal runs of alphanumeric characters (unicode-aware, underscore excluded).
 _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
@@ -68,7 +74,9 @@ class StaticWordMemory:
     """Immutable vocabulary plus its embedding matrix (one row per word).
 
     The matrix is the memory's own read-only copy; only the (d, d) Gram
-    matrix of its unit-normalized rows is cached, computed on first use.
+    matrix of its unit-normalized rows is cached. A constructed memory
+    computes it on first use; `load_word2vec_text` computes it before it
+    returns.
     """
 
     def __init__(self, vocab: list[str] | tuple[str, ...], matrix: np.ndarray):
@@ -363,6 +371,16 @@ def load_word2vec_text(path) -> StaticWordMemory:
     needs a digit and a separator, so count * 2 * dim <= file size) and
     grown otherwise, so a false count allocates nothing the file cannot
     fill.
+
+    The memory's Gram matrix is built before the load returns, so its
+    unit-row copy of the table exists, beside the matrix, only during the
+    load. A table whose row norm overflows loads with the Gram unbuilt; its
+    first forward raises the overflow and names the question. Before the
+    build, under glibc, the load hands the C heap's free pages back to the
+    OS (`malloc_trim`): memory that earlier work in the process freed stays
+    resident otherwise, and whether the copy reuses it or adds to it
+    depends on where that work's allocations landed, so the copy would add
+    a varying amount to the process's peak.
     """
     declared_count = None
     dim = None
@@ -408,7 +426,12 @@ def load_word2vec_text(path) -> StaticWordMemory:
         )
     if len(index) < len(matrix):  # a grown matrix keeps no spare rows
         matrix = matrix[: len(index)].copy()
-    return StaticWordMemory._adopt(index, matrix)
+    mem = StaticWordMemory._adopt(index, matrix)
+    if _malloc_trim is not None:
+        _malloc_trim(0)
+    with contextlib.suppress(FloatingPointError), np.errstate(over="raise", invalid="raise"):
+        mem.gram
+    return mem
 
 
 def save_word2vec_text(mem: StaticWordMemory, path) -> None:

@@ -24,15 +24,18 @@ from lmn.training import (
     Chunk,
     ModelConfig,
     ModelParams,
+    TrainConfig,
     _chunks,
     _item_key,
     _prepared,
     _run,
+    answer_distributions,
     evaluate,
     forward,
     gradcheck,
     run_backward,
     run_forward,
+    train,
 )
 from lmn.word_memory import StaticWordMemory
 from reference import reference_forward
@@ -241,3 +244,75 @@ def test_gradient_sums_in_chunk_order_and_is_reproducible():
         part = _run(weights, run, config, mem, gradient=True)
         expected = part.gradient if expected is None else expected + part.gradient
     assert first.tobytes() == expected.tobytes()
+
+
+def movie_questions(rng, movies, questions, subtitles, channels=512, hw=(7, 7)):
+    """`questions` consecutive float32-clip questions for each of `movies`
+    movies, which share their movie's `subtitles` sentences."""
+    dataset = []
+    for m in range(movies):
+        sentences = tuple(sentence(rng) for _ in range(subtitles))
+        for k in range(questions):
+            ex = narrowed(example(rng, f"m{m}q{k}", 2, channels, None, hw=hw))
+            item = dataclasses.replace(ex.item, movie_id=f"movie-{m}")
+            dataset.append(Example(item, ex.features, sentences))
+    return dataset
+
+
+class TestResident:
+    """An evaluation holds one chunk and the movies in flight: a chunk and
+    its forward state are freed before the next chunk is stacked, and a
+    movie's rows are freed after its last question's chunk has run."""
+
+    DIM, SUBTITLES = 64, 200
+
+    def test_evaluate_peak_does_not_grow_with_the_movies(self):
+        rng = np.random.default_rng(6)
+        mem = StaticWordMemory(WORDS, rng.normal(size=(len(WORDS), self.DIM)))
+        mem.gram  # built before the measurement, as a loaded memory's is
+        params = ModelParams(0.1 * rng.normal(size=(self.DIM, 512)))
+        frames, regions = 2, 49
+        promote = frames * regions * 512 * 8  # an item's float64 regions, over the budget
+        assert promote > CHUNK_BYTES
+        projection = frames * regions * self.DIM * 8
+        movie = self.SUBTITLES * self.DIM * 8
+        slack = 64 * 1024
+        peaks = []
+        for movies in (1, 3):
+            dataset = movie_questions(rng, movies, 3, self.SUBTITLES)
+            tracemalloc.start()
+            try:
+                evaluate(params, mem, dataset)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            peaks.append(peak)
+        assert max(peaks) < promote + projection + 2 * movie + slack, peaks
+        assert peaks[1] < peaks[0] + movie / 2, peaks
+
+    def test_each_movie_is_embedded_once(self, monkeypatch):
+        rng = np.random.default_rng(7)
+        mem = StaticWordMemory(WORDS, rng.normal(size=(len(WORDS), 8)))
+        params = ModelParams(0.1 * rng.normal(size=(8, 512)))
+        grouped = movie_questions(rng, 3, 3, 5)
+        interleaved = [grouped[m * 3 + k] for k in range(3) for m in range(3)]
+        rows = []
+        embed = lmn.training.embed_sentence
+
+        def recording(mem, texts):
+            rows.append(len(texts))
+            return embed(mem, texts)
+
+        monkeypatch.setattr(lmn.training, "embed_sentence", recording)
+        once = 9 * (1 + 5) + 3 * 5  # six rows per question, five per movie
+        evaluate(params, mem, grouped)
+        assert sum(rows) == once
+        rows.clear()
+        train(interleaved, mem, TrainConfig(max_epochs=1), params)
+        assert sum(rows) == once
+        monkeypatch.undo()
+        together = answer_distributions(params, mem, interleaved)
+        for k, ex in enumerate(interleaved):
+            alone = answer_distributions(params, mem, [ex])
+            assert together.probs[k].tobytes() == alone.probs[0].tobytes()
+            assert together.logits[k].tobytes() == alone.logits[0].tobytes()

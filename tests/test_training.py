@@ -32,7 +32,7 @@ from lmn.training import (
     sgd_step,
     train,
 )
-from lmn.word_memory import StaticWordMemory
+from lmn.word_memory import StaticWordMemory, load_word2vec_text
 from reference import reference_forward
 
 LN5 = 1.6094379124341003
@@ -757,6 +757,20 @@ def test_non_finite_embedding_is_located(where, message, call, config):
             example = overflowing(where)[1]
             sub = build_memory(example.subtitles, mem)
             one_item[call](params, mem, example.item, example.features, sub)
+
+
+def test_overflowing_table_loads_and_its_first_forward_names_the_question(tmp_path):
+    # the first row's norm overflows: the load leaves the Gram matrix
+    # unbuilt, and the forward that builds it raises for its question
+    path = tmp_path / "embeddings.txt"
+    path.write_text("3 2\nbig 1.5e308 0\nw 0 1\nv 1 0\n", encoding="utf-8")
+    mem = load_word2vec_text(path)
+    assert mem._gram is None
+    dataset = [Example(QAItem(f"q{k}", "w", ("w", "v", "w v", "v", "v w"), "m0", (f"c{k}",),
+                              correct_index=0),
+                       ClipFeatures(np.ones((1, 3, 1, 1))), ("w", "v w")) for k in range(2)]
+    with pytest.raises(ValueError, match=r"^question q0: overflow encountered in vecdot$"):
+        evaluate(init_params(2, 3), mem, dataset)
 
 
 @pytest.mark.parametrize("call", [forward, backward, gradcheck], ids=lambda f: f.__name__)

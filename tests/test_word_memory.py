@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lmn import word_memory
 from lmn.data_io import SyntheticSpec, generate_synthetic
 from lmn.word_memory import (
     EmbeddingFormatError,
@@ -426,9 +427,11 @@ class TestHoldOnce:
         assert not any(isinstance(v, np.ndarray) and v.shape == mem.matrix.shape
                        for name, v in vars(mem).items() if name != "matrix")
 
-    def test_gram_peak_is_one_table(self, emb_path):
-        # the unit rows behind the Gram product are the only |V|-row temporary
-        mem = load_word2vec_text(emb_path)
+    def test_gram_peak_is_one_table(self, table, emb_path):
+        # the unit rows behind the Gram product are the only |V|-row
+        # temporary; a constructed memory builds it on first use
+        mem = StaticWordMemory(table.vocab, table.matrix)
+        assert mem._gram is None
         tracemalloc.start()
         try:
             mem.gram
@@ -436,6 +439,21 @@ class TestHoldOnce:
         finally:
             tracemalloc.stop()
         assert peak < 1.5 * mem.matrix.nbytes
+        # the loader builds it before it returns
+        loaded = load_word2vec_text(emb_path)
+        assert loaded._gram is not None
+        rows = loaded.unit_rows
+        assert loaded._gram.tobytes() == (rows.T @ rows).tobytes()
+
+    def test_load_trims_the_heap_once_before_the_gram(self, emb_path, monkeypatch):
+        # the unit-row copy lands on live memory, not on pages earlier work freed
+        events = []
+        build = StaticWordMemory.gram.fget
+        monkeypatch.setattr(word_memory, "_malloc_trim", lambda pad: events.append(("trim", pad)))
+        monkeypatch.setattr(StaticWordMemory, "gram",
+                            property(lambda mem: events.append("gram") or build(mem)))
+        load_word2vec_text(emb_path)
+        assert events == [("trim", 0), "gram"]
 
     def test_load_peak_is_bounded_by_the_text(self, emb_path):
         tracemalloc.start()
