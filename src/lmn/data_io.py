@@ -3,10 +3,12 @@ the LMNF feature-tensor and LMNP parameter containers, the QA JSONL schema,
 frame subsampling across clips, and a planted-signal synthetic generator used
 by the verification harness.
 
-Feature payloads are stored as 32-bit little-endian floats and held at that
-width in region order, 4 bytes per value; the chunk engine promotes each
-chunk's regions to 64-bit once, when it stacks them, and frees that copy with
-the chunk (6.4 MB per MovieQA-shape item per forward/backward step).
+Feature payloads are stored as 32-bit little-endian floats. A clip the chunk
+engine runs alone stays on disk until its chunk reads it; a smaller one is
+held at that width in region order, 4 bytes per value. The chunk engine
+promotes each chunk's regions to 64-bit once, when it stacks them, and frees
+that copy with the chunk (6.4 MB per MovieQA-shape item per forward/backward
+step).
 Parameters are stored at full 64-bit width.
 """
 
@@ -23,7 +25,7 @@ from numbers import Integral, Real
 import numpy as np
 
 from .answering import NUM_CHOICES, QAItem
-from .frame_encoder import ClipFeatures
+from .frame_encoder import CHUNK_BYTES, ClipFeatures
 from .word_memory import (StaticWordMemory, atomic_write_bytes, embed_sentence, normalize_rows,
                           read_lines, save_word2vec_text)
 
@@ -181,16 +183,17 @@ def _write_container(path, magic: bytes, array: np.ndarray, dtype: str) -> None:
     atomic_write_bytes(path, head + payload.tobytes())
 
 
-def _read_container(path, magic: bytes, ndim: int, dtype: str) -> np.ndarray:
-    """The checked payload as a read-only view shaped by the header's dims."""
-    with open(path, "rb") as fh:
-        data = fh.read()
+def _check_header(fh, path, magic: bytes, ndim: int, dtype: str) -> tuple[int, ...]:
+    """The dims of the container open as `fh`, once its header checks out
+    and the file's size matches it; `fh` is left at the payload, of which
+    no byte has been read."""
     header = _header(ndim)
-    if len(data) < header.size:
+    head = fh.read(header.size)
+    if len(head) < header.size:
         raise DataFormatError(
-            f"{path}: truncated header (expected {header.size} bytes, got {len(data)})"
+            f"{path}: truncated header (expected {header.size} bytes, got {len(head)})"
         )
-    found, version, *dims = header.unpack_from(data)
+    found, version, *dims = header.unpack(head)
     dims = tuple(dims)
     if found != magic:
         raise DataFormatError(f"{path}: bad magic {found!r}")
@@ -203,24 +206,82 @@ def _read_container(path, magic: bytes, ndim: int, dtype: str) -> np.ndarray:
     if count * itemsize > _MAX_PAYLOAD_BYTES:
         raise DataFormatError(f"{path}: dimension overflow {dims}")
     expected = header.size + count * itemsize
-    if len(data) != expected:
-        raise DataFormatError(f"{path}: expected {expected} bytes, got {len(data)}")
-    values = np.frombuffer(data, dtype=dtype, offset=header.size, count=count)
+    size = os.fstat(fh.fileno()).st_size
+    if size != expected:
+        raise DataFormatError(f"{path}: expected {expected} bytes, got {size}")
+    return dims
+
+
+def _read_values(fh, path, values: np.ndarray) -> None:
+    """Fill `values` from `fh` in one `readinto`, and check them finite."""
+    if fh.readinto(values) != values.nbytes:
+        raise DataFormatError(f"{path}: file shrank while it was read")
     if not np.isfinite(values).all():
         raise DataFormatError(f"{path}: payload contains non-finite entries")
-    return values.reshape(dims)
+
+
+def _read_container(path, magic: bytes, ndim: int, dtype: str) -> np.ndarray:
+    """The checked payload, a fresh array shaped by the header's dims. The
+    header, and the file's size against it, are checked before the payload
+    is read into the one array returned."""
+    with open(path, "rb") as fh:
+        values = np.empty(_check_header(fh, path, magic, ndim, dtype), dtype=dtype)
+        _read_values(fh, path, values)
+    return values
 
 
 def save_features(clip: ClipFeatures, path) -> None:
     _write_container(path, _FEATURE_MAGIC, clip.tensor, "<f4")
 
 
+@dataclass(frozen=True)
+class _FileFrames:
+    """The source of a file-backed clip: for each run of its frames that
+    one LMNF file holds, in clip order, the file's path, its (T, C, H, W)
+    dims when it was loaded, and the indices of the frames picked from it."""
+
+    parts: tuple[tuple[str, tuple[int, ...], tuple[int, ...]], ...]
+
+    def read_into(self, out: np.ndarray) -> None:
+        """Write the clip's frames into `out`, a (T, H·W, C) array, at its
+        dtype. Each file is checked again as the container reader checks
+        it, header and size, and must still have the dims it was loaded
+        with; its picked frames are then read one at a time into a one-frame
+        buffer, each checked finite and copied into `out` in region order.
+        A whole float32 payload beside the chunk's float64 stack would add
+        3.2 MB to each MovieQA-shape item: its heap then grew past glibc's
+        trim threshold, and every item faulted its pages in afresh (78k
+        minor faults per 32-question evaluation against 3.7k)."""
+        k = 0
+        for path, dims, picked in self.parts:
+            with open(path, "rb") as fh:
+                found = _check_header(fh, path, _FEATURE_MAGIC, 4, "<f4")
+                if found != dims:
+                    raise DataFormatError(f"{path}: dims {found} differ from the {dims} "
+                                          f"it was loaded with")
+                payload = fh.tell()
+                frame = np.empty(dims[1:], dtype="<f4")
+                for t in picked:
+                    fh.seek(payload + t * frame.nbytes)
+                    _read_values(fh, path, frame)
+                    out[k] = frame.reshape(len(frame), -1).T
+                    k += 1
+
+
 def load_features(path) -> ClipFeatures:
-    """The file's clip, held as float32: one copy reorders the checked
-    payload into the clip's region-order buffer. Nothing is promoted here;
+    """The file's clip, checked in full: header, size and finiteness. A clip
+    whose float64 regions exceed CHUNK_BYTES, one the chunk engine runs
+    alone, is file-backed: it keeps only the path and dims, and every chunk
+    that stacks it reads the file again (`_FileFrames.read_into`). A
+    smaller clip is held as float32: one copy reorders the checked payload
+    into the clip's region-order buffer. Nothing is promoted here;
     `training.Chunk.of` makes each chunk's float64 copy of its regions."""
-    payload = _read_container(path, _FEATURE_MAGIC, 4, "<f4").transpose(0, 2, 3, 1)
-    return ClipFeatures._adopt(payload.astype(np.float32, order="C"))
+    payload = _read_container(path, _FEATURE_MAGIC, 4, "<f4")
+    if 8 * payload.size > CHUNK_BYTES:
+        frames = tuple(range(len(payload)))
+        return ClipFeatures._on_disk(_FileFrames(((os.fspath(path), payload.shape, frames),)),
+                                     payload.shape)
+    return ClipFeatures._adopt(payload.transpose(0, 2, 3, 1).astype(np.float32, order="C"))
 
 
 def save_params(weights: np.ndarray, path) -> None:
@@ -231,7 +292,7 @@ def save_params(weights: np.ndarray, path) -> None:
 
 
 def load_params(path) -> np.ndarray:
-    return _read_container(path, _PARAMS_MAGIC, 2, "<f8").astype(np.float64)
+    return _read_container(path, _PARAMS_MAGIC, 2, "<f8").astype(np.float64, copy=False)
 
 
 # --- QA dataset -------------------------------------------------------------
@@ -296,21 +357,33 @@ def subsample_indices(total: int, target: int) -> list[int]:
 def subsample_frames(clips, target: int) -> ClipFeatures:
     """Concatenate the clips' frames in order and pick `target` equally spaced
     frames; short inputs repeat frames as the spacing rule dictates. A lone
-    clip that already has `target` frames is returned as it is; otherwise the
-    picked frames are copied once, into the result's buffer."""
+    clip that already has `target` frames is returned as it is. Of
+    file-backed clips the result is file-backed too: it records which frame
+    of which file it picked, and nothing is read. Otherwise the picked
+    frames are copied once, into the result's buffer."""
     clips = list(clips)
     if not clips:
         raise ValueError("need at least one clip")
-    shape = clips[0].tensor.shape[1:]
+    shape = clips[0].shape[1:]
     for clip in clips[1:]:
-        if clip.tensor.shape[1:] != shape:
-            raise ValueError(
-                f"clip shape mismatch: {clip.tensor.shape[1:]} vs {shape}"
-            )
+        if clip.shape[1:] != shape:
+            raise ValueError(f"clip shape mismatch: {clip.shape[1:]} vs {shape}")
     if len(clips) == 1 and clips[0].frames == target:
         return clips[0]
+    picks = subsample_indices(sum(clip.frames for clip in clips), target)
+    if all(clip.source is not None for clip in clips):
+        located = [(path, dims, t) for clip in clips for path, dims, picked in clip.source.parts
+                   for t in picked]
+        parts = []
+        for path, dims, t in (located[i] for i in picks):
+            if parts and parts[-1][:2] == (path, dims):
+                parts[-1][2].append(t)
+            else:
+                parts.append((path, dims, [t]))
+        source = _FileFrames(tuple((path, dims, tuple(ts)) for path, dims, ts in parts))
+        return ClipFeatures._on_disk(source, (target, *shape))
     frames = [frame for clip in clips for frame in clip.tensor.transpose(0, 2, 3, 1)]
-    return ClipFeatures._adopt(np.stack([frames[i] for i in subsample_indices(len(frames), target)]))
+    return ClipFeatures._adopt(np.stack([frames[i] for i in picks]))
 
 
 # --- dataset assembly -------------------------------------------------------

@@ -36,26 +36,54 @@ import numpy as np
 from .word_memory import StaticWordMemory, normalize_rows
 
 __all__ = [
+    "CHUNK_BYTES",
     "ClipFeatures",
     "encode_frames_cached",
     "encode_frames_backward",
 ]
 
 
-@dataclass(frozen=True)
+# A chunk of the training engine stacks consecutive same-shape items along a
+# leading batch axis while their stacked copies, regions counted at float64
+# width, stay within this many bytes; preparation embeds the sentences of
+# each such run of examples in one `embed_sentence` call (`training._chunks`).
+# A loaded clip whose float64 regions alone exceed it, a clip that always
+# runs alone, stays on disk (`data_io.load_features`). At the desk shape an
+# item is 8.3 KB, so a minibatch of 8 (66 KB) is one chunk and an eval chunk
+# holds up to 31 items; a MovieQA-shape item (6.4 MB of float64 regions) is
+# over it, runs alone, is prepared alone and stays on disk.
+# Measured on one pinned thread of a 2-vCPU x86 host: one forward over 1000
+# desk-shape items took 80.8, 16.2, 13.3, 13.7, 15.7 and 19.0 ms at budgets
+# of 16 KiB, 64 KiB, 256 KiB, 1 MiB, 4 MiB and 16 MiB, and twelve desk-train
+# bench passes in one process peaked at 53.0 MB RSS at 256 KiB and 56.4 MB
+# at 1 MiB, against 52.0 MB running one item at a time.
+CHUNK_BYTES = 1 << 18
+
+
 class ClipFeatures:
-    """Frame-wise CNN feature maps, held as one read-only buffer in region
-    order (T, H, W, C) that the clip owns; `tensor` is its (T, C, H, W)
-    view. A float32 array is held at that width, the LMNF file's, and any
-    other input as float64: every float32 value is exact in float64, and
-    the chunk engine promotes a chunk's regions to float64 when it stacks
-    them (`training.Chunk.of`), so both widths compute the same bits."""
+    """Frame-wise CNN feature maps: T frames of C channels over an H×W
+    grid, `shape` (T, C, H, W).
 
-    tensor: np.ndarray
+    A resident clip holds one read-only buffer in region order (T, H, W, C)
+    that the clip owns; `tensor` is its (T, C, H, W) view. A float32 array
+    is held at that width, the LMNF file's, and any other input as float64:
+    every float32 value is exact in float64, and the chunk engine promotes
+    a chunk's regions to float64 when it stacks them (`training.Chunk.of`),
+    so both widths compute the same bits.
 
-    def __post_init__(self):
-        width = np.float32 if getattr(self.tensor, "dtype", None) == np.float32 else np.float64
-        t = np.asarray(self.tensor, dtype=width)
+    A file-backed clip holds no values, only its shape and its `source`,
+    whose `read_into(out)` reads and checks its frames from disk into a
+    (T, H·W, C) array. `data_io.load_features` makes one for a file whose
+    float64 regions exceed CHUNK_BYTES, a clip the chunk engine runs alone,
+    and `data_io.subsample_frames` one of such clips' frames. Every
+    `tensor` and `regions()` call reads the files again into a fresh
+    float32 array, and the clip keeps nothing of them."""
+
+    __slots__ = ("shape", "source", "_buffer")
+
+    def __init__(self, tensor: np.ndarray):
+        width = np.float32 if getattr(tensor, "dtype", None) == np.float32 else np.float64
+        t = np.asarray(tensor, dtype=width)
         if t.ndim != 4:  # a scalar reports shape (1,)
             raise ValueError(f"feature tensor must be 4-D (T,C,H,W), got {t.shape or (1,)}")
         if min(t.shape) < 1:
@@ -75,23 +103,43 @@ class ClipFeatures:
         clip._hold(buffer)
         return clip
 
+    @classmethod
+    def _on_disk(cls, source, shape: tuple[int, int, int, int]) -> ClipFeatures:
+        """A file-backed clip of this (T, C, H, W) shape, whose values
+        `source.read_into` reads."""
+        clip = cls.__new__(cls)
+        clip.shape, clip.source, clip._buffer = tuple(shape), source, None
+        return clip
+
     def _hold(self, buffer: np.ndarray) -> None:
         buffer.setflags(write=False)
-        object.__setattr__(self, "tensor", buffer.transpose(0, 3, 1, 2))
+        t, h, w, c = buffer.shape
+        self.shape, self.source, self._buffer = (t, c, h, w), None, buffer
+
+    @property
+    def tensor(self) -> np.ndarray:
+        """The (T, C, H, W) view of `regions()`."""
+        t, c, h, w = self.shape
+        return self.regions().reshape(t, h, w, c).transpose(0, 3, 1, 2)
 
     @property
     def frames(self) -> int:
-        return self.tensor.shape[0]
+        return self.shape[0]
 
     @property
     def channels(self) -> int:
-        return self.tensor.shape[1]
+        return self.shape[1]
 
     def regions(self) -> np.ndarray:
-        """View as (frames, height*width, channels); region index runs
-        row-major over the spatial grid."""
-        t, c, h, w = self.tensor.shape
-        return self.tensor.transpose(0, 2, 3, 1).reshape(t, h * w, c)
+        """The values as (frames, height*width, channels); region index runs
+        row-major over the spatial grid. A resident clip gives a read-only
+        view of its buffer, a file-backed clip a fresh float32 read."""
+        t, c, h, w = self.shape
+        if self.source is None:
+            return self._buffer.reshape(t, h * w, c)
+        regions = np.empty((t, h * w, c), np.float32)
+        self.source.read_into(regions)
+        return regions
 
 
 def _attend(xhat: np.ndarray, mem: StaticWordMemory) -> np.ndarray:

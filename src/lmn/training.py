@@ -9,14 +9,14 @@ Every pass runs through one chunk engine: consecutive same-shape items are
 stacked along a leading batch axis, while their stacked copies stay within
 CHUNK_BYTES, and each chunk goes through one forward and one backward. An
 item over the budget runs alone. The stack promotes the regions, held at
-their stored width, to float64 once per chunk; every other array of a
-one-item chunk is a view of the item's. Shapes never mix within a chunk, so
-nothing is padded or masked. `train`'s minibatches, its dev pass,
-`evaluate`, and `forward`, `backward` and `gradcheck` on their one-item
-chunks all take this path, under one numeric guard that names a failing
-chunk's question. Preparation cuts examples by the same rule
-(`_chunks`) and embeds each run's sentences in one call, so an evaluation
-embeds exactly the chunks it runs.
+their stored width or read from disk for a file-backed clip, to float64
+once per chunk; every other array of a one-item chunk is a view of the
+item's. Shapes never mix within a chunk, so nothing is padded or masked.
+`train`'s minibatches, its dev pass, `evaluate`, and `forward`, `backward`
+and `gradcheck` on their one-item chunks all take this path, under one
+numeric guard that names a failing chunk's question. Preparation cuts
+examples by the same rule (`_chunks`) and embeds each run's sentences in
+one call, so an evaluation embeds exactly the chunks it runs.
 
 Training is plain minibatch SGD with early stopping on dev accuracy, fully
 reproducible from the seed: a minibatch's gradient is one GEMM sum per
@@ -44,8 +44,9 @@ from .answering import (
     predict,
     score_answers,
 )
-from .data_io import Example, check_field_types
+from .data_io import DataFormatError, Example, check_field_types
 from .frame_encoder import (
+    CHUNK_BYTES,
     ClipFeatures,
     FrameCache,
     encode_frames_backward,
@@ -183,11 +184,16 @@ class Prepared:
     """Frozen per-item inputs: everything but the projection weights."""
 
     qid: str  # names the item in a located error
-    regions: np.ndarray  # (T, R, C), a view of the clip's feature buffer at its width
+    clip: ClipFeatures  # resident, or file-backed until a chunk stacks it
     question: np.ndarray  # (d,)
     answer_mat: np.ndarray  # (5, d)
     subtitle_mat: np.ndarray | None  # (N, d); None selects video-only mode
     label: int | None
+
+    @property
+    def regions(self) -> np.ndarray:
+        """The clip's (T, R, C) regions at its width (`ClipFeatures.regions`)."""
+        return self.clip.regions()
 
 
 def _prepared(mem: StaticWordMemory, dataset: Iterable[Example]) -> Iterator[Prepared]:
@@ -205,9 +211,8 @@ def _prepared(mem: StaticWordMemory, dataset: Iterable[Example]) -> Iterator[Pre
     the ones `build_memory` gives. Preparation does not depend on the model
     config."""
     def key(example: Example) -> tuple[tuple, int]:
-        t, c, h, w = example.features.tensor.shape
-        return _key((t, h * w, c), None if example.subtitles is None else len(example.subtitles),
-                    mem.dim)
+        subtitles = None if example.subtitles is None else len(example.subtitles)
+        return _key(example.features, subtitles, mem.dim)
 
     memories = weakref.WeakValueDictionary()
     for run in _chunks(dataset, key):
@@ -216,7 +221,7 @@ def _prepared(mem: StaticWordMemory, dataset: Iterable[Example]) -> Iterator[Pre
             first = i * (1 + NUM_CHOICES)
             yield Prepared(
                 qid=example.item.qid,
-                regions=example.features.regions(),
+                clip=example.features,
                 question=text_rows[first],
                 answer_mat=text_rows[first + 1 : first + 1 + NUM_CHOICES],
                 subtitle_mat=None if example.subtitles is None
@@ -296,31 +301,18 @@ def prepare_example(
 
 # --- the chunk engine ---------------------------------------------------------
 
-# A chunk stacks consecutive same-shape items along a leading batch axis
-# while their stacked copies, regions counted at float64 width, stay within
-# this many bytes; `_prepared` embeds the sentences of each such run of
-# examples in one `embed_sentence` call. At the desk shape an item is 8.3 KB,
-# so a minibatch of 8 (66 KB) is one chunk and an eval chunk holds up to 31
-# items; a MovieQA-shape item (6.4 MB of float64 regions) is over it, runs
-# alone and is prepared alone.
-# Measured on one pinned thread of a 2-vCPU x86 host: one forward over 1000
-# desk-shape items took 80.8, 16.2, 13.3, 13.7, 15.7 and 19.0 ms at budgets
-# of 16 KiB, 64 KiB, 256 KiB, 1 MiB, 4 MiB and 16 MiB, and twelve desk-train
-# bench passes in one process peaked at 53.0 MB RSS at 256 KiB and 56.4 MB
-# at 1 MiB, against 52.0 MB running one item at a time.
-CHUNK_BYTES = 1 << 18
-
-
 @dataclass
 class Chunk:
     """Same-shape prepared items stacked along a leading batch axis: equal
     (T, R, C) regions and equal subtitle counts N, or all video-only.
 
-    Items hold their regions at the stored width (float32 from LMNF
-    files); the stack is taken at float64, so a chunk of float32 items,
-    even a chunk of one, makes one exact float64 copy of its regions, which
-    the frame cache keeps for the backward. Every other array of a chunk of
-    one, and the regions of a float64 item, are views of the item's."""
+    Items hold their clips, resident at the stored width (float32 from
+    LMNF files) or file-backed. The stack is taken at float64, straight
+    from each resident clip's buffer and, frame by frame, from each
+    file-backed clip's files, so a chunk of float32 items, even a chunk of
+    one, makes one exact float64 copy of its regions, which the frame
+    cache keeps for the backward. Every other array of a chunk of one, and
+    the regions of a resident float64 item, are views of the item's."""
 
     regions: np.ndarray  # (B, T*R, C) float64: one region group per item
     frames: int  # T
@@ -336,10 +328,20 @@ class Chunk:
                 return np.asarray(arrays[0], dtype=dtype)[None]
             return np.array(arrays, dtype=dtype)
 
-        t, r, c = items[0].regions.shape
+        clips = [p.clip for p in items]
+        t, c, h, w = clips[0].shape
+        if all(clip.source is None for clip in clips):
+            regions = stacked([clip.regions() for clip in clips], np.float64)
+        else:  # files are read frame by frame straight into the float64 stack
+            regions = np.empty((len(clips), t, h * w, c))
+            for out, clip in zip(regions, clips):
+                if clip.source is None:
+                    out[...] = clip.regions()
+                else:
+                    clip.source.read_into(out)
         labels = [p.label for p in items]
         return cls(
-            regions=stacked([p.regions for p in items], np.float64).reshape(len(items), t * r, c),
+            regions=regions.reshape(len(items), t * h * w, c),
             frames=t,
             questions=stacked([p.question for p in items]),
             answers=stacked([p.answer_mat for p in items]),
@@ -349,17 +351,19 @@ class Chunk:
         )
 
 
-def _key(regions: tuple[int, int, int], subtitles: int | None, dim: int) -> tuple[tuple, int]:
-    """An item's chunk key: its shape, (T, R, C) regions and subtitle count
-    (None when video-only), and its bytes in a stacked chunk, its regions at
-    float64 width and its question, answer and subtitle rows."""
+def _key(clip: ClipFeatures, subtitles: int | None, dim: int) -> tuple[tuple, int]:
+    """An item's chunk key, read from its clip's shape and never from its
+    values: its shape, (T, R, C) regions and subtitle count (None when
+    video-only), and its bytes in a stacked chunk, its regions at float64
+    width and its question, answer and subtitle rows."""
+    t, c, h, w = clip.shape
     rows = 1 + NUM_CHOICES + (subtitles or 0)
-    return (regions, subtitles), 8 * (math.prod(regions) + rows * dim)
+    return ((t, h * w, c), subtitles), 8 * (math.prod(clip.shape) + rows * dim)
 
 
 def _item_key(prep: Prepared) -> tuple[tuple, int]:
     subtitles = None if prep.subtitle_mat is None else len(prep.subtitle_mat)
-    return _key(prep.regions.shape, subtitles, prep.question.size)
+    return _key(prep.clip, subtitles, prep.question.size)
 
 
 def _chunks(items: Iterable, key: Callable[..., tuple[tuple, int]]) -> Iterator[list]:
@@ -442,16 +446,18 @@ def _run(
 ) -> Outcome:
     """Run the items chunk by chunk through one stacked forward and, with
     `gradient`, one backward per chunk; chunk gradients are summed in chunk
-    order. Each chunk runs under `_located`: an overflow or invalid
-    operation raises one ValueError that starts `question <qid>: `. A chunk
-    of several items that fails is rerun one item at a time, so the error
-    names the first item that fails alone (the chunk's first otherwise)."""
+    order. Each chunk is stacked and runs under `_located`: an overflow or
+    invalid operation raises one ValueError, and a file-backed clip whose
+    file changed since it was loaded a DataFormatError that names the file,
+    each starting `question <qid>: `. A chunk of several items that fails
+    is rerun one item at a time, so the error names the first item that
+    fails alone (the chunk's first otherwise)."""
     probs, logits, losses = [], [], []
     total = None
     for run in _chunks(items, _item_key):
-        chunk = Chunk.of(run)
         try:
             with _located(f"question {run[0].qid}"):
+                chunk = Chunk.of(run)
                 state = run_forward(weights, chunk, config, mem)
                 if gradient:
                     grad = run_backward(state, chunk, config, mem)
@@ -598,9 +604,11 @@ def answer_distributions(
 
     Questions run in chunks of consecutive same-shape items, each through
     one stacked forward; a question over the chunk budget runs alone on one
-    float64 copy of its frames. A question that overflows or scores
-    non-finite logits raises `_run`'s ValueError, which starts
-    `question <qid>: ` and names the first such question. A question,
+    float64 copy of its frames, read from disk when its clip is
+    file-backed. A question that overflows or scores non-finite logits
+    raises `_run`'s ValueError, which starts `question <qid>: ` and names
+    the first such question; a file-backed clip whose file changed since
+    it was loaded, `_run`'s DataFormatError. A question,
     answer or subtitle row that embeds to non-finite values raises the
     ValueError of `_prepared`, which names its question or movie."""
     if not examples:
@@ -644,18 +652,20 @@ def rank_subtitles(
     memory the model's last subtitle pass attends over, else the built
     memory. A numeric failure raises `question <qid>: …`; a video-only
     example or a frame index outside [0, T) raises a ValueError."""
-    qid, frames = example.item.qid, len(example.features.tensor)
+    qid, frames = example.item.qid, example.features.frames
     if example.subtitles is None:
         raise ValueError(f"question {qid} has no subtitles to rank")
     if not 0 <= frame < frames:
         raise ValueError(f"frame index {frame} out of range (clip has {frames} frames)")
     prep = prepare_example(mem, example)
     with _located(f"question {qid}"):
-        (vector,), _ = encode_frames_cached(prep.regions[frame : frame + 1], params.weights,
+        chunk = Chunk.of([prep])  # the clip's one read
+        regions = chunk.regions.reshape(frames, -1, example.features.channels)
+        (vector,), _ = encode_frames_cached(regions[frame : frame + 1], params.weights,
                                             mem, params.config.swm_hops)
         memory = prep.subtitle_mat
         if final:
-            state = run_forward(params.weights, Chunk.of([prep]), params.config, mem)
+            state = run_forward(params.weights, chunk, params.config, mem)
             memory = state.clip_cache.scales[-1][0][:, None] * memory
         scores = memory @ vector
     order = np.argsort(-scores, kind="stable")
@@ -667,12 +677,14 @@ def rank_subtitles(
 @contextmanager
 def _located(where: str):
     """Raise numpy overflow and invalid operations inside the block, and
-    report any numeric failure as one ValueError that starts with `where`."""
+    report any numeric failure as one ValueError that starts with `where`;
+    a DataFormatError stays one."""
     try:
         with np.errstate(over="raise", invalid="raise"):
             yield
     except (FloatingPointError, ValueError) as exc:
-        raise ValueError(f"{where}: {exc}") from exc
+        kind = DataFormatError if isinstance(exc, DataFormatError) else ValueError
+        raise kind(f"{where}: {exc}") from exc
 
 
 def train(
@@ -695,7 +707,9 @@ def train(
     A batch or dev pass whose loss or gradient is not finite raises one
     ValueError that starts `epoch E batch B: ` or `epoch E dev: `; for an
     overflow that prefix is followed by the question `_run` names, as in
-    `epoch E batch B: question <qid>: …`.
+    `epoch E batch B: question <qid>: …`. A file-backed clip whose file
+    changed since it was loaded raises a DataFormatError with the same
+    prefixes, then the file's path.
     """
     if not dataset:
         raise ValueError("empty dataset")

@@ -38,7 +38,7 @@ def prepare(
     text = embed_sentence(mem, (item.question, *item.answers))
     return Prepared(
         qid=item.qid,
-        regions=features.regions(),
+        clip=features,
         question=text[0],
         answer_mat=text[1:],
         subtitle_mat=sub,

@@ -9,6 +9,9 @@ reference.
 
 import dataclasses
 import itertools
+import os
+import re
+import struct
 import tracemalloc
 
 import numpy as np
@@ -16,7 +19,8 @@ import pytest
 
 import lmn.training
 from lmn.answering import QAItem
-from lmn.data_io import Example
+from lmn.data_io import (DataFormatError, Example, load_examples, load_features, save_features,
+                         subsample_frames)
 from lmn.frame_encoder import ClipFeatures
 from lmn.subtitle_memory import build_memory
 from lmn.training import (
@@ -316,3 +320,147 @@ class TestResident:
             alone = answer_distributions(params, mem, [ex])
             assert together.probs[k].tobytes() == alone.probs[0].tobytes()
             assert together.logits[k].tobytes() == alone.logits[0].tobytes()
+
+
+def on_disk(directory, dataset):
+    """The examples with each clip written to `<directory>/<clip_id>.lmnf`
+    and loaded back: a clip over CHUNK_BYTES comes back file-backed."""
+    loaded = []
+    for ex in dataset:
+        path = directory / f"{ex.item.clip_ids[0]}.lmnf"
+        save_features(ex.features, path)
+        loaded.append(dataclasses.replace(ex, features=load_features(path)))
+    return loaded
+
+
+def truncate(path):
+    os.truncate(path, os.path.getsize(path) - 4)
+
+
+def redimension(path):
+    data = path.read_bytes()
+    path.write_bytes(struct.pack("<4sI4I", b"LMNF", 1, 4, 256, 7, 7) + data[24:])
+
+
+def poison(path):
+    with open(path, "r+b") as fh:
+        fh.seek(-4, os.SEEK_END)  # the last frame's last value
+        fh.write(struct.pack("<f", float("nan")))
+
+
+# each way a file can change after its clip was loaded, and what the read says
+STALE = {
+    "truncated": (truncate, r"expected \d+ bytes, got \d+"),
+    "re-dimensioned": (redimension, re.escape("dims (4, 256, 7, 7) differ from the (2, 512, 7, 7) "
+                                              "it was loaded with")),
+    "NaN": (poison, "payload contains non-finite entries"),
+}
+
+
+class TestFileBacked:
+    """A loaded clip over CHUNK_BYTES stays on disk: its chunk reads it
+    again, checked as at load, and neither `train` nor `evaluate` holds its
+    frames between chunks."""
+
+    @pytest.mark.parametrize("change", STALE)
+    def test_a_file_changed_after_load_fails_evaluate_naming_it(self, tmp_path, change):
+        rng = np.random.default_rng(9)
+        mem = word_memory(rng, 4)
+        dataset = on_disk(tmp_path, [narrowed(example(rng, f"q{k}", 2, 512, 3, hw=(7, 7)))
+                                     for k in range(3)])
+        assert all(ex.features.source is not None for ex in dataset)
+        params = ModelParams(0.1 * rng.normal(size=(4, 512)))
+        evaluate(params, mem, dataset)
+        edit, fact = STALE[change]
+        path = tmp_path / "clip-q1.lmnf"
+        edit(path)
+        where = re.escape(str(path))
+        with pytest.raises(DataFormatError, match=f"^question q1: {where}: {fact}$"):
+            evaluate(params, mem, dataset)
+
+    @pytest.mark.parametrize("change", STALE)
+    def test_a_file_changed_after_load_fails_train_naming_it(self, tmp_path, change):
+        rng = np.random.default_rng(10)
+        mem = word_memory(rng, 4)
+        dataset = on_disk(tmp_path, [narrowed(example(rng, f"q{k}", 2, 512, 3, hw=(7, 7)))
+                                     for k in range(4)])
+        params = ModelParams(0.1 * rng.normal(size=(4, 512)))
+        edit, fact = STALE[change]
+        for ex in dataset:
+            edit(tmp_path / f"{ex.item.clip_ids[0]}.lmnf")
+        where = re.escape(str(tmp_path))
+        with pytest.raises(DataFormatError, match=rf"^epoch 1 batch 1: question (q\d): "
+                                                  rf"{where}/clip-\1\.lmnf: {fact}$"):
+            train(dataset, mem, TrainConfig(max_epochs=1), params)
+
+    def test_a_small_pick_of_a_long_file_shares_a_chunk_with_resident_clips(self, tmp_path):
+        # 200 frames of 24 channels over a 3x3 grid are over the budget, so
+        # the file stays on disk; four frames picked from it are not
+        rng = np.random.default_rng(12)
+        mem = word_memory(rng, 4)
+        resident = [narrowed(example(rng, f"q{k}", 4, 24, 3, hw=(3, 3))) for k in range(3)]
+        long = narrowed(example(rng, "long", 200, 24, 3, hw=(3, 3)))
+        (picked,) = on_disk(tmp_path, [long])
+        picked = dataclasses.replace(picked, features=subsample_frames([picked.features], 4))
+        assert picked.features.source is not None
+        dataset = [resident[0], picked, *resident[1:]]
+        items = list(_prepared(mem, dataset))
+        assert [len(run) for run in _chunks(items, _item_key)] == [4]
+        in_memory = [*dataset[:1], dataclasses.replace(picked, features=subsample_frames(
+            [long.features], 4)), *dataset[2:]]
+        weights = 0.3 * rng.normal(size=(4, 24))
+        got = _run(weights, items, ModelConfig(), mem, gradient=True)
+        want = _run(weights, list(_prepared(mem, in_memory)), ModelConfig(), mem, gradient=True)
+        assert got.dist.logits.tobytes() == want.dist.logits.tobytes()
+        assert got.gradient.tobytes() == want.gradient.tobytes()
+
+    DIM, SUBTITLES = 16, 20
+
+    @pytest.mark.parametrize("entry", ["train", "evaluate"])
+    def test_heap_peak_does_not_grow_with_the_questions(self, tmp_path, entry):
+        rng = np.random.default_rng(11)
+        mem = StaticWordMemory(WORDS, rng.normal(size=(len(WORDS), self.DIM)))
+        mem.gram  # built before the measurement, as a loaded memory's is
+        params = ModelParams(0.1 * rng.normal(size=(self.DIM, 512)))
+        sentences = tuple(sentence(rng) for _ in range(self.SUBTITLES))
+        frames, regions = 2, 49
+        promote = frames * regions * 512 * 8  # an item's float64 regions, over the budget
+        assert promote > CHUNK_BYTES
+        frame = regions * 512 * 4  # the one-frame buffer a file-backed clip is read through
+        projection = frames * regions * self.DIM * 8
+        movie = self.SUBTITLES * self.DIM * 8
+        weights = self.DIM * 512 * 8
+        slack = 64 * 1024
+        peaks = []
+        for count in (3, 9):
+            root = tmp_path / str(count)
+            (root / "subtitles").mkdir(parents=True)
+            (root / "subtitles" / "movie.txt").write_text("\n".join(sentences) + "\n")
+            items = []
+            for k in range(count):
+                ex = narrowed(example(rng, f"q{k}", frames, 512, None, hw=(7, 7)))
+                save_features(ex.features, root / f"{ex.item.clip_ids[0]}.lmnf")
+                items.append(dataclasses.replace(ex.item, movie_id="movie"))
+            del ex
+            tracemalloc.start()
+            try:
+                dataset = load_examples(items, root, root / "subtitles", frames)
+                if entry == "train":
+                    # minibatches of two chunks at both sizes: from a third
+                    # chunk on, the gradient sum holds one more (d, C) array
+                    train(dataset, mem, TrainConfig(batch_size=2, max_epochs=2), params)
+                else:
+                    evaluate(params, mem, dataset)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            peaks.append(peak)
+        bound = promote + frame + projection + 2 * movie + slack
+        if entry == "train":
+            # the weights, the best weights, a chunk's gradient, the running
+            # sum and its update, the mean gradient and sgd_step's two
+            # temporaries
+            bound += 8 * weights
+        assert max(peaks) < bound, peaks
+        # six more resident clips would add 12 frames
+        assert peaks[1] < peaks[0] + frame / 2, peaks

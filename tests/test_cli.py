@@ -8,6 +8,7 @@ import shutil
 import numpy as np
 import pytest
 
+import lmn.data_io
 from lmn.cli import _settings, build_parser, main
 from lmn.data_io import (
     SubtitleEntry,
@@ -740,3 +741,57 @@ class TestParsing:
         code = main([command, *data_args(synth_dir), *extra, "--frames", frames])
         assert code == 2
         assert capsys.readouterr().err == f"error: argument --frames: {message}\n"
+
+
+class TestFileBackedClips:
+    """Clips whose float64 regions exceed the chunk budget stay on disk until
+    their chunk reads them. Every command writes and prints the bytes it
+    gives when the same clips are held in memory."""
+
+    @pytest.fixture(scope="class")
+    def wide_dir(self, tmp_path_factory):
+        out = tmp_path_factory.mktemp("wide")
+        code = main(["synth", "--out", str(out), "--channels", "512", "--height", "7",
+                     "--width", "7", "--frames", "2", "--n-train", "24", "--n-eval", "8",
+                     "--seed", "6"])
+        assert code == 0
+        return out
+
+    @staticmethod
+    def run_commands(d, out, frames, capsys):
+        """`lmn train` then `lmn eval` into `out`, then `rank-subtitles` at
+        both memory states and `answer`; returns what the last four print."""
+        def args(qa):
+            return ["--embeddings", str(d / "embeddings.txt"), "--qa", str(d / qa),
+                    "--features", str(d / "features"), "--subtitles", str(d / "subtitles"),
+                    "--frames", frames]
+
+        params = str(out / "params.lmnp")
+        assert main(["train", *args("train.jsonl"), "--max-epochs", "3", "--seed", "2",
+                     "--out", str(out)]) == 0
+        capsys.readouterr()
+        printed = []
+        for command in (
+            ["eval", *args("eval.jsonl"), "--params", params, "--out", str(out)],
+            ["rank-subtitles", *args("eval.jsonl"), "--params", params, "--qid", "eval00001",
+             "--frame-index", str(int(frames) - 1)],
+            ["rank-subtitles", *args("eval.jsonl"), "--params", params, "--qid", "eval00002",
+             "--memory-state", "final"],
+            ["answer", *args("eval.jsonl"), "--params", params, "--qid", "eval00003"],
+        ):
+            assert main(command) == 0
+            printed.append(capsys.readouterr().out)
+        return printed
+
+    @pytest.mark.parametrize("frames", ["2", "5"], ids=["whole-clip", "subsampled"])
+    def test_outputs_match_resident_clips(self, wide_dir, tmp_path, monkeypatch, capsys, frames):
+        load = lmn.data_io.load_features
+        assert load(next((wide_dir / "features").iterdir())).source is not None
+        on_disk = self.run_commands(wide_dir, tmp_path / "on_disk", frames, capsys)
+        monkeypatch.setattr(lmn.data_io, "load_features",
+                            lambda path: ClipFeatures(load(path).tensor))
+        resident = self.run_commands(wide_dir, tmp_path / "resident", frames, capsys)
+        assert on_disk == resident
+        for name in ("params.lmnp", "report.json", "eval.json"):
+            assert (tmp_path / "on_disk" / name).read_bytes() == \
+                (tmp_path / "resident" / name).read_bytes(), name

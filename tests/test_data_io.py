@@ -30,7 +30,7 @@ from lmn.data_io import (
     subsample_indices,
     write_synthetic,
 )
-from lmn.frame_encoder import ClipFeatures
+from lmn.frame_encoder import CHUNK_BYTES, ClipFeatures
 from lmn.word_memory import EmbeddingFormatError, embed_sentence, load_word2vec_text
 
 
@@ -164,6 +164,23 @@ class ContainerChecks:
     def test_non_finite_payload_names_file(self, tmp_path, value):
         self.rejects(tmp_path / "f", self.pack(self.two_values(), (0.5, value)), "non-finite")
 
+    def test_long_tail_is_rejected_before_it_is_read(self, tmp_path):
+        data = self.pack(self.two_values(), (0.5, 1.5))
+        tail = 32 << 20
+        path = tmp_path / "f"
+        with open(path, "wb") as fh:
+            fh.write(data)
+            fh.truncate(len(data) + tail)
+        tracemalloc.start()
+        try:
+            with pytest.raises(DataFormatError, match=f"^{re.escape(str(path))}: "
+                               f"expected {len(data)} bytes, got {len(data) + tail}$"):
+                self.load(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
 
 class TestFeatureFiles(ContainerChecks):
     MAGIC, NDIM, VALUE = b"LMNF", 4, "f"
@@ -215,7 +232,8 @@ class TestFeatureFiles(ContainerChecks):
 
     def test_loaded_clips_hold_half_their_float64_bytes(self, tmp_path):
         path = tmp_path / "big.lmnf"
-        save_features(ClipFeatures(np.ones((32, 512, 7, 7), dtype=np.float32)), path)
+        # the largest clips held in memory: 128 KiB of float64 regions
+        save_features(ClipFeatures(np.ones((2, 512, 4, 4), dtype=np.float32)), path)
         k = 3
         tracemalloc.start()
         try:
@@ -224,6 +242,25 @@ class TestFeatureFiles(ContainerChecks):
         finally:
             tracemalloc.stop()
         assert held < 0.55 * k * clips[0].tensor.size * 8
+
+    @pytest.mark.parametrize("channels,file_backed", [(CHUNK_BYTES // 8, False),
+                                                       (CHUNK_BYTES // 8 + 1, True)])
+    def test_clips_over_the_chunk_budget_stay_on_disk(self, tmp_path, channels, file_backed):
+        saved = ClipFeatures(np.random.default_rng(9).normal(size=(1, channels, 1, 1)))
+        path = tmp_path / "c.lmnf"
+        save_features(saved, path)
+        tracemalloc.start()
+        try:
+            clip = load_features(path)
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert (clip.source is not None) == file_backed
+        assert (held < 4096) == file_backed
+        assert clip.shape == (1, channels, 1, 1) and clip.frames == 1 and clip.channels == channels
+        assert clip.tensor.dtype == np.float32
+        assert clip.tensor.tobytes() == saved.tensor.astype(np.float32).tobytes()
+        assert clip.regions().tobytes() == saved.regions().astype(np.float32).tobytes()
 
 
 class TestParamsFiles(ContainerChecks):
@@ -522,6 +559,25 @@ class TestSubsample:
         b = ClipFeatures(np.ones((1, 3, 1, 1)))
         with pytest.raises(ValueError, match="mismatch"):
             subsample_frames([a, b], 2)
+
+    @pytest.mark.parametrize("target", [1, 3, 6, 9])
+    def test_file_backed_clips_give_a_file_backed_pick(self, tmp_path, target):
+        rng = np.random.default_rng(10)
+        saved = [ClipFeatures(rng.normal(size=(t, 512, 7, 7)).astype(np.float32)) for t in (2, 3)]
+        paths = [tmp_path / f"{k}.lmnf" for k in range(2)]
+        for clip, path in zip(saved, paths):
+            save_features(clip, path)
+        clips = [load_features(path) for path in paths]
+        assert all(clip.source is not None for clip in clips)
+        for path in paths:  # the pick reads no file
+            path.rename(path.with_suffix(".away"))
+        out = subsample_frames(clips, target)
+        for path in paths:
+            path.with_suffix(".away").rename(path)
+        assert out.source is not None and out.shape == (target, 512, 7, 7)
+        resident = subsample_frames(saved, target)
+        assert out.tensor.tobytes() == resident.tensor.tobytes()
+        assert out.regions().tobytes() == resident.regions().tobytes()
 
 
 class TestGenerateSynthetic:
