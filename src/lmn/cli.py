@@ -204,8 +204,6 @@ def _add_model_flags(p: argparse.ArgumentParser) -> None:
     g.add_argument("--swm-hops", type=int, help="word-memory attention passes")
     g.add_argument("--um-hops", type=int, help="subtitle-memory passes")
     g.add_argument("--qg", action="store_true", help="enable question-guided reweighting")
-    g.add_argument("--average-clip", action="store_true",
-                   help="divide the clip vector by the frame count before scoring")
 
 
 def _count(text: str) -> int:

@@ -86,11 +86,11 @@ class ModelConfig:
     swm_hops: int = 1
     um_hops: int = 1
     qg: bool = False
-    average_clip: bool = False
     # constants, not settings: only the bench's desk gates read them, and
     # they go when the bench drops those reads
     normalize_sentences: ClassVar[bool] = True
     um_carry_frames: ClassVar[bool] = False
+    average_clip: ClassVar[bool] = False
 
     def __post_init__(self):
         check_field_types(self)
@@ -315,7 +315,6 @@ class Chunk:
     the regions of a resident float64 item, are views of the item's."""
 
     regions: np.ndarray  # (B, T*R, C) float64: one region group per item
-    frames: int  # T
     questions: np.ndarray  # (B, d)
     answers: np.ndarray  # (B, 5, d)
     subtitles: np.ndarray | None  # (B, N, d); None selects video-only mode
@@ -342,7 +341,6 @@ class Chunk:
         labels = [p.label for p in items]
         return cls(
             regions=regions.reshape(len(items), t * h * w, c),
-            frames=t,
             questions=stacked([p.question for p in items]),
             answers=stacked([p.answer_mat for p in items]),
             subtitles=None if items[0].subtitle_mat is None
@@ -406,23 +404,17 @@ def run_forward(
     else:
         clip_cache = None
         clips = frame_sums
-    if config.average_clip:
-        clips = clips / chunk.frames
     dist = score_answers(clips, chunk.questions, chunk.answers)
     losses = None if chunk.labels is None else cross_entropy(dist, chunk.labels)
     return ForwardState(frame_cache, clip_cache, dist, losses)
 
 
-def run_backward(
-    state: ForwardState, chunk: Chunk, config: ModelConfig, mem: StaticWordMemory
-) -> np.ndarray:
+def run_backward(state: ForwardState, chunk: Chunk, mem: StaticWordMemory) -> np.ndarray:
     """Exact gradient of the chunk's summed loss with respect to the
     projection weights."""
     dlogits = state.dist.probs.copy()
     dlogits[np.arange(len(chunk.labels)), chunk.labels] -= 1.0
     dclips = np.matmul(dlogits[:, None, :], chunk.answers)[:, 0]
-    if config.average_clip:
-        dclips = dclips / chunk.frames
     if state.clip_cache is not None:
         dclips = encode_clip_backward(dclips, state.clip_cache)
     return encode_frames_backward(dclips, state.frame_cache, mem)
@@ -460,7 +452,7 @@ def _run(
                 chunk = Chunk.of(run)
                 state = run_forward(weights, chunk, config, mem)
                 if gradient:
-                    grad = run_backward(state, chunk, config, mem)
+                    grad = run_backward(state, chunk, mem)
                     total = grad if total is None else total + grad
         except ValueError:
             if len(run) > 1:

@@ -79,34 +79,7 @@ def reference_forward(
     if subtitle_rows is None:
         clip = [math.fsum(frames[i][a] for i in range(t_count)) for a in range(d)]
     else:
-        memory = [list(map(float, s)) for s in subtitle_rows]
-        n_count = len(memory)
-        current = frames
-        clip = None
-        per_frame = None
-        for hop in range(um_hops):
-            per_frame = []
-            for i in range(t_count):
-                scores = [_dot(current[i], s) for s in memory]
-                per_frame.append(
-                    [math.fsum(scores[n] * memory[n][a] for n in range(n_count)) for a in range(d)]
-                )
-            clip = [math.fsum(per_frame[i][a] for i in range(t_count)) for a in range(d)]
-            if hop < um_hops - 1:
-                gates = [max(_dot(clip, s), 0.0) for s in memory]
-                memory = [[gates[n] * memory[n][a] for a in range(d)] for n in range(n_count)]
-                current = per_frame if carry_frames else frames
-        if qg:
-            qweights, _ = _softmax([_dot(question, s) for s in memory])
-            memory = [[qweights[n] * memory[n][a] for a in range(d)] for n in range(n_count)]
-            current = per_frame if carry_frames else frames
-            per_frame = []
-            for i in range(t_count):
-                scores = [_dot(current[i], s) for s in memory]
-                per_frame.append(
-                    [math.fsum(scores[n] * memory[n][a] for n in range(n_count)) for a in range(d)]
-                )
-            clip = [math.fsum(per_frame[i][a] for i in range(t_count)) for a in range(d)]
+        clip, _ = reference_encode_clip(frames, subtitle_rows, question, um_hops, qg, carry_frames)
 
     if average_clip:
         clip = [x / t_count for x in clip]
@@ -121,3 +94,39 @@ def reference_forward(
         "probs": probs,
         "loss": loss,
     }
+
+
+def _attend(current, memory):
+    """Each frame reattended through the memory, and their sum."""
+    d = len(memory[0])
+    per_frame = []
+    for frame in current:
+        scores = [_dot(frame, s) for s in memory]
+        per_frame.append(
+            [math.fsum(scores[n] * memory[n][a] for n in range(len(memory))) for a in range(d)]
+        )
+    return per_frame, [math.fsum(f[a] for f in per_frame) for a in range(d)]
+
+
+def reference_encode_clip(frames, subtitle_rows, question=None, um_hops=1, qg=False,
+                          carry_frames=False):
+    """The subtitle layer with scalar loops: T frame vectors attend over the
+    N x d subtitle rows for `um_hops` passes with update gates between them,
+    then once more over question-weighted rows when `qg`. Returns the clip
+    vector and the final memory rows, as lists."""
+    frames = [list(map(float, f)) for f in frames]
+    memory = [list(map(float, s)) for s in subtitle_rows]
+    current = frames
+    for hop in range(um_hops):
+        per_frame, clip = _attend(current, memory)
+        if hop < um_hops - 1:
+            gates = [max(_dot(clip, s), 0.0) for s in memory]
+            memory = [[g * x for x in s] for g, s in zip(gates, memory)]
+            current = per_frame if carry_frames else frames
+    if qg:
+        question = list(map(float, question))
+        qweights, _ = _softmax([_dot(question, s) for s in memory])
+        memory = [[w * x for x in s] for w, s in zip(qweights, memory)]
+        current = per_frame if carry_frames else frames
+        _, clip = _attend(current, memory)
+    return clip, memory

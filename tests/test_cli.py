@@ -29,8 +29,7 @@ from lmn.frame_encoder import ClipFeatures
 from lmn.subtitle_memory import build_memory
 from lmn.training import ModelConfig, TrainConfig, init_params
 from lmn.word_memory import embed_sentence, load_word2vec_text
-from reference import reference_forward
-from test_subtitle_memory import loop_encode
+from reference import reference_encode_clip, reference_forward
 
 
 @pytest.fixture(scope="module")
@@ -522,7 +521,7 @@ class TestRankSubtitles:
         memory0 = build_memory(sentences, mem)
         for flags, um_hops, qg in ((["--um-hops", "2", "--qg"], 2, True),
                                    (["--um-hops", "3"], 3, False)):
-            _, final = loop_encode(np.array(frames), memory0, question, um_hops, qg)
+            _, final = reference_encode_clip(frames, memory0, question, um_hops, qg)
             for index, frame in enumerate(frames):
                 scores = [math.fsum(a * b for a, b in zip(frame, row)) for row in final]
                 order = sorted(range(len(scores)), key=lambda n: (-scores[n], n))
@@ -573,13 +572,18 @@ class TestGradcheck:
         assert code == 0, captured.err
         assert captured.out.startswith("gradcheck qid eval00000: max relative error")
 
-    def test_embeds_each_sentence_once(self, tmp_path, monkeypatch, capsys):
+    @pytest.fixture(scope="class")
+    def seed3_dir(self, tmp_path_factory):
+        data = tmp_path_factory.mktemp("seed3")
+        assert main(["synth", "--out", str(data), "--seed", "3"]) == 0
+        return data
+
+    def test_embeds_each_sentence_once(self, seed3_dir, monkeypatch, capsys):
         # the subtitles through build_memory, then the question and answers
         # through gradcheck's preparation, and nothing twice
-        data = tmp_path / "data"
-        assert main(["synth", "--out", str(data), "--seed", "3"]) == 0
-        (item,) = [q for q in load_qa_jsonl(data / "eval.jsonl") if q.qid == "eval00003"]
-        subtitles = load_plaintext_subtitles(data / "subtitles" / f"{item.movie_id}.txt").texts()
+        (item,) = [q for q in load_qa_jsonl(seed3_dir / "eval.jsonl") if q.qid == "eval00003"]
+        path = seed3_dir / "subtitles" / f"{item.movie_id}.txt"
+        subtitles = load_plaintext_subtitles(path).texts()
         calls = []
 
         def spy(mem, sentences, normalize=True):
@@ -590,13 +594,30 @@ class TestGradcheck:
         monkeypatch.setattr("lmn.subtitle_memory.embed_sentence", spy)
         capsys.readouterr()
         code = main([
-            "gradcheck", "--embeddings", str(data / "embeddings.txt"),
-            "--qa", str(data / "eval.jsonl"), "--features", str(data / "features"),
-            "--subtitles", str(data / "subtitles"), "--frames", "4", "--qid", item.qid,
+            "gradcheck", "--embeddings", str(seed3_dir / "embeddings.txt"),
+            "--qa", str(seed3_dir / "eval.jsonl"), "--features", str(seed3_dir / "features"),
+            "--subtitles", str(seed3_dir / "subtitles"), "--frames", "4", "--qid", item.qid,
         ])
         assert code == 0, capsys.readouterr().err
         assert [len(call) for call in calls] == [5, 6]
         assert calls == [list(subtitles), [item.question, *item.answers]]
+
+    def test_video_only_checks_at_the_data_frame_count(self, seed3_dir, capsys):
+        # synth clips have 4 frames: the default --frames 32 repeats each 8
+        # times, so the video-only clip is 8 times the frame sum and the
+        # answer softmax saturates at init
+        argv = ["gradcheck", "--embeddings", str(seed3_dir / "embeddings.txt"),
+                "--qa", str(seed3_dir / "eval.jsonl"), "--features", str(seed3_dir / "features"),
+                "--video-only", "--qid", "eval00003"]
+        capsys.readouterr()
+        assert main(argv) == 1
+        assert re.fullmatch(r"error: question eval00003: no direction reaches 1e5 times the "
+                            r"finite-difference floor .* \(loss 0\.000e\+00, max \|logit\| "
+                            r"1\.854e\+02\)\n", capsys.readouterr().err)
+        assert main([*argv, "--frames", "4"]) == 0
+        out = capsys.readouterr().out
+        error = re.fullmatch(r"gradcheck qid eval00003: max relative error (\S+)\n", out)
+        assert float(error.group(1)) <= 1e-4
 
 
 @pytest.mark.parametrize("command", ["eval", "answer", "rank-subtitles", "gradcheck"])
@@ -639,9 +660,18 @@ class TestParsing:
         assert code == 2
         assert capsys.readouterr().err.startswith("error:")
 
-    @pytest.mark.parametrize("flag", ["--um-carry-frames", "--no-normalize-sentences"])
-    def test_removed_model_flags_are_usage_errors(self, synth_dir, flag, capsys):
-        assert main(["train", *data_args(synth_dir), flag]) == 2
+    @pytest.mark.parametrize("flag", ["--um-carry-frames", "--no-normalize-sentences",
+                                      "--average-clip"])
+    @pytest.mark.parametrize("command,required", [
+        ("train", ()),
+        ("eval", ("--params", "p")),
+        ("answer", ("--params", "p", "--qid", "q")),
+        ("rank-subtitles", ("--params", "p", "--qid", "q")),
+        ("gradcheck", ()),
+    ])
+    def test_removed_model_flags_are_usage_errors(self, synth_dir, command, required, flag,
+                                                  capsys):
+        assert main([command, *data_args(synth_dir), *required, flag]) == 2
         assert capsys.readouterr().err == f"error: unrecognized arguments: {flag}\n"
 
     def test_preset_best(self, synth_dir, tmp_path):

@@ -17,47 +17,12 @@ from lmn.subtitle_memory import (
 )
 from lmn.training import ModelConfig, ModelParams, init_params, prepare_example, rank_subtitles
 from lmn.word_memory import StaticWordMemory
-from reference import reference_forward
+from reference import reference_encode_clip, reference_forward
 
 
 @pytest.fixture
 def tiny_mem():
     return StaticWordMemory(["a", "b"], np.eye(2))
-
-
-def loop_encode(frames, memory, question, um_hops, qg):
-    """Step-by-step scalar-loop execution of the clip pipeline; returns the
-    clip vector and the final memory."""
-    t, d = frames.shape
-    mem = [list(map(float, row)) for row in memory]
-    cur = [list(map(float, row)) for row in frames]
-    clip = None
-    for hop in range(um_hops):
-        per = []
-        for i in range(t):
-            betas = [math.fsum(cur[i][a] * s[a] for a in range(d)) for s in mem]
-            per.append(
-                [math.fsum(betas[n] * mem[n][a] for n in range(len(mem))) for a in range(d)]
-            )
-        clip = [math.fsum(per[i][a] for i in range(t)) for a in range(d)]
-        if hop < um_hops - 1:
-            gates = [max(math.fsum(clip[a] * s[a] for a in range(d)), 0.0) for s in mem]
-            mem = [[gates[n] * mem[n][a] for a in range(d)] for n in range(len(mem))]
-    if qg:
-        logits = [math.fsum(question[a] * s[a] for a in range(d)) for s in mem]
-        mx = max(logits)
-        exps = [math.exp(z - mx) for z in logits]
-        total = math.fsum(exps)
-        weights = [e / total for e in exps]
-        mem = [[weights[n] * mem[n][a] for a in range(d)] for n in range(len(mem))]
-        per = []
-        for i in range(t):
-            betas = [math.fsum(cur[i][a] * s[a] for a in range(d)) for s in mem]
-            per.append(
-                [math.fsum(betas[n] * mem[n][a] for n in range(len(mem))) for a in range(d)]
-            )
-        clip = [math.fsum(per[i][a] for i in range(t)) for a in range(d)]
-    return np.array(clip), np.array(mem)
 
 
 # --- matrix oracle ----------------------------------------------------------
@@ -218,7 +183,7 @@ class TestSubtitleAttend:
         frames = rng.normal(size=(3, 5))
         matrix = rng.normal(size=(4, 5))
         vector, cache = encode_clip_cached(frames.sum(0), matrix, None, um_hops=1, qg=False)
-        expected, _ = loop_encode(frames, matrix, None, um_hops=1, qg=False)
+        expected, _ = reference_encode_clip(frames, matrix)
         np.testing.assert_allclose(vector, expected, atol=1e-12)
         # the clip is the sum of the reattended frames
         np.testing.assert_allclose(vector, (frames @ matrix.T @ matrix).sum(axis=0), atol=1e-12)
@@ -372,7 +337,8 @@ class TestEncodeClip:
         question = rng.normal(size=4)
         vector, cache = encode_clip_cached(frames.sum(0), matrix, question, um_hops=2, qg=qg)
         final = final_memory(matrix, cache)
-        expected, expected_final = loop_encode(frames, matrix, question, um_hops=2, qg=qg)
+        expected, expected_final = reference_encode_clip(frames, matrix, question, um_hops=2,
+                                                         qg=qg)
         np.testing.assert_allclose(vector, expected, atol=1e-12)
         np.testing.assert_allclose(final, expected_final, atol=1e-12)
 
@@ -523,7 +489,7 @@ class TestRankSubtitles:
                                    np.zeros((5, mem.dim)), swm_hops=swm_hops)["frames"]
         memory = build_memory(example.subtitles, mem)
         if final:
-            _, memory = loop_encode(np.array(frames), memory, prep.question, um_hops, qg)
+            _, memory = reference_encode_clip(frames, memory, prep.question, um_hops, qg)
         for index, frame in enumerate(frames):
             ranked = rank_subtitles(params, mem, example, index, final)
             scores = [math.fsum(a * b for a, b in zip(frame, row)) for row in memory]

@@ -4,20 +4,25 @@ The benchmark's tracer (`bench/spans.py`) wraps each of its ENTRY_POINTS and
 silently skips one it cannot find, which would leave that layer's metrics at
 zero; every other name a `bench/` script reads from the package must still
 resolve, and so must every attribute a bench script reads from a workload's
-`ModelConfig`; the package root exports exactly the names the README
-documents.
+`ModelConfig`, and every keyword a bench script passes to the oracle
+`tests/reference.py`; the package root exports exactly the names the README
+documents, and the README names exactly the model switches `lmn train` takes.
 """
 
+import argparse
 import ast
 import glob
 import importlib
 import importlib.util
+import inspect
 import os
 import re
 
 import pytest
 
 import lmn
+import reference
+from lmn.cli import build_parser
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -84,13 +89,54 @@ def test_bench_model_read_resolves(attr):
     assert hasattr(lmn.ModelConfig(), attr), f"bench/ reads ModelConfig.{attr}, which is gone"
 
 
-def test_package_exports_are_the_documented_surface():
+def _bench_reference_calls():
+    """(path, positional count, keyword names) of each bench/*.py call to
+    `reference_forward`."""
+    calls = []
+    for path in sorted(glob.glob(os.path.join(ROOT, "bench", "*.py"))):
+        with open(path, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read(), path)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and "reference_forward" in (
+                    getattr(node.func, "id", None), getattr(node.func, "attr", None)):
+                calls.append((os.path.basename(path), len(node.args),
+                              [kw.arg for kw in node.keywords]))
+    return calls
+
+
+def test_bench_reference_call_binds():
+    """The bench's desk gate calls the oracle by keyword; a parameter it
+    passes that the oracle dropped would raise TypeError only in a bench run."""
+    calls = _bench_reference_calls()
+    assert calls, "bench/ no longer calls reference_forward"
+    signature = inspect.signature(reference.reference_forward)
+    for path, positional, keywords in calls:
+        try:
+            signature.bind(*[None] * positional, **dict.fromkeys(keywords))
+        except TypeError as exc:
+            pytest.fail(f"bench/{path} calls reference_forward: {exc}")
+
+
+def _readme():
     with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as fh:
-        readme = fh.read()
+        return fh.read()
+
+
+def test_package_exports_are_the_documented_surface():
+    readme = _readme()
     section = readme.split("## Library use", 1)[1].split("\n## ", 1)[0]
     documented = set(re.findall(r"`([A-Za-z_]\w*)`", section))
     assert documented == set(lmn.__all__)
     assert all(hasattr(lmn, name) for name in lmn.__all__)
+
+
+def test_readme_names_the_model_switches():
+    paragraph = _readme().split("\nModel switches:", 1)[1].split("\n\n", 1)[0]
+    (commands,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    (group,) = [g for g in commands.choices["train"]._action_groups
+                if g.title == "model settings (ModelConfig)"]
+    flags = {flag for action in group._group_actions for flag in action.option_strings}
+    assert set(re.findall(r"--[a-z][a-z-]*", paragraph)) == flags
 
 
 def test_cli_imports_only_the_public_library():

@@ -117,19 +117,6 @@ class TestForward:
         np.testing.assert_allclose(permuted.probs, base.probs[perm], atol=1e-12)
         assert predict(permuted) == perm.index(predict(base))
 
-    def test_average_clip_divides_by_frame_count(self):
-        inst = make_instance(seed=303)
-        cfg_on = ModelConfig(average_clip=True)
-        cfg_off = ModelConfig(average_clip=False)
-        t = inst.features.frames
-        chunk = Chunk.of([inst.prep])
-        on = run_forward(inst.weights, chunk, cfg_on, inst.mem)
-        off = run_forward(inst.weights, chunk, cfg_off, inst.mem)
-        # logits are answers . (clip + question), so their clip part scales by 1/T
-        shift = inst.prep.answer_mat @ inst.prep.question
-        np.testing.assert_allclose(on.dist.logits[0] - shift, (off.dist.logits[0] - shift) / t,
-                                   rtol=1e-12, atol=1e-14)
-
 
 class TestBackward:
     def test_finite_differences_across_all_modes(self):
@@ -359,7 +346,6 @@ class TestSettingTypes:
         (ModelConfig, "swm_hops", 1.5, "an integer"),
         (ModelConfig, "um_hops", True, "an integer"),
         (ModelConfig, "qg", 2, "a bool"),
-        (ModelConfig, "average_clip", 1, "a bool"),
         (ModelConfig, "qg", np.True_, "a bool"),
         (TrainConfig, "batch_size", 2.5, "an integer"),
         (TrainConfig, "seed", "3", "an integer"),
@@ -374,11 +360,15 @@ class TestSettingTypes:
         with pytest.raises(ValueError, match=f"^{cls.__name__}.{name} must be {kind}, got "):
             cls(**{name: value})
 
-    @pytest.mark.parametrize("name", ["normalize_sentences", "um_carry_frames"])
+    @pytest.mark.parametrize("name", ["normalize_sentences", "um_carry_frames", "average_clip"])
     def test_model_constants_are_not_settings(self, name):
         assert name not in {f.name for f in dataclasses.fields(ModelConfig)}
         with pytest.raises(TypeError, match=name):
             ModelConfig(**{name: getattr(ModelConfig, name)})
+
+    def test_model_settings_are_the_hops_and_the_guide(self):
+        assert [f.name for f in dataclasses.fields(ModelConfig)] == ["swm_hops", "um_hops", "qg"]
+        assert ModelConfig().average_clip is False
 
     def test_accepts_numpy_integers_and_integer_rates(self):
         assert ModelConfig(swm_hops=np.int64(2)) == ModelConfig(swm_hops=2)
