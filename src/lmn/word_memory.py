@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import codecs
 import contextlib
-import ctypes
 import os
 import re
 import tempfile
@@ -42,11 +41,6 @@ __all__ = [
     "load_word2vec_text",
     "save_word2vec_text",
 ]
-
-try:  # glibc: hands the free pages of the C heap back to the OS
-    _malloc_trim = ctypes.CDLL(None).malloc_trim
-except (AttributeError, OSError, TypeError):  # another C library
-    _malloc_trim = None
 
 # Maximal runs of alphanumeric characters (unicode-aware, underscore excluded).
 _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
@@ -70,13 +64,29 @@ def normalize_rows(x: np.ndarray, out: np.ndarray | None = None) -> tuple[np.nda
     return norms, np.divide(x, np.where(norms == 0.0, 1.0, norms), out=out)
 
 
+# Rows per block of the Gram sum: the build holds one block of unit rows,
+# never a unit-row copy of the whole table.
+GRAM_ROWS = 1024
+
+
+def _block_gram(matrix: np.ndarray, start: int) -> np.ndarray:
+    """The (d, d) Gram matrix of the unit rows of `matrix`'s block of
+    GRAM_ROWS rows that begins at row `start`."""
+    rows = normalize_rows(matrix[start:start + GRAM_ROWS])[1]
+    return rows.T @ rows
+
+
 class StaticWordMemory:
     """Immutable vocabulary plus its embedding matrix (one row per word).
 
     The matrix is the memory's own read-only copy; only the (d, d) Gram
     matrix of its unit-normalized rows is cached. A constructed memory
     computes it on first use; `load_word2vec_text` computes it before it
-    returns.
+    returns. G is summed over blocks of GRAM_ROWS rows in row order, each
+    block normalized on its own, so no unit-row copy of the whole table is
+    made; the fixed order keeps G bitwise for a given numpy, BLAS build and
+    thread count, and a table of at most GRAM_ROWS rows gets the one
+    product of its unit rows.
     """
 
     def __init__(self, vocab: list[str] | tuple[str, ...], matrix: np.ndarray):
@@ -126,16 +136,12 @@ class StaticWordMemory:
         return self._index.get(word)
 
     @property
-    def unit_rows(self) -> np.ndarray:
-        """Rows scaled to unit length (zero rows stay zero); not cached."""
-        return normalize_rows(self.matrix)[1]
-
-    @property
     def gram(self) -> np.ndarray:
         """Gram matrix (d, d) of the unit rows; cached, used by word attention."""
         if self._gram is None:
-            rows = self.unit_rows
-            g = rows.T @ rows
+            g = _block_gram(self.matrix, 0)  # G itself, not zeros + G, for a one-block table
+            for start in range(GRAM_ROWS, self.size, GRAM_ROWS):
+                g += _block_gram(self.matrix, start)
             g.setflags(write=False)
             self._gram = g
         return self._gram
@@ -372,15 +378,10 @@ def load_word2vec_text(path) -> StaticWordMemory:
     grown otherwise, so a false count allocates nothing the file cannot
     fill.
 
-    The memory's Gram matrix is built before the load returns, so its
-    unit-row copy of the table exists, beside the matrix, only during the
-    load. A table whose row norm overflows loads with the Gram unbuilt; its
-    first forward raises the overflow and names the question. Before the
-    build, under glibc, the load hands the C heap's free pages back to the
-    OS (`malloc_trim`): memory that earlier work in the process freed stays
-    resident otherwise, and whether the copy reuses it or adds to it
-    depends on where that work's allocations landed, so the copy would add
-    a varying amount to the process's peak.
+    The memory's Gram matrix is built before the load returns, one block
+    of GRAM_ROWS unit rows at a time, so the load makes no unit-row copy of
+    the table. A table whose row norm overflows loads with the Gram
+    unbuilt; its first forward raises the overflow and names the question.
     """
     declared_count = None
     dim = None
@@ -427,8 +428,6 @@ def load_word2vec_text(path) -> StaticWordMemory:
     if len(index) < len(matrix):  # a grown matrix keeps no spare rows
         matrix = matrix[: len(index)].copy()
     mem = StaticWordMemory._adopt(index, matrix)
-    if _malloc_trim is not None:
-        _malloc_trim(0)
     with contextlib.suppress(FloatingPointError), np.errstate(over="raise", invalid="raise"):
         mem.gram
     return mem

@@ -184,8 +184,9 @@ class TestWordAttend:
             mem = random_mem(rng, d + 3, d)  # more rows than dims, full rank a.s.
             out = attend_once(rng.normal(size=d), mem)
             # residual of projecting onto the span of the normalized rows
-            coeffs, *_ = np.linalg.lstsq(mem.unit_rows.T, out, rcond=None)
-            residual = np.linalg.norm(mem.unit_rows.T @ coeffs - out)
+            rows = normalize_rows(mem.matrix)[1]
+            coeffs, *_ = np.linalg.lstsq(rows.T, out, rcond=None)
+            residual = np.linalg.norm(rows.T @ coeffs - out)
             assert residual <= 1e-8
 
     def test_positive_scaling_invariance(self):

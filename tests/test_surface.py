@@ -22,6 +22,7 @@ import pytest
 
 import lmn
 import reference
+from lmn import word_memory
 from lmn.cli import build_parser
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -115,6 +116,13 @@ def test_bench_reference_call_binds():
             signature.bind(*[None] * positional, **dict.fromkeys(keywords))
         except TypeError as exc:
             pytest.fail(f"bench/{path} calls reference_forward: {exc}")
+
+
+def test_word_memory_has_no_gram_threshold():
+    # bench/spans.py::_gram_path reads word_memory.GRAM_MIN_VOCAB with getattr:
+    # a constant of that name would switch the bench's per-layer FLOP formula
+    # from the Gram product to the two |V| x d products, with no error
+    assert not hasattr(word_memory, "GRAM_MIN_VOCAB")
 
 
 def _readme():

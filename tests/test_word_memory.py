@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lmn import word_memory
 from lmn.data_io import SyntheticSpec, generate_synthetic
 from lmn.word_memory import (
     EmbeddingFormatError,
@@ -371,7 +370,7 @@ class TestConstruction:
         assert a.flags.writeable
         v[0, 0] = 5.0
         np.testing.assert_array_equal(mem.matrix, np.eye(2))
-        rows = mem.unit_rows
+        rows = normalize_rows(mem.matrix)[1]
         assert gram.tobytes() == (rows.T @ rows).tobytes()
 
 
@@ -384,10 +383,39 @@ def test_matrix_shape_checks(vocab, matrix, message):
         StaticWordMemory(vocab, matrix)
 
 
+def block_gram(matrix):
+    """The Gram matrix of `matrix`'s unit rows as the memory sums it: one
+    product per block of 1024 rows, added in row order onto the first."""
+    gram = None
+    for start in range(0, len(matrix), 1024):
+        rows = normalize_rows(matrix[start:start + 1024])[1]
+        gram = rows.T @ rows if gram is None else gram + rows.T @ rows
+    return gram
+
+
+class TestBlockGram:
+    @pytest.mark.parametrize("size", [1, 1023, 1024, 1025, 3 * 1024 + 7])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_matches_the_block_sum_and_the_one_product(self, size, seed):
+        rng = np.random.default_rng(1000 * seed + size)
+        dim = int(rng.integers(1, 12))
+        matrix = rng.normal(size=(size, dim)) * 10.0 ** rng.integers(-3, 4, size=(size, 1))
+        matrix[rng.random(size) < 0.1] = 0.0  # zero rows stay zero
+        matrix[[0, -1]] = 0.0
+        gram = StaticWordMemory([f"w{i}" for i in range(size)], matrix).gram
+        assert gram.tobytes() == block_gram(matrix).tobytes()
+        rows = normalize_rows(matrix)[1]
+        product = rows.T @ rows
+        assert np.abs(gram - product).max() <= 1e-13 * np.abs(product).max()
+        np.testing.assert_array_equal(gram, gram.T)
+        if size <= 1024:
+            assert gram.tobytes() == product.tobytes()
+
+
 class TestHoldOnce:
     """The embedding table exists once: loading builds no per-value Python
     float, saving holds a block of the file's text at a time, and the Gram
-    product keeps no second |V|-row table alive."""
+    sum holds one block of unit rows at a time."""
 
     @pytest.fixture(scope="class")
     def table(self):
@@ -417,20 +445,22 @@ class TestHoldOnce:
         tracemalloc.start()
         try:
             mem = load_word2vec_text(emb_path)
-            gram = mem.gram
             held, _ = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert held < 1.5 * mem.matrix.nbytes
-        rows = mem.unit_rows
-        assert gram.tobytes() == (rows.T @ rows).tobytes()
+        # the loader builds G before it returns
+        assert mem._gram.tobytes() == block_gram(mem.matrix).tobytes()
         assert not any(isinstance(v, np.ndarray) and v.shape == mem.matrix.shape
                        for name, v in vars(mem).items() if name != "matrix")
 
-    def test_gram_peak_is_one_table(self, table, emb_path):
-        # the unit rows behind the Gram product are the only |V|-row
-        # temporary; a constructed memory builds it on first use
-        mem = StaticWordMemory(table.vocab, table.matrix)
+    @pytest.mark.parametrize("size", [2000, 8000])
+    def test_gram_peak_is_one_block(self, size):
+        # a constructed memory builds G on first use, one block of unit rows
+        # at a time, so the build's peak does not grow with the table
+        dim = 100
+        mem = StaticWordMemory([f"w{i}" for i in range(size)],
+                               np.random.default_rng(size).normal(size=(size, dim)))
         assert mem._gram is None
         tracemalloc.start()
         try:
@@ -438,22 +468,7 @@ class TestHoldOnce:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 1.5 * mem.matrix.nbytes
-        # the loader builds it before it returns
-        loaded = load_word2vec_text(emb_path)
-        assert loaded._gram is not None
-        rows = loaded.unit_rows
-        assert loaded._gram.tobytes() == (rows.T @ rows).tobytes()
-
-    def test_load_trims_the_heap_once_before_the_gram(self, emb_path, monkeypatch):
-        # the unit-row copy lands on live memory, not on pages earlier work freed
-        events = []
-        build = StaticWordMemory.gram.fget
-        monkeypatch.setattr(word_memory, "_malloc_trim", lambda pad: events.append(("trim", pad)))
-        monkeypatch.setattr(StaticWordMemory, "gram",
-                            property(lambda mem: events.append("gram") or build(mem)))
-        load_word2vec_text(emb_path)
-        assert events == [("trim", 0), "gram"]
+        assert peak < 1024 * dim * 8 + 3 * dim * dim * 8 + 64 * 1024
 
     def test_load_peak_is_bounded_by_the_text(self, emb_path):
         tracemalloc.start()
