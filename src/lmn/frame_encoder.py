@@ -179,10 +179,11 @@ def hop_chain(x0: np.ndarray, mem: StaticWordMemory, hops: int) -> tuple[np.ndar
 def _normalize_backward(dxhat: np.ndarray, cache: HopCache) -> np.ndarray:
     """Adjoint of `normalize_rows` for one hop: the exact Jacobian
     (I - xhat xhat^T)/|x| per row. `dxhat` may broadcast against the cached
-    rows; rows that were exactly zero in the forward pass get zero gradient."""
+    rows; rows that were exactly zero in the forward pass get zero gradient.
+    The adjoint is written into, and returned as, the cache's `xhat`."""
     inner = np.vecdot(cache.xhat, dxhat)[..., None]
     zero = cache.norms == 0.0
-    dx = cache.xhat * inner
+    dx = np.multiply(cache.xhat, inner, out=cache.xhat)
     np.subtract(dxhat, dx, out=dx)
     dx /= np.where(zero, 1.0, cache.norms)
     np.copyto(dx, 0.0, where=zero)
@@ -193,7 +194,9 @@ def hop_chain_backward(
     dxhat_last: np.ndarray, caches: list[HopCache], mem: StaticWordMemory
 ) -> np.ndarray:
     """Propagate the gradient with respect to `hop_chain`'s output (the last
-    hop's normalized input) back to its raw input."""
+    hop's normalized input) back to its raw input. Each hop's adjoint
+    overwrites that hop's cached `xhat`, so the caches take one backward;
+    the result is the first hop's buffer."""
     dx = _normalize_backward(dxhat_last, caches[-1])
     for cache in reversed(caches[:-1]):
         dx = _normalize_backward(_attend(dx, mem), cache)
@@ -202,7 +205,8 @@ def hop_chain_backward(
 
 @dataclass
 class FrameCache:
-    """Everything the backward pass needs from frame encoding."""
+    """Everything the backward pass needs from frame encoding. The backward
+    overwrites the hop caches it reads, so a cache takes one backward."""
 
     regions: np.ndarray  # (B, K, C) raw regions; a chunk's float64 copy, reused by the backward
     hop_caches: list[HopCache]
@@ -250,7 +254,12 @@ def encode_frames_backward(
     Every region of group b receives that group's sum gradient, so the last
     hop's Gram multiply, its own adjoint, runs once per group: dsums[b] G is
     broadcast over the group's K regions into that hop's normalization
-    Jacobian. The weight gradient is one (B·K, d)^T @ (B·K, C) product."""
+    Jacobian. The weight gradient is one (B·K, d)^T @ (B·K, C) product.
+
+    The adjoint overwrites the hop caches it reads, each hop's normalized
+    rows once that hop's adjoint no longer needs them, so a cache takes one
+    backward. With one hop the backward allocates no (B·K, d) array; each
+    further hop's Gram multiply allocates one."""
     b, k, c = cache.regions.shape
     dsums = np.asarray(dsums, dtype=np.float64)
     if dsums.shape != (b, mem.dim):

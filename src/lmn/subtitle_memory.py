@@ -91,7 +91,7 @@ class ClipCache:
 
     memory: np.ndarray  # (..., N, d) built memory M, never copied
     scales: list[np.ndarray] = field(default_factory=list)  # (..., N) row scale c of each pass
-    scores: list[np.ndarray] = field(default_factory=list)  # (..., N) M s, s the pass's frame sum
+    scores: list[np.ndarray] = field(default_factory=list)  # (..., N) M s of the frame sum s, one array for every pass
     pre: list[np.ndarray] = field(default_factory=list)  # (..., N) update-gate pre-activations
     guide: np.ndarray | None = None  # (..., N) question-guide softmax weights
     question_scores: np.ndarray | None = None  # (..., N) M q
@@ -123,6 +123,7 @@ def encode_clip_cached(
 
     cache = ClipCache(memory0)
     scale = np.ones(memory0.shape[:-1])
+    scores = _row_dots(memory0, frame_sum)  # every pass attends with the same frame sum
     for k in range(um_hops + qg):
         if k == um_hops:
             cache.question_scores = _row_dots(memory0, question)
@@ -132,7 +133,6 @@ def encode_clip_cached(
             pre = scale * _row_dots(memory0, vector)
             cache.pre.append(pre)
             scale = np.maximum(pre, 0.0) * scale
-        scores = _row_dots(memory0, frame_sum)
         vector = _weighted_row_sum(scale * scale * scores, memory0)
         cache.scales.append(scale)
         cache.scores.append(scores)

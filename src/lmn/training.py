@@ -411,7 +411,7 @@ def run_forward(
 
 def run_backward(state: ForwardState, chunk: Chunk, mem: StaticWordMemory) -> np.ndarray:
     """Exact gradient of the chunk's summed loss with respect to the
-    projection weights."""
+    projection weights. It consumes the state's frame cache."""
     dlogits = state.dist.probs.copy()
     dlogits[np.arange(len(chunk.labels)), chunk.labels] -= 1.0
     dclips = np.matmul(dlogits[:, None, :], chunk.answers)[:, 0]
@@ -437,11 +437,12 @@ def _run(
     gradient: bool = False,
 ) -> Outcome:
     """Run the items chunk by chunk through one stacked forward and, with
-    `gradient`, one backward per chunk; chunk gradients are summed in chunk
-    order. Each chunk is stacked and runs under `_located`: an overflow or
-    invalid operation raises one ValueError, and a file-backed clip whose
-    file changed since it was loaded a DataFormatError that names the file,
-    each starting `question <qid>: `. A chunk of several items that fails
+    `gradient`, one backward per chunk; chunk gradients are summed in place
+    into the first chunk's, in chunk order. Each chunk is stacked and runs
+    under `_located`: an overflow or invalid operation raises one
+    ValueError, and a file-backed clip whose file changed since it was
+    loaded a DataFormatError that names the file, each starting
+    `question <qid>: `. A chunk of several items that fails
     is rerun one item at a time, so the error names the first item that
     fails alone (the chunk's first otherwise)."""
     probs, logits, losses = [], [], []
@@ -453,7 +454,10 @@ def _run(
                 state = run_forward(weights, chunk, config, mem)
                 if gradient:
                     grad = run_backward(state, chunk, mem)
-                    total = grad if total is None else total + grad
+                    if total is None:
+                        total = grad
+                    else:
+                        total += grad
         except ValueError:
             if len(run) > 1:
                 for prep in run:

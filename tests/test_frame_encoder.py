@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -377,6 +378,24 @@ class TestEncodeFramesBackward:
         expected = per_region_weight_grad(np.repeat(dsums[:1], 3, axis=0), regions, weights, mem,
                                           hops)
         assert np.max(np.abs(clip_grad - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+    def test_backward_writes_into_the_hop_cache(self):
+        # the adjoint overwrites the cached normalized rows it consumes, so
+        # the backward allocates no (B·K, d) array at one hop
+        rng = np.random.default_rng(61)
+        mem = random_mem(rng, 50, 64)
+        regions = rng.normal(size=(2, 392, 128))
+        weights = rng.normal(size=(64, 128))
+        dsums = rng.normal(size=(2, 64))
+        _, cache = encode_frames_cached(regions, weights, mem, 1)
+        (hop,) = cache.hop_caches
+        tracemalloc.start()
+        try:
+            encode_frames_backward(dsums, cache, mem)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < hop.xhat.nbytes
 
     # three groups take a (3, d) gradient: (1, d) would broadcast across the
     # groups, and (d,) is one clip's gradient without its batch axis

@@ -318,6 +318,17 @@ class TestEncodeClip:
         np.testing.assert_array_equal(cache.scales[-1], np.ones(2))
         assert not cache.pre and cache.guide is None
 
+    @pytest.mark.parametrize("um_hops, qg", [(1, True), (2, False), (2, True), (3, True)])
+    def test_frame_sum_scores_are_computed_once(self, um_hops, qg):
+        # every pass attends with the same frame sum, so its scores are one array
+        rng = np.random.default_rng(44)
+        frame_sums = rng.normal(size=(2, 4))
+        matrix = rng.normal(size=(2, 3, 4))
+        _, cache = encode_clip_cached(frame_sums, matrix, rng.normal(size=(2, 4)), um_hops, qg)
+        assert len(cache.scores) == um_hops + qg
+        assert all(scores is cache.scores[0] for scores in cache.scores)
+        np.testing.assert_array_equal(cache.scores[0], _row_dots(matrix, frame_sums))
+
     def test_uniform_guidance_scaling_law(self):
         rng = np.random.default_rng(47)
         n = 3

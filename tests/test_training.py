@@ -234,7 +234,8 @@ class TestGradcheckHarness:
          dict(um_hops=2, qg=True)),
         (lmn.subtitle_memory, "encode_clip_backward", "dsum = dsum + dframe_sum", "dsum = dsum",
          dict(um_hops=2)),
-        (lmn.frame_encoder, "_normalize_backward", "cache.xhat * inner", "0.0 * cache.xhat", {}),
+        (lmn.frame_encoder, "_normalize_backward", "np.multiply(cache.xhat, inner, out=cache.xhat)",
+         "np.multiply(0.0, cache.xhat, out=cache.xhat)", {}),
         (lmn.subtitle_memory, "encode_clip_backward", "np.maximum(pre, 0.0) * dscale",
          "np.maximum(scale, 0.0) * dscale", dict(um_hops=3)),
     ], ids=["relu-mask", "guide-term", "frame-sum", "normalize-projection", "gate-scale"])
