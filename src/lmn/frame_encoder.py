@@ -67,17 +67,16 @@ class ClipFeatures:
     A resident clip holds one read-only buffer in region order (T, H, W, C)
     that the clip owns; `tensor` is its (T, C, H, W) view. A float32 array
     is held at that width, the LMNF file's, and any other input as float64:
-    every float32 value is exact in float64, and the chunk engine promotes
-    a chunk's regions to float64 when it stacks them (`training.Chunk.of`),
-    so both widths compute the same bits.
+    every float32 value is exact in float64, and the chunk engine reads
+    every clip into a float64 stack (`training.Chunk.of`), so both widths
+    compute the same bits.
 
     A file-backed clip holds no values, only its shape and its `source`,
-    whose `read_into(out)` reads and checks its frames from disk into a
-    (T, H·W, C) array. `data_io.load_features` makes one for a file whose
-    float64 regions exceed CHUNK_BYTES, a clip the chunk engine runs alone,
-    and `data_io.subsample_frames` one of such clips' frames. Every
-    `tensor` and `regions()` call reads the files again into a fresh
-    float32 array, and the clip keeps nothing of them."""
+    which reads and checks its frames from disk. `data_io.load_features`
+    makes one for a file whose float64 regions exceed CHUNK_BYTES, a clip
+    the chunk engine runs alone, and `data_io.subsample_frames` one of such
+    clips' frames. Every `tensor`, `regions()` and `read_into` call reads
+    the files again, and the clip keeps nothing of them."""
 
     __slots__ = ("shape", "source", "_buffer")
 
@@ -140,6 +139,14 @@ class ClipFeatures:
         regions = np.empty((t, h * w, c), np.float32)
         self.source.read_into(regions)
         return regions
+
+    def read_into(self, out: np.ndarray) -> None:
+        """Write the regions into `out`, a (frames, height*width, channels)
+        array, at its dtype: the one way the chunk engine reads a clip."""
+        if self.source is None:
+            out[...] = self.regions()
+        else:
+            self.source.read_into(out)
 
 
 def _attend(xhat: np.ndarray, mem: StaticWordMemory) -> np.ndarray:

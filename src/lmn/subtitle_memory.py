@@ -85,13 +85,14 @@ def _dot_memory(weights: np.ndarray, memory: np.ndarray) -> np.ndarray:
 
 @dataclass
 class ClipCache:
-    """The (N,) vectors `encode_clip_backward` walks, one entry per pass,
-    with the batch axes of the frame sums in front. Pass k attends over the
-    memory version `scales[k][..., None] * memory`."""
+    """The (N,) vectors `encode_clip_backward` walks, with the batch axes of
+    the frame sums in front: the frame-sum scores, which every pass reads,
+    and one row scale per pass. Pass k attends over the memory version
+    `scales[k][..., None] * memory`."""
 
     memory: np.ndarray  # (..., N, d) built memory M, never copied
+    scores: np.ndarray  # (..., N) M s of the frame sum s
     scales: list[np.ndarray] = field(default_factory=list)  # (..., N) row scale c of each pass
-    scores: list[np.ndarray] = field(default_factory=list)  # (..., N) M s of the frame sum s, one array for every pass
     pre: list[np.ndarray] = field(default_factory=list)  # (..., N) update-gate pre-activations
     guide: np.ndarray | None = None  # (..., N) question-guide softmax weights
     question_scores: np.ndarray | None = None  # (..., N) M q
@@ -121,9 +122,9 @@ def encode_clip_cached(
     if qg and question is None:
         raise ValueError("question guidance requires a question vector")
 
-    cache = ClipCache(memory0)
-    scale = np.ones(memory0.shape[:-1])
     scores = _row_dots(memory0, frame_sum)  # every pass attends with the same frame sum
+    cache = ClipCache(memory0, scores)
+    scale = np.ones(memory0.shape[:-1])
     for k in range(um_hops + qg):
         if k == um_hops:
             cache.question_scores = _row_dots(memory0, question)
@@ -135,7 +136,6 @@ def encode_clip_cached(
             scale = np.maximum(pre, 0.0) * scale
         vector = _weighted_row_sum(scale * scale * scores, memory0)
         cache.scales.append(scale)
-        cache.scores.append(scores)
     return vector, cache
 
 
@@ -143,26 +143,27 @@ def encode_clip_backward(dvector: np.ndarray, cache: ClipCache) -> np.ndarray:
     """Gradient of the pipeline output with respect to the frame sum, with
     the frame sum's shape.
 
-    The passes are walked in reverse; gradients reach the frame sum through
-    each pass's scores and through the update gates, whose pre-activations depend on
-    earlier clip vectors. The gate derivative at exactly zero is zero, and
-    the question embedding is frozen and gets no gradient.
+    The passes are walked in reverse. The frame sum s enters only through
+    the scores M s that every pass reads, so each pass adds its share to one
+    score gradient, through its own weights and through the update gates,
+    whose pre-activations depend on earlier clip vectors; one Mᵀ then maps
+    it to s. The gate derivative at exactly zero is zero, and the question
+    embedding is frozen and gets no gradient.
     """
-    memory = cache.memory
-    # gradients with respect to the frame sum, the current pass's clip
-    # vector and the current pass's row scale
-    dsum = np.zeros_like(dvector)
+    memory, scores = cache.memory, cache.scores
+    # gradients with respect to the scores, the current pass's clip vector
+    # and the current pass's row scale
+    dscores = np.zeros(memory.shape[:-1])
     dclip = dvector
     dscale = np.zeros(memory.shape[:-1])
     last = len(cache.scales) - 1
     for k in range(last, -1, -1):
-        scale, scores = cache.scales[k], cache.scores[k]
+        scale = cache.scales[k]
         dweights = _memory_dot(memory, dclip)
-        dframe_sum = _dot_memory(scale * scale * dweights, memory)
+        dscores = dscores + scale * scale * dweights
         if k == 0:
             break
         dscale = dscale + 2.0 * scale * scores * dweights
-        dsum = dsum + dframe_sum
         prev = cache.scales[k - 1]
         if k == last and cache.guide is not None:
             # the guide reads the question, not the previous clip vector
@@ -176,5 +177,5 @@ def encode_clip_backward(dvector: np.ndarray, cache: ClipCache) -> np.ndarray:
             pre = cache.pre[k - 1]
             dclip = _dot_memory(dscale * prev * prev * (pre > 0.0), memory)
             dscale = 2.0 * np.maximum(pre, 0.0) * dscale
-    return dsum + dframe_sum
+    return _dot_memory(dscores, memory)
 

@@ -8,10 +8,10 @@ gradient.
 Every pass runs through one chunk engine: consecutive same-shape items are
 stacked along a leading batch axis, while their stacked copies stay within
 CHUNK_BYTES, and each chunk goes through one forward and one backward. An
-item over the budget runs alone. The stack promotes the regions, held at
-their stored width or read from disk for a file-backed clip, to float64
-once per chunk; every other array of a one-item chunk is a view of the
-item's. Shapes never mix within a chunk, so nothing is padded or masked.
+item over the budget runs alone. `ClipFeatures.read_into` writes each
+clip's regions, resident or read from disk, into the chunk's one float64
+stack; every other array of a one-item chunk is a view of the item's.
+Shapes never mix within a chunk, so nothing is padded or masked.
 `train`'s minibatches, its dev pass, `evaluate`, and `forward`, `backward`
 and `gradcheck` on their one-item chunks all take this path, under one
 numeric guard that names a failing chunk's question. Preparation cuts
@@ -307,12 +307,11 @@ class Chunk:
     (T, R, C) regions and equal subtitle counts N, or all video-only.
 
     Items hold their clips, resident at the stored width (float32 from
-    LMNF files) or file-backed. The stack is taken at float64, straight
-    from each resident clip's buffer and, frame by frame, from each
-    file-backed clip's files, so a chunk of float32 items, even a chunk of
-    one, makes one exact float64 copy of its regions, which the frame
-    cache keeps for the backward. Every other array of a chunk of one, and
-    the regions of a resident float64 item, are views of the item's."""
+    LMNF files) or file-backed. The regions are one float64 stack that
+    each clip fills through `ClipFeatures.read_into`, so every chunk, even
+    a chunk of one, makes one exact float64 copy of its regions, which the
+    frame cache keeps for the backward. Every other array of a chunk of
+    one is a view of the item's."""
 
     regions: np.ndarray  # (B, T*R, C) float64: one region group per item
     questions: np.ndarray  # (B, d)
@@ -322,22 +321,13 @@ class Chunk:
 
     @classmethod
     def of(cls, items: list[Prepared]) -> Chunk:
-        def stacked(arrays, dtype=None):
-            if len(arrays) == 1:
-                return np.asarray(arrays[0], dtype=dtype)[None]
-            return np.array(arrays, dtype=dtype)
+        def stacked(arrays):
+            return arrays[0][None] if len(arrays) == 1 else np.array(arrays)
 
-        clips = [p.clip for p in items]
-        t, c, h, w = clips[0].shape
-        if all(clip.source is None for clip in clips):
-            regions = stacked([clip.regions() for clip in clips], np.float64)
-        else:  # files are read frame by frame straight into the float64 stack
-            regions = np.empty((len(clips), t, h * w, c))
-            for out, clip in zip(regions, clips):
-                if clip.source is None:
-                    out[...] = clip.regions()
-                else:
-                    clip.source.read_into(out)
+        t, c, h, w = items[0].clip.shape
+        regions = np.empty((len(items), t, h * w, c))
+        for out, prep in zip(regions, items):
+            prep.clip.read_into(out)
         labels = [p.label for p in items]
         return cls(
             regions=regions.reshape(len(items), t * h * w, c),

@@ -221,8 +221,8 @@ def test_criterion_5_algebraic_invariants():
         reduced_vector, reduced = encode_clip_cached(base_sum, smatrix, None,
                                                      um_hops=1, qg=False)
         assert np.array_equal(reduced_vector, attend_vector)
-        assert len(reduced.scores) == 1 and not reduced.pre and reduced.guide is None
-        assert np.array_equal(reduced.scores[-1], attend_scores)
+        assert len(reduced.scales) == 1 and not reduced.pre and reduced.guide is None
+        assert np.array_equal(reduced.scores, attend_scores)
         assert np.array_equal(reduced.scales[-1], np.ones(5))
 
         # uniform cross-entropy

@@ -4,6 +4,7 @@ import re
 import numpy as np
 import pytest
 
+import lmn.subtitle_memory
 import lmn.training
 from lmn.answering import QAItem
 from lmn.data_io import Example, SyntheticSpec, generate_synthetic
@@ -169,7 +170,7 @@ class TestSubtitleAttend:
     def test_aligned_unit_vectors(self):
         vector, cache = encode_clip_cached(np.array([1.0, 0.0]), np.array([[1.0, 0.0]]),
                                            None, um_hops=1, qg=False)
-        np.testing.assert_array_equal(cache.scores[0], [1.0])
+        np.testing.assert_array_equal(cache.scores, [1.0])
         np.testing.assert_array_equal(vector, [1.0, 0.0])
 
     def test_orthogonal_gives_zero(self):
@@ -187,7 +188,7 @@ class TestSubtitleAttend:
         np.testing.assert_allclose(vector, expected, atol=1e-12)
         # the clip is the sum of the reattended frames
         np.testing.assert_allclose(vector, (frames @ matrix.T @ matrix).sum(axis=0), atol=1e-12)
-        np.testing.assert_allclose(cache.scores[0], (frames @ matrix.T).sum(axis=0), atol=1e-12)
+        np.testing.assert_allclose(cache.scores, (frames @ matrix.T).sum(axis=0), atol=1e-12)
 
     def test_row_permutation_invariance(self):
         rng = np.random.default_rng(12)
@@ -198,7 +199,7 @@ class TestSubtitleAttend:
         permuted, permuted_cache = encode_clip_cached(frames.sum(0), matrix[perm], None,
                                                       um_hops=1, qg=False)
         np.testing.assert_allclose(permuted, base, atol=1e-12)
-        np.testing.assert_allclose(permuted_cache.scores[0], base_cache.scores[0][perm], atol=1e-12)
+        np.testing.assert_allclose(permuted_cache.scores, base_cache.scores[perm], atol=1e-12)
 
     def test_zero_row_is_inert(self):
         rng = np.random.default_rng(14)
@@ -314,7 +315,7 @@ class TestEncodeClip:
         scores = _row_dots(matrix, frames.sum(axis=0))
         vector, cache = encode_clip_cached(frames.sum(0), matrix, None, um_hops=1, qg=False)
         np.testing.assert_array_equal(vector, _weighted_row_sum(scores, matrix))
-        np.testing.assert_array_equal(cache.scores[-1], scores)
+        np.testing.assert_array_equal(cache.scores, scores)
         np.testing.assert_array_equal(cache.scales[-1], np.ones(2))
         assert not cache.pre and cache.guide is None
 
@@ -325,9 +326,28 @@ class TestEncodeClip:
         frame_sums = rng.normal(size=(2, 4))
         matrix = rng.normal(size=(2, 3, 4))
         _, cache = encode_clip_cached(frame_sums, matrix, rng.normal(size=(2, 4)), um_hops, qg)
-        assert len(cache.scores) == um_hops + qg
-        assert all(scores is cache.scores[0] for scores in cache.scores)
-        np.testing.assert_array_equal(cache.scores[0], _row_dots(matrix, frame_sums))
+        assert len(cache.scales) == um_hops + qg
+        np.testing.assert_array_equal(cache.scores, _row_dots(matrix, frame_sums))
+
+    @pytest.mark.parametrize("um_hops, qg", [(1, True), (2, False), (2, True), (3, True)])
+    def test_backward_maps_the_scores_to_the_frame_sum_once(self, monkeypatch, um_hops, qg):
+        # each update gate takes its gradient back to the previous clip
+        # vector through one Mᵀ; the frame sum gets one Mᵀ of the score
+        # gradient that every pass adds to
+        rng = np.random.default_rng(45)
+        frame_sums = rng.normal(size=(2, 4))
+        matrix = rng.normal(size=(2, 3, 4))
+        _, cache = encode_clip_cached(frame_sums, matrix, rng.normal(size=(2, 4)), um_hops, qg)
+        calls = []
+        dot = lmn.subtitle_memory._dot_memory
+
+        def counting(weights, memory):
+            calls.append(weights.shape)
+            return dot(weights, memory)
+
+        monkeypatch.setattr(lmn.subtitle_memory, "_dot_memory", counting)
+        encode_clip_backward(rng.normal(size=(2, 4)), cache)
+        assert len(calls) == um_hops
 
     def test_uniform_guidance_scaling_law(self):
         rng = np.random.default_rng(47)

@@ -5,7 +5,8 @@ silently skips one it cannot find, which would leave that layer's metrics at
 zero; every other name a `bench/` script reads from the package must still
 resolve, and so must every attribute a bench script reads from a workload's
 `ModelConfig`, and every keyword a bench script passes to the oracle
-`tests/reference.py`; the package root exports exactly the names the README
+`tests/reference.py`, and every attribute a bench script reads from a
+library object; the package root exports exactly the names the README
 documents, and the README names exactly the model switches `lmn train` takes.
 """
 
@@ -22,8 +23,11 @@ import pytest
 
 import lmn
 import reference
-from lmn import word_memory
+from lmn import training, word_memory
+from lmn.answering import score_answers
 from lmn.cli import build_parser
+from lmn.data_io import SyntheticSpec, generate_synthetic
+from lmn.frame_encoder import encode_frames_cached
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -116,6 +120,67 @@ def test_bench_reference_call_binds():
             signature.bind(*[None] * positional, **dict.fromkeys(keywords))
         except TypeError as exc:
             pytest.fail(f"bench/{path} calls reference_forward: {exc}")
+
+
+# Attributes bench scripts read from the library's objects. Smoke runs are
+# not part of this suite, and untraced runs never reach bench/spans.py's
+# `_note`, so a renamed attribute would fail only there. `_note`'s
+# `result.movie_id` (bench/spans.py line 108) is left out: it reads an
+# attribute that `build_memory`'s plain (N, d) rows never had, and the branch
+# is dead because nothing calls the traced `training.build_memory`.
+BENCH_ATTRIBUTE_READS = [
+    # bench/workloads.py lines 311-312: the oracle gate's reference_forward call
+    ("Prepared", "regions"), ("Prepared", "question"), ("Prepared", "answer_mat"),
+    ("Prepared", "subtitle_mat"),
+    # bench/spans.py line 104 (load_features' result) and bench/workloads.py line 223
+    ("ClipFeatures", "tensor"), ("ClipFeatures", "channels"),
+    # bench/spans.py line 102: _note on frame_encoder.backward's cache
+    ("FrameCache", "regions"), ("FrameCache", "hop_caches"),
+    # bench/workloads.py lines 231-238, after training.train
+    ("TrainReport", "epochs"), ("TrainReport", "params_digest"), ("TrainReport", "to_json"),
+    ("EpochStats", "train_loss"),
+    # bench/spans.py lines 98, 102 and 106, and bench/workloads.py lines 223 and 311
+    ("StaticWordMemory", "matrix"), ("StaticWordMemory", "dim"), ("StaticWordMemory", "size"),
+    # bench/workloads.py lines 317 and 330, and bench/spans.py line 110
+    ("AnswerDistribution", "probs"), ("AnswerDistribution", "logits"),
+    # bench/workloads.py lines 237, 241 and 311
+    ("ModelParams", "weights"),
+]
+
+
+@pytest.fixture(scope="module")
+def library_objects():
+    """One instance of each class in BENCH_ATTRIBUTE_READS, made as the
+    bench makes it, on a few desk-shape items."""
+    spec = SyntheticSpec(n_train=4, n_eval=1, seed=3)
+    data = generate_synthetic(spec)
+    mem, examples = data.word_memory, data.examples("train")
+    params0 = training.init_params(spec.dim, spec.channels, seed=3)
+    params, report = training.train(examples, mem, training.TrainConfig(max_epochs=1), params0)
+    prep = training.prepare_example(mem, examples[0])
+    regions = prep.regions.reshape(1, -1, spec.channels)
+    _, frame_cache = encode_frames_cached(regions, params.weights, mem, 1)
+    dist = score_answers(prep.question, prep.question, prep.answer_mat)
+    objects = [prep, examples[0].features, frame_cache, report, report.epochs[0], mem, dist,
+               params]
+    return {type(obj).__name__: obj for obj in objects}
+
+
+@pytest.mark.parametrize("cls,attr", BENCH_ATTRIBUTE_READS, ids=lambda v: v)
+def test_bench_attribute_read_resolves(library_objects, cls, attr):
+    assert hasattr(library_objects[cls], attr), f"bench/ reads {cls}.{attr}, which is gone"
+
+
+def test_training_does_not_ask_where_a_clip_lives():
+    """Only `frame_encoder` and `data_io` know whether a clip is resident or
+    on disk: the chunk engine reads every clip through
+    `ClipFeatures.read_into`, never through its `source`."""
+    path = os.path.join(ROOT, "src", "lmn", "training.py")
+    with open(path, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read(), path)
+    reads = [node.lineno for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and node.attr == "source"]
+    assert reads == []
 
 
 def test_word_memory_has_no_gram_threshold():

@@ -232,8 +232,8 @@ class TestGradcheckHarness:
         (lmn.subtitle_memory, "encode_clip_backward",
          "weights * dscale + dlogits * cache.question_scores", "weights * dscale",
          dict(um_hops=2, qg=True)),
-        (lmn.subtitle_memory, "encode_clip_backward", "dsum = dsum + dframe_sum", "dsum = dsum",
-         dict(um_hops=2)),
+        (lmn.subtitle_memory, "encode_clip_backward", "dscores = dscores + scale * scale * dweights",
+         "dscores = scale * scale * dweights", dict(um_hops=2)),
         (lmn.frame_encoder, "_normalize_backward", "np.multiply(cache.xhat, inner, out=cache.xhat)",
          "np.multiply(0.0, cache.xhat, out=cache.xhat)", {}),
         (lmn.subtitle_memory, "encode_clip_backward", "np.maximum(pre, 0.0) * dscale",
