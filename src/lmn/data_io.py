@@ -3,13 +3,9 @@ the LMNF feature-tensor and LMNP parameter containers, the QA JSONL schema,
 frame subsampling across clips, and a planted-signal synthetic generator used
 by the verification harness.
 
-Feature payloads are stored as 32-bit little-endian floats. A clip the chunk
-engine runs alone stays on disk until its chunk reads it; a smaller one is
-held at that width in region order, 4 bytes per value. The chunk engine
-promotes each chunk's regions to 64-bit once, when it stacks them, and frees
-that copy with the chunk (6.4 MB per MovieQA-shape item per forward/backward
-step).
-Parameters are stored at full 64-bit width.
+Feature payloads are stored as 32-bit and parameters as 64-bit
+little-endian floats. `load_features` alone decides which clips stay on
+disk, and `subsample_frames` keeps every picked frame where it lives.
 """
 
 from __future__ import annotations
@@ -236,52 +232,51 @@ def save_features(clip: ClipFeatures, path) -> None:
 
 @dataclass(frozen=True)
 class _FileFrames:
-    """The source of a file-backed clip: for each run of its frames that
-    one LMNF file holds, in clip order, the file's path, its (T, C, H, W)
-    dims when it was loaded, and the indices of the frames picked from it."""
+    """One LMNF file as a store of clip frames: its path and the
+    (T, C, H, W) dims it had when it was loaded."""
 
-    parts: tuple[tuple[str, tuple[int, ...], tuple[int, ...]], ...]
+    path: str
+    dims: tuple[int, ...]
 
-    def read_into(self, out: np.ndarray) -> None:
-        """Write the clip's frames into `out`, a (T, H·W, C) array, at its
-        dtype. Each file is checked again as the container reader checks
-        it, header and size, and must still have the dims it was loaded
-        with; its picked frames are then read one at a time into a one-frame
-        buffer, each checked finite and copied into `out` in region order.
-        A whole float32 payload beside the chunk's float64 stack would add
+    def read_into(self, picked, out: np.ndarray) -> None:
+        """Write the frames `picked` into `out`, a (len(picked), H·W, C)
+        array, at its dtype. The file is checked again as the container
+        reader checks it, header and size, and must still have the dims it
+        was loaded with; each picked frame is then read into a one-frame
+        buffer, checked finite and copied into `out` in region order. A
+        whole float32 payload beside the chunk's float64 stack would add
         3.2 MB to each MovieQA-shape item: its heap then grew past glibc's
         trim threshold, and every item faulted its pages in afresh (78k
         minor faults per 32-question evaluation against 3.7k)."""
-        k = 0
-        for path, dims, picked in self.parts:
-            with open(path, "rb") as fh:
-                found = _check_header(fh, path, _FEATURE_MAGIC, 4, "<f4")
-                if found != dims:
-                    raise DataFormatError(f"{path}: dims {found} differ from the {dims} "
-                                          f"it was loaded with")
-                payload = fh.tell()
-                frame = np.empty(dims[1:], dtype="<f4")
-                for t in picked:
-                    fh.seek(payload + t * frame.nbytes)
-                    _read_values(fh, path, frame)
-                    out[k] = frame.reshape(len(frame), -1).T
-                    k += 1
+        with open(self.path, "rb") as fh:
+            found = _check_header(fh, self.path, _FEATURE_MAGIC, 4, "<f4")
+            if found != self.dims:
+                raise DataFormatError(f"{self.path}: dims {found} differ from the {self.dims} "
+                                      f"it was loaded with")
+            payload = fh.tell()
+            frame = np.empty(self.dims[1:], dtype="<f4")
+            for k, t in enumerate(picked):
+                fh.seek(payload + t * frame.nbytes)
+                _read_values(fh, self.path, frame)
+                out[k] = frame.reshape(len(frame), -1).T
 
 
 def load_features(path) -> ClipFeatures:
     """The file's clip, checked in full: header, size and finiteness. A clip
     whose float64 regions exceed CHUNK_BYTES, one the chunk engine runs
-    alone, is file-backed: it keeps only the path and dims, and every chunk
-    that stacks it reads the file again (`_FileFrames.read_into`). A
-    smaller clip is held as float32: one copy reorders the checked payload
-    into the clip's region-order buffer. Nothing is promoted here;
-    `training.Chunk.of` makes each chunk's float64 copy of its regions."""
+    alone, is file-backed: its store is the file, which every chunk that
+    stacks it reads again (`_FileFrames.read_into`). A smaller clip's store
+    is one float32 region-order copy of the checked payload. Nothing is
+    promoted here; `training.Chunk.of` makes each chunk's float64 copy of
+    its regions."""
     payload = _read_container(path, _FEATURE_MAGIC, 4, "<f4")
+    t, c = payload.shape[:2]
     if 8 * payload.size > CHUNK_BYTES:
-        frames = tuple(range(len(payload)))
-        return ClipFeatures._on_disk(_FileFrames(((os.fspath(path), payload.shape, frames),)),
-                                     payload.shape)
-    return ClipFeatures._adopt(payload.transpose(0, 2, 3, 1).astype(np.float32, order="C"))
+        store = _FileFrames(os.fspath(path), payload.shape)
+    else:
+        store = payload.transpose(0, 2, 3, 1).astype(np.float32, order="C").reshape(t, -1, c)
+        store.setflags(write=False)
+    return ClipFeatures._of(payload.shape, ((store, tuple(range(t))),))
 
 
 def save_params(weights: np.ndarray, path) -> None:
@@ -357,10 +352,9 @@ def subsample_indices(total: int, target: int) -> list[int]:
 def subsample_frames(clips, target: int) -> ClipFeatures:
     """Concatenate the clips' frames in order and pick `target` equally spaced
     frames; short inputs repeat frames as the spacing rule dictates. A lone
-    clip that already has `target` frames is returned as it is. Of
-    file-backed clips the result is file-backed too: it records which frame
-    of which file it picked, and nothing is read. Otherwise the picked
-    frames are copied once, into the result's buffer."""
+    clip that already has `target` frames is returned as it is. Otherwise
+    the picked frames are regrouped into runs of the clips' own stores:
+    nothing is copied or read, and a file-backed frame stays on disk."""
     clips = list(clips)
     if not clips:
         raise ValueError("need at least one clip")
@@ -370,20 +364,14 @@ def subsample_frames(clips, target: int) -> ClipFeatures:
             raise ValueError(f"clip shape mismatch: {clip.shape[1:]} vs {shape}")
     if len(clips) == 1 and clips[0].frames == target:
         return clips[0]
-    picks = subsample_indices(sum(clip.frames for clip in clips), target)
-    if all(clip.source is not None for clip in clips):
-        located = [(path, dims, t) for clip in clips for path, dims, picked in clip.source.parts
-                   for t in picked]
-        parts = []
-        for path, dims, t in (located[i] for i in picks):
-            if parts and parts[-1][:2] == (path, dims):
-                parts[-1][2].append(t)
-            else:
-                parts.append((path, dims, [t]))
-        source = _FileFrames(tuple((path, dims, tuple(ts)) for path, dims, ts in parts))
-        return ClipFeatures._on_disk(source, (target, *shape))
-    frames = [frame for clip in clips for frame in clip.tensor.transpose(0, 2, 3, 1)]
-    return ClipFeatures._adopt(np.stack([frames[i] for i in picks]))
+    located = [(store, t) for clip in clips for store, picked in clip.runs for t in picked]
+    runs = []
+    for store, t in (located[i] for i in subsample_indices(len(located), target)):
+        if runs and runs[-1][0] is store:
+            runs[-1][1].append(t)
+        else:
+            runs.append((store, [t]))
+    return ClipFeatures._of((target, *shape), ((store, tuple(ts)) for store, ts in runs))
 
 
 # --- dataset assembly -------------------------------------------------------

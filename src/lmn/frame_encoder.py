@@ -64,21 +64,17 @@ class ClipFeatures:
     """Frame-wise CNN feature maps: T frames of C channels over an H×W
     grid, `shape` (T, C, H, W).
 
-    A resident clip holds one read-only buffer in region order (T, H, W, C)
-    that the clip owns; `tensor` is its (T, C, H, W) view. A float32 array
-    is held at that width, the LMNF file's, and any other input as float64:
-    every float32 value is exact in float64, and the chunk engine reads
-    every clip into a float64 stack (`training.Chunk.of`), so both widths
-    compute the same bits.
+    `runs` holds the frames in clip order as (store, picked) pairs: the
+    frames `picked` from `store`, in order. A store is a read-only
+    (T', H·W, C) region-order array that the clip owns, or one LMNF file
+    (`data_io._FileFrames`) that reads and checks the picked frames again
+    on every read and keeps none of them; `data_io.load_features` decides
+    which. An array is float32 for float32 input, the LMNF width, and
+    float64 for any other: every float32 value is exact in float64, and
+    the chunk engine reads every clip into a float64 stack
+    (`training.Chunk.of`), so both widths compute the same bits."""
 
-    A file-backed clip holds no values, only its shape and its `source`,
-    which reads and checks its frames from disk. `data_io.load_features`
-    makes one for a file whose float64 regions exceed CHUNK_BYTES, a clip
-    the chunk engine runs alone, and `data_io.subsample_frames` one of such
-    clips' frames. Every `tensor`, `regions()` and `read_into` call reads
-    the files again, and the clip keeps nothing of them."""
-
-    __slots__ = ("shape", "source", "_buffer")
+    __slots__ = ("shape", "runs")
 
     def __init__(self, tensor: np.ndarray):
         width = np.float32 if getattr(tensor, "dtype", None) == np.float32 else np.float64
@@ -88,32 +84,26 @@ class ClipFeatures:
         if min(t.shape) < 1:
             raise ValueError(f"feature tensor has a zero-sized axis: {t.shape}")
         # a copy: no array the caller holds can write under the clip
-        buffer = t.transpose(0, 2, 3, 1).copy()
+        frames, channels = t.shape[:2]
+        buffer = t.transpose(0, 2, 3, 1).copy().reshape(frames, -1, channels)
         if not np.isfinite(buffer).all():
             raise ValueError("feature tensor contains non-finite entries")
-        self._hold(buffer)
-
-    @classmethod
-    def _adopt(cls, buffer: np.ndarray) -> ClipFeatures:
-        """A clip that takes `buffer`, a fresh (T, H, W, C) float32 or
-        float64 C-order array that no caller holds and whose values the
-        caller has checked finite, without copying or checking it again."""
-        clip = cls.__new__(cls)
-        clip._hold(buffer)
-        return clip
-
-    @classmethod
-    def _on_disk(cls, source, shape: tuple[int, int, int, int]) -> ClipFeatures:
-        """A file-backed clip of this (T, C, H, W) shape, whose values
-        `source.read_into` reads."""
-        clip = cls.__new__(cls)
-        clip.shape, clip.source, clip._buffer = tuple(shape), source, None
-        return clip
-
-    def _hold(self, buffer: np.ndarray) -> None:
         buffer.setflags(write=False)
-        t, h, w, c = buffer.shape
-        self.shape, self.source, self._buffer = (t, c, h, w), None, buffer
+        self.shape, self.runs = t.shape, ((buffer, tuple(range(frames))),)
+
+    @classmethod
+    def _of(cls, shape: tuple[int, int, int, int], runs) -> ClipFeatures:
+        """A clip of this (T, C, H, W) shape made of `runs`, taken as they
+        are: each array store must be read-only, no caller may write it,
+        and its values must have been checked finite."""
+        clip = cls.__new__(cls)
+        clip.shape, clip.runs = tuple(shape), tuple(runs)
+        return clip
+
+    @property
+    def source(self) -> tuple | None:
+        """The clip's file stores in run order, or None if it has none."""
+        return tuple(s for s, _ in self.runs if not isinstance(s, np.ndarray)) or None
 
     @property
     def tensor(self) -> np.ndarray:
@@ -131,22 +121,39 @@ class ClipFeatures:
 
     def regions(self) -> np.ndarray:
         """The values as (frames, height*width, channels); region index runs
-        row-major over the spatial grid. A resident clip gives a read-only
-        view of its buffer, a file-backed clip a fresh float32 read."""
+        row-major over the spatial grid. A clip that is one whole array
+        gives that read-only array; any other clip a fresh read, float64 if
+        it has a float64 array store and float32 otherwise."""
         t, c, h, w = self.shape
-        if self.source is None:
-            return self._buffer.reshape(t, h * w, c)
-        regions = np.empty((t, h * w, c), np.float32)
-        self.source.read_into(regions)
+        if len(self.runs) == 1 and _whole(*self.runs[0]):
+            return self.runs[0][0]
+        wide = any(getattr(store, "dtype", None) == np.float64 for store, _ in self.runs)
+        regions = np.empty((t, h * w, c), np.float64 if wide else np.float32)
+        self.read_into(regions)
         return regions
 
     def read_into(self, out: np.ndarray) -> None:
         """Write the regions into `out`, a (frames, height*width, channels)
-        array, at its dtype: the one way the chunk engine reads a clip."""
-        if self.source is None:
-            out[...] = self.regions()
-        else:
-            self.source.read_into(out)
+        array, at its dtype: the one way the chunk engine reads a clip. A
+        run that is its whole array is one copy, any other array run is
+        copied a frame at a time, so no temporary is made, and a file run
+        reads its frames through its store."""
+        k = 0
+        for store, picked in self.runs:
+            part = out[k : k + len(picked)]
+            if _whole(store, picked):
+                part[...] = store
+            elif isinstance(store, np.ndarray):
+                for j, t in enumerate(picked):
+                    part[j] = store[t]
+            else:
+                store.read_into(picked, part)
+            k += len(picked)
+
+
+def _whole(store, picked: tuple[int, ...]) -> bool:
+    """Whether a run is every frame of an array store, in order."""
+    return isinstance(store, np.ndarray) and picked == tuple(range(len(store)))
 
 
 def _attend(xhat: np.ndarray, mem: StaticWordMemory) -> np.ndarray:

@@ -13,6 +13,7 @@ import pytest
 from lmn.answering import QAItem
 from lmn.data_io import (
     DataFormatError,
+    Example,
     SubtitleEntry,
     SubtitleFile,
     SyntheticSpec,
@@ -31,7 +32,9 @@ from lmn.data_io import (
     write_synthetic,
 )
 from lmn.frame_encoder import CHUNK_BYTES, ClipFeatures
-from lmn.word_memory import EmbeddingFormatError, embed_sentence, load_word2vec_text
+from lmn.training import ModelParams, evaluate
+from lmn.word_memory import (EmbeddingFormatError, StaticWordMemory, embed_sentence,
+                             load_word2vec_text)
 
 
 def write(path, text, encoding="utf-8"):
@@ -528,10 +531,14 @@ class TestSubsample:
         tracemalloc.start()
         try:
             out = subsample_frames([a, b], 6)
+            held, _ = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            tensor = out.tensor
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        buffer = out.tensor.transpose(0, 2, 3, 1)
+        assert held < 4096  # the pick copies no frame; its read makes the one buffer
+        buffer = tensor.transpose(0, 2, 3, 1)
         assert buffer.shape == (6, 5, 5, 64) and buffer.flags.c_contiguous
         assert buffer.nbytes <= peak < 1.25 * buffer.nbytes
         both = np.concatenate([a.tensor, b.tensor])
@@ -579,6 +586,59 @@ class TestSubsample:
         assert out.tensor.tobytes() == resident.tensor.tobytes()
         assert out.regions().tobytes() == resident.regions().tobytes()
 
+
+
+class TestMixedResidency:
+    """A question that lists a one-frame clip, held in memory at the MovieQA
+    frame size (200,704 B of float64 regions), and a 30-frame clip over
+    CHUNK_BYTES: its pick keeps the long clip on disk and reads exactly as
+    a pick of the same clips held in memory."""
+
+    SHAPE = (512, 7, 7)
+    CLIPS = {"short": 1, "long": 30}
+
+    @pytest.fixture
+    def saved(self, tmp_path):
+        rng = np.random.default_rng(21)
+        resident = {name: ClipFeatures(rng.normal(size=(t, *self.SHAPE)).astype(np.float32))
+                    for name, t in self.CLIPS.items()}
+        for name, clip in resident.items():
+            save_features(clip, tmp_path / f"{name}.lmnf")
+        return tmp_path, resident
+
+    def test_the_pick_stays_on_disk_and_copies_no_frame(self, saved):
+        root, resident = saved
+        clips = [load_features(root / f"{name}.lmnf") for name in self.CLIPS]
+        assert [clip.source is None for clip in clips] == [True, False]
+        tracemalloc.start()
+        try:
+            out = subsample_frames(clips, 32)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert out.source is not None and out.shape == (32, *self.SHAPE)
+        assert peak < 64 * 1024
+        want = subsample_frames(resident.values(), 32).regions()
+        got = out.regions()
+        assert got.dtype == want.dtype == np.float32
+        assert got.tobytes() == want.tobytes()
+
+    def test_evaluate_records_match_the_resident_question(self, saved):
+        root, resident = saved
+        rng = np.random.default_rng(22)
+        words = ["what", "is", "here", "a", "b", "c", "d", "e", "shown"]
+        mem = StaticWordMemory(words, rng.normal(size=(len(words), 4)))
+        write(root / "m.txt", "what is shown here\na b c\n")
+        items = [QAItem(qid=f"q{k}", question="what is here", answers=("a", "b", "c", "d", "e"),
+                        movie_id="m", clip_ids=ids, correct_index=k)
+                 for k, ids in enumerate([("short", "long"), ("long", "short")])]
+        mixed = load_examples(items, root, root, 32)
+        assert all(ex.features.source is not None for ex in mixed)
+        in_memory = [Example(ex.item, subsample_frames([resident[c] for c in ex.item.clip_ids], 32),
+                             ex.subtitles) for ex in mixed]
+        params = ModelParams(0.1 * rng.normal(size=(4, 512)))
+        got, want = evaluate(params, mem, mixed), evaluate(params, mem, in_memory)
+        assert json.dumps(got).encode() == json.dumps(want).encode()
 
 class TestGenerateSynthetic:
     def test_zero_noise_plants_exact_directions(self):

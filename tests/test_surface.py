@@ -27,7 +27,7 @@ from lmn import training, word_memory
 from lmn.answering import score_answers
 from lmn.cli import build_parser
 from lmn.data_io import SyntheticSpec, generate_synthetic
-from lmn.frame_encoder import encode_frames_cached
+from lmn.frame_encoder import ClipFeatures, encode_frames_cached
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -171,16 +171,29 @@ def test_bench_attribute_read_resolves(library_objects, cls, attr):
     assert hasattr(library_objects[cls], attr), f"bench/ reads {cls}.{attr}, which is gone"
 
 
+def _module_tree(name):
+    path = os.path.join(ROOT, "src", "lmn", name)
+    with open(path, encoding="utf-8") as fh:
+        return ast.parse(fh.read(), path)
+
+
 def test_training_does_not_ask_where_a_clip_lives():
     """Only `frame_encoder` and `data_io` know whether a clip is resident or
     on disk: the chunk engine reads every clip through
-    `ClipFeatures.read_into`, never through its `source`."""
-    path = os.path.join(ROOT, "src", "lmn", "training.py")
-    with open(path, encoding="utf-8") as fh:
-        tree = ast.parse(fh.read(), path)
-    reads = [node.lineno for node in ast.walk(tree)
-             if isinstance(node, ast.Attribute) and node.attr == "source"]
+    `ClipFeatures.read_into`, never through its `source` or `runs`."""
+    reads = [(node.lineno, node.attr) for node in ast.walk(_module_tree("training.py"))
+             if isinstance(node, ast.Attribute) and node.attr in ("source", "runs")]
     assert reads == []
+
+
+def test_data_io_makes_clips_through_one_private_constructor():
+    """`load_features` and `subsample_frames` build their clips from runs
+    with `ClipFeatures._of`, and reach into no other private name."""
+    private = {node.attr for node in ast.walk(_module_tree("data_io.py"))
+               if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+               and node.value.id == "ClipFeatures" and node.attr.startswith("_")}
+    assert private == {"_of"}
+    assert callable(ClipFeatures._of)
 
 
 def test_word_memory_has_no_gram_threshold():
