@@ -16,7 +16,9 @@ pass and returns the clip vector and the cache of (N,) vectors that
 `encode_clip_backward` walks in reverse to the frame-sum gradient. Both
 carry any leading batch axes through the recurrence: (B, d) frame sums over
 (B, N, d) memories give (B, d) clip vectors, with (B, N) scales in the
-cache. Neither function mutates its inputs.
+cache. Neither function mutates its inputs. For d ≥ 2 and without question
+guidance, an all-zero memory row changes neither the clip vector nor the
+gradient, bit for bit.
 """
 
 from __future__ import annotations
@@ -56,12 +58,15 @@ def build_memory(
 
 # --- the scale recurrence -------------------------------------------------
 
-# The forward's two products are written so that inserting an all-zero
-# memory row leaves every other number bitwise as it was: each row's inner
+# The layer's two products are written so that inserting an all-zero
+# memory row leaves the clip vector and the frame-sum gradient bitwise as
+# they were, when d >= 2 and no question guides the passes: each row's inner
 # product is taken on its own, and rows are added in order, so a zero row
-# adds an exact zero. A BLAS matrix-vector product may regroup both when the
-# row count changes. The adjoint needs no such property and uses BLAS, one
-# matrix-vector product per batch entry.
+# adds an exact zero. At d = 1 the row sum runs over a contiguous axis, which
+# einsum may regroup; under guidance a zero row has score 0 and still takes
+# softmax weight, so the output moves by the model's own math. A BLAS
+# matrix product may regroup either sum when the row count changes, so both
+# directions of the recurrence use these two and no other.
 
 def _row_dots(memory: np.ndarray, x: np.ndarray) -> np.ndarray:
     """(..., N) inner product of each memory row with x."""
@@ -71,16 +76,6 @@ def _row_dots(memory: np.ndarray, x: np.ndarray) -> np.ndarray:
 def _weighted_row_sum(weights: np.ndarray, memory: np.ndarray) -> np.ndarray:
     """(..., d) sum of the memory rows scaled by weights, added in row order."""
     return np.einsum("...n,...nd->...d", weights, memory)
-
-
-def _memory_dot(memory: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """(..., N) BLAS product M x of the memory with x."""
-    return np.matmul(memory, x[..., None])[..., 0]
-
-
-def _dot_memory(weights: np.ndarray, memory: np.ndarray) -> np.ndarray:
-    """(..., d) BLAS product wᵀ M of the row weights with the memory."""
-    return np.matmul(weights[..., None, :], memory)[..., 0, :]
 
 
 @dataclass
@@ -159,7 +154,7 @@ def encode_clip_backward(dvector: np.ndarray, cache: ClipCache) -> np.ndarray:
     last = len(cache.scales) - 1
     for k in range(last, -1, -1):
         scale = cache.scales[k]
-        dweights = _memory_dot(memory, dclip)
+        dweights = _row_dots(memory, dclip)
         dscores = dscores + scale * scale * dweights
         if k == 0:
             break
@@ -169,13 +164,13 @@ def encode_clip_backward(dvector: np.ndarray, cache: ClipCache) -> np.ndarray:
             # the guide reads the question, not the previous clip vector
             weights = cache.guide
             dguide = dscale * prev
-            inner = np.matmul(weights[..., None, :], dguide[..., None])[..., 0]  # (..., 1)
+            inner = np.vecdot(weights, dguide)[..., None]
             dlogits = weights * (dguide - inner)
             dscale = weights * dscale + dlogits * cache.question_scores
             dclip = np.zeros_like(dvector)
         else:
             pre = cache.pre[k - 1]
-            dclip = _dot_memory(dscale * prev * prev * (pre > 0.0), memory)
+            dclip = _weighted_row_sum(dscale * prev * prev * (pre > 0.0), memory)
             dscale = 2.0 * np.maximum(pre, 0.0) * dscale
-    return _dot_memory(dscores, memory)
+    return _weighted_row_sum(dscores, memory)
 

@@ -203,6 +203,19 @@ def test_word_memory_has_no_gram_threshold():
     assert not hasattr(word_memory, "GRAM_MIN_VOCAB")
 
 
+def test_subtitle_memory_makes_no_matrix_product():
+    """Both directions of the clip layer take every product with the memory
+    through `_row_dots` and `_weighted_row_sum`, which keep an all-zero row
+    bitwise inert; `np.matmul`, `np.dot` or `@` may regroup the sums."""
+    found = []
+    for node in ast.walk(_module_tree("subtitle_memory.py")):
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+            found.append((node.lineno, "@"))
+        elif isinstance(node, ast.Attribute) and node.attr in ("matmul", "dot"):
+            found.append((node.lineno, node.attr))
+    assert found == []
+
+
 def _readme():
     with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as fh:
         return fh.read()
